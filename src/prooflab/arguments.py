@@ -16,9 +16,15 @@ edge set, nor at that edge set's own target; the validator enforces this and
 validate() additionally flags the readings the clause leaves open (an
 axiomatic leaf discharged there).
 
-Nodes are addressed by paths (tuples of child indexes from the root), so
-discharge needs no index bookkeeping: instances and rewrites shift paths and
-the pretty-printer invents display indexes at the end.
+Each discharge is stored on its source node as the distance up to its
+target, in the manner of de Bruijn indices, so a subtree is a value of its
+own.  A node discharged above a subtree's root counts as undischarged in
+that subtree (an open assumption, if it is a non-axiomatic leaf); moving a
+subtree to another depth adjusts only those escaping distances.  Absolute
+paths (tuples of child indexes from the root) address discharges only at
+the boundary: the table of (source, target) entries that hand-built
+structures and JSON files give is checked once and converted when a
+structure is built from it, and read back for printing and serialization.
 
 Assumptions are the labels of undischarged non-axiomatic leaves; a structure
 is closed when it has none.  An instance replaces every assumption leaf by a
@@ -28,7 +34,7 @@ structure with the matching conclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from prooflab.atomic_system import (
     AtomicRule,
@@ -74,8 +80,6 @@ __all__ = [
     "Inference",
     "root_inference",
     "structure_of_inference",
-    "RuleSchema",
-    "SCHEMATA",
     "and_intro",
     "or_intro_left",
     "or_intro_right",
@@ -124,9 +128,31 @@ def _atom_name(f: Formula) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Node:
+    """A labelled node.  bound is how many levels up the node discharging
+    this one sits, 0 when none does; what it discharges is an assumption at
+    a non-axiomatic leaf, an assumed axiom at an axiomatic one and an
+    assumed application of rule at an inner node.  free is derived: bit i
+    is set when some node of the subtree is discharged i + 1 levels above
+    this one."""
+
     formula: Formula
     children: tuple["Node", ...] = ()
     axiomatic: bool = False
+    bound: int = 0
+    rule: AtomicRule | None = None
+    free: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.axiomatic and self.children:
+            raise StructureError("axiomatic mark on an inner node")
+        free = 1 << self.bound - 1 if self.bound else 0
+        for child in self.children:
+            free |= child.free >> 1
+        object.__setattr__(self, "free", free)
+
+
+def _with_children(node: Node, children: tuple[Node, ...]) -> Node:
+    return Node(node.formula, children, node.axiomatic, node.bound, node.rule)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,27 +178,38 @@ def _source(item: DischargeItem) -> Path:
     return item.leaf if isinstance(item, (AssumptionDischarge, AxiomDischarge)) else item.node
 
 
-def _entry_key(entry: tuple[DischargeItem, Path]):
-    item, target = entry
-    rank = {AssumptionDischarge: 0, AxiomDischarge: 1, RuleDischarge: 2}[type(item)]
-    extra = format_rule(item.rule) if isinstance(item, RuleDischarge) else ""
-    return (_source(item), rank, extra, target)
+def _item(node: Node, path: Path) -> DischargeItem:
+    """The discharge a node's bound stands for, its source at path."""
+    if node.children:
+        return RuleDischarge(node=path, rule=node.rule)
+    if node.axiomatic:
+        return AxiomDischarge(leaf=path)
+    return AssumptionDischarge(leaf=path)
 
 
 def _is_proper_prefix(short: Path, long: Path) -> bool:
     return len(short) < len(long) and long[: len(short)] == short
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ArgumentStructure:
-    root: Node
-    discharge: tuple[tuple[DischargeItem, Path], ...] = ()
+    """A structure is its root node, which carries the discharges.  Given a
+    table of (item, target path) entries as well, the constructor checks
+    each entry against the tree and writes it onto its source node;
+    discharge reads the table back."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "discharge", tuple(sorted(self.discharge, key=_entry_key))
-        )
-        _validate_hard(self)
+    root: Node
+
+    def __init__(
+        self, root: Node, discharge: Sequence[tuple[DischargeItem, Path]] = ()
+    ) -> None:
+        object.__setattr__(self, "root", _bind(root, discharge) if discharge else root)
+
+    @property
+    def discharge(self) -> tuple[tuple[DischargeItem, Path], ...]:
+        """The discharges with a target inside the structure, sources in
+        preorder."""
+        return tuple(_entries(self.root))
 
     def node_at(self, path: Path) -> Node:
         node = self.root
@@ -185,21 +222,38 @@ class ArgumentStructure:
 
 
 def iter_nodes(struct: ArgumentStructure) -> Iterator[tuple[Path, Node]]:
-    def walk(node: Node, path: Path) -> Iterator[tuple[Path, Node]]:
-        yield path, node
-        for i, child in enumerate(node.children):
-            yield from walk(child, path + (i,))
-
-    yield from walk(struct.root, ())
+    return _walk(struct.root, ())
 
 
-def _validate_hard(struct: ArgumentStructure) -> None:
-    nodes = dict(iter_nodes(struct))
-    for path, node in nodes.items():
-        if node.axiomatic and node.children:
-            raise StructureError(f"axiomatic mark on an inner node at {path}")
-    seen_sources: set[tuple[type, Path]] = set()
-    for item, target in struct.discharge:
+def _walk(node: Node, path: Path) -> Iterator[tuple[Path, Node]]:
+    yield path, node
+    for i, child in enumerate(node.children):
+        yield from _walk(child, path + (i,))
+
+
+def _entries(root: Node) -> Iterator[tuple[DischargeItem, Path]]:
+    for path, node in _walk(root, ()):
+        if 0 < node.bound <= len(path):
+            yield _item(node, path), path[: len(path) - node.bound]
+
+
+def _bound_at(node: Node, path: Path = ()) -> Iterator[tuple[Path, Node]]:
+    """The nodes a binder discharges, with their paths from it, in
+    preorder; node is the binder's descendant at path, the binder itself
+    when path is empty."""
+    for i, child in enumerate(node.children):
+        if child.free >> len(path) & 1:
+            sub = path + (i,)
+            if child.bound == len(sub):
+                yield sub, child
+            yield from _bound_at(child, sub)
+
+
+def _bind(root: Node, entries: Sequence[tuple[DischargeItem, Path]]) -> Node:
+    """root with each entry checked and written onto its source node."""
+    nodes = dict(_walk(root, ()))
+    marks: dict[Path, tuple[int, AtomicRule | None]] = {}
+    for item, target in entries:
         src = _source(item)
         if src not in nodes:
             raise StructureError(f"discharge source {src} is not a node")
@@ -209,11 +263,10 @@ def _validate_hard(struct: ArgumentStructure) -> None:
             raise StructureError(
                 f"discharge target {target} is not strictly below {src}"
             )
-        key = (type(item), src)
-        if key in seen_sources:
-            raise StructureError(f"node {src} discharged twice")
-        seen_sources.add(key)
         node = nodes[src]
+        bound = len(src) - len(target)
+        if src in marks or node.bound not in (0, bound):
+            raise StructureError(f"node {src} discharged twice")
         if isinstance(item, AssumptionDischarge):
             if node.children or node.axiomatic:
                 raise StructureError(
@@ -248,37 +301,47 @@ def _validate_hard(struct: ArgumentStructure) -> None:
                 raise StructureError(
                     f"rule discharge at {src}: premises {want} vs children {got}"
                 )
+        marks[src] = (bound, item.rule if isinstance(item, RuleDischarge) else None)
+
+    def mark(node: Node, path: Path) -> Node:
+        bound, rule = marks.get(path, (node.bound, node.rule))
+        children = tuple(mark(c, path + (i,)) for i, c in enumerate(node.children))
+        return Node(node.formula, children, node.axiomatic, bound, rule)
+
+    out = mark(root, ())
     # the defining clause forbids discharging an assumption at the parent
     # node of a discharged edge set or at that edge set's target
-    blocked = set()
-    for item, target in struct.discharge:
+    clash = _on_rule_anchors(tuple(_entries(out)), AssumptionDischarge)
+    if clash:
+        raise StructureError(
+            f"assumption discharged at {clash[0][1]}, which anchors a "
+            "discharged rule application"
+        )
+    return out
+
+
+def _on_rule_anchors(
+    entries: Sequence[tuple[DischargeItem, Path]], kind: type
+) -> list[tuple[DischargeItem, Path]]:
+    """The entries of the given kind whose target is a rule-discharged node
+    or the target of one."""
+    anchors = set()
+    for item, target in entries:
         if isinstance(item, RuleDischarge):
-            blocked.add(item.node)
-            blocked.add(target)
-    for item, target in struct.discharge:
-        if isinstance(item, AssumptionDischarge) and target in blocked:
-            raise StructureError(
-                f"assumption discharged at {target}, which anchors a "
-                "discharged rule application"
-            )
+            anchors.add(item.node)
+            anchors.add(target)
+    return [(item, t) for item, t in entries if isinstance(item, kind) and t in anchors]
 
 
 def validate(struct: ArgumentStructure) -> list[str]:
-    """Hard checks ran at construction; returns the soft warnings."""
-    warnings: list[str] = []
-    blocked = set()
-    for item, target in struct.discharge:
-        if isinstance(item, RuleDischarge):
-            blocked.add(item.node)
-            blocked.add(target)
-    for item, target in struct.discharge:
-        if isinstance(item, AxiomDischarge) and target in blocked:
-            warnings.append(
-                f"axiom leaf {item.leaf} discharged at {target}, a node "
-                "anchoring a discharged rule application; the defining "
-                "clause leaves this reading open"
-            )
-    return warnings
+    """Hard checks run when a structure is built from a discharge table;
+    returns the soft warnings."""
+    return [
+        f"axiom leaf {item.leaf} discharged at {target}, a node "
+        "anchoring a discharged rule application; the defining "
+        "clause leaves this reading open"
+        for item, target in _on_rule_anchors(struct.discharge, AxiomDischarge)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +365,18 @@ def conclusion(struct: ArgumentStructure) -> Formula:
     return struct.root.formula
 
 
-def _discharged_leaves(struct: ArgumentStructure) -> set[Path]:
-    return {
-        item.leaf
-        for item, _ in struct.discharge
-        if isinstance(item, AssumptionDischarge)
-    }
+def _is_open(node: Node, depth: int) -> bool:
+    """A non-axiomatic leaf at the given depth that nothing inside the
+    structure discharges."""
+    return not (node.children or node.axiomatic or 0 < node.bound <= depth)
 
 
 def assumption_paths(struct: ArgumentStructure) -> dict[Path, Formula]:
     """Undischarged non-axiomatic leaves, in preorder."""
-    discharged = _discharged_leaves(struct)
     return {
         path: node.formula
         for path, node in iter_nodes(struct)
-        if not node.children and not node.axiomatic and path not in discharged
+        if _is_open(node, len(path))
     }
 
 
@@ -329,50 +389,35 @@ def is_closed(struct: ArgumentStructure) -> bool:
 
 
 def root_discharges(struct: ArgumentStructure) -> tuple[DischargeItem, ...]:
-    return tuple(item for item, target in struct.discharge if target == ())
+    return tuple(_item(node, path) for path, node in _bound_at(struct.root))
 
 
 def sub_structures(struct: ArgumentStructure) -> tuple[ArgumentStructure, ...]:
-    """Immediate sub-structures; discharges pointing at the root are
-    stripped, so their leaves come out open again."""
-    out = []
-    for i, child in enumerate(struct.root.children):
-        entries = []
-        for item, target in struct.discharge:
-            src = _source(item)
-            if src[:1] == (i,) and target[:1] == (i,):
-                entries.append((_shift_item(item, -1, i), target[1:]))
-        out.append(ArgumentStructure(root=child, discharge=tuple(entries)))
-    return tuple(out)
+    """Immediate sub-structures.  The nodes the root discharges stay marked
+    one level above the sub-structure's root, so its leaves come out open
+    again, and are discharged anew under the same inference."""
+    return tuple(ArgumentStructure(child) for child in struct.root.children)
 
 
-def _shift_item(item: DischargeItem, direction: int, index: int) -> DischargeItem:
-    if direction > 0:
-        mod = lambda p: (index,) + p
-    else:
-        mod = lambda p: p[1:]
-    if isinstance(item, AssumptionDischarge):
-        return AssumptionDischarge(leaf=mod(item.leaf))
-    if isinstance(item, AxiomDischarge):
-        return AxiomDischarge(leaf=mod(item.leaf))
-    return RuleDischarge(node=mod(item.node), rule=item.rule)
-
-
-def _shift_entries(
-    entries: Sequence[tuple[DischargeItem, Path]], index: int
-) -> list[tuple[DischargeItem, Path]]:
-    return [
-        (_shift_item(item, 1, index), (index,) + target) for item, target in entries
-    ]
-
-
-def _prefix_entries(
-    entries: Sequence[tuple[DischargeItem, Path]], prefix: Path
-) -> list[tuple[DischargeItem, Path]]:
-    out = list(entries)
-    for i in reversed(prefix):
-        out = _shift_entries(out, i)
-    return out
+def _moved(
+    node: Node,
+    by: int,
+    fill: Node | None = None,
+    fill_by: int = 0,
+    depth: int = 0,
+) -> Node:
+    """A subtree moved by levels deeper (up, when negative): discharges
+    that reach above it reach by levels further.  With a fill, the subtree
+    comes from under an eliminated binder, its parent, and every leaf
+    discharged there is replaced by the fill moved fill_by levels plus that
+    leaf's depth."""
+    if not node.free >> depth:
+        return node
+    if fill is not None and node.bound == depth + 1 and not node.children:
+        return _moved(fill, fill_by + depth)
+    bound = node.bound + by if node.bound > depth else node.bound
+    children = tuple(_moved(c, by, fill, fill_by, depth + 1) for c in node.children)
+    return Node(node.formula, children, node.axiomatic, bound, node.rule)
 
 
 def _with_subtree(node: Node, path: Path, new: Node) -> Node:
@@ -381,25 +426,7 @@ def _with_subtree(node: Node, path: Path, new: Node) -> Node:
     i = path[0]
     children = list(node.children)
     children[i] = _with_subtree(children[i], path[1:], new)
-    return Node(
-        formula=node.formula, children=tuple(children), axiomatic=node.axiomatic
-    )
-
-
-def _splice_leaves(
-    struct: ArgumentStructure, grafts: Mapping[Path, ArgumentStructure]
-) -> ArgumentStructure:
-    """Replace the leaves at the given paths; existing paths are unchanged
-    because splicing happens at leaves."""
-    root = struct.root
-    entries = list(struct.discharge)
-    for path, sub in grafts.items():
-        node = struct.node_at(path)
-        if node.children:
-            raise StructureError(f"splice target {path} is not a leaf")
-        root = _with_subtree(root, path, sub.root)
-        entries.extend(_prefix_entries(sub.discharge, path))
-    return ArgumentStructure(root=root, discharge=tuple(entries))
+    return _with_children(node, tuple(children))
 
 
 def instantiate(
@@ -418,46 +445,35 @@ def instantiate(
                 f"instance for {format_formula(f)} concludes "
                 f"{format_formula(conclusion(sub))}"
             )
-    grafts = {path: sigma[f] for path, f in targets.items()}
-    return _splice_leaves(struct, grafts)
+
+    def fill(node: Node, depth: int) -> Node:
+        if _is_open(node, depth):
+            return _moved(sigma[node.formula].root, depth)
+        if not node.children:
+            return node
+        return _with_children(node, tuple(fill(c, depth + 1) for c in node.children))
+
+    return ArgumentStructure(fill(struct.root, 0))
 
 
 def replace(
     struct: ArgumentStructure, at: Path, replacement: ArgumentStructure
 ) -> ArgumentStructure:
     """Swap the subtree at a position for a structure with the same
-    conclusion.  Discharges from inside the hole to surviving nodes would
-    dangle and are rejected; discharges wholly inside the hole vanish with
-    it, everything outside is preserved."""
+    conclusion.  Discharges of leaves in the hole vanish with them; the
+    replacement's discharges that reach above its root land on the
+    ancestors of the position."""
     old = struct.node_at(at)
     if conclusion(replacement) != old.formula:
         raise StructureError(
             f"replacement concludes {format_formula(conclusion(replacement))}, "
             f"hole is {format_formula(old.formula)}"
         )
-    kept = []
-    for item, target in struct.discharge:
-        src = _source(item)
-        src_in = src == at or _is_proper_prefix(at, src)
-        tgt_in = target == at or _is_proper_prefix(at, target)
-        if src_in and not tgt_in:
-            raise StructureError(
-                f"discharge from {src} to {target} would dangle"
-            )
-        if not src_in:
-            # target == at is fine: the hole's root survives as the
-            # replacement's root; strictly deeper targets cannot occur
-            # without the source being inside too
-            kept.append((item, target))
-    kept.extend(_prefix_entries(replacement.discharge, at))
-    return ArgumentStructure(
-        root=_with_subtree(struct.root, at, replacement.root),
-        discharge=tuple(kept),
-    )
+    return ArgumentStructure(_with_subtree(struct.root, at, replacement.root))
 
 
 # ---------------------------------------------------------------------------
-# inferences and rule schemata
+# inferences
 
 
 @dataclass(frozen=True)
@@ -472,9 +488,7 @@ class Inference:
 
 
 def root_inference(struct: ArgumentStructure) -> Inference:
-    ext = tuple(
-        (item, target) for item, target in struct.discharge if target == ()
-    )
+    ext = tuple((item, ()) for item in root_discharges(struct))
     return Inference(
         subs=sub_structures(struct), conclusion=struct.root.formula, extension=ext
     )
@@ -482,17 +496,13 @@ def root_inference(struct: ArgumentStructure) -> Inference:
 
 def structure_of_inference(inf: Inference, axiomatic: bool = False) -> ArgumentStructure:
     """The structure an inference is uniquely associated to."""
-    entries: list[tuple[DischargeItem, Path]] = []
-    for i, sub in enumerate(inf.subs):
-        entries.extend(_shift_entries(sub.discharge, i))
-    entries.extend(inf.extension)
     return ArgumentStructure(
         root=Node(
             formula=inf.conclusion,
             children=tuple(sub.root for sub in inf.subs),
             axiomatic=axiomatic and not inf.subs,
         ),
-        discharge=tuple(entries),
+        discharge=inf.extension,
     )
 
 
@@ -517,20 +527,21 @@ def or_intro_right(sub: ArgumentStructure, left: Formula) -> ArgumentStructure:
     )
 
 
+def _discharge_open(node: Node, f: Formula, depth: int = 1) -> Node:
+    """node, depth levels below a new binder, with its open f-leaves
+    discharged at the binder."""
+    if not node.children:
+        if node.formula == f and _is_open(node, depth - 1):
+            return Node(f, bound=depth)
+        return node
+    children = tuple(_discharge_open(c, f, depth + 1) for c in node.children)
+    return node if children == node.children else _with_children(node, children)
+
+
 def impl_intro(sub: ArgumentStructure, antecedent: Formula) -> ArgumentStructure:
     """Discharges every open occurrence of the antecedent; vacuous is fine."""
-    ext = tuple(
-        (AssumptionDischarge(leaf=(0,) + path), ())
-        for path, f in assumption_paths(sub).items()
-        if f == antecedent
-    )
-    return structure_of_inference(
-        Inference(
-            subs=(sub,),
-            conclusion=Impl(antecedent, conclusion(sub)),
-            extension=ext,
-        )
-    )
+    body = _discharge_open(sub.root, antecedent)
+    return ArgumentStructure(Node(Impl(antecedent, conclusion(sub)), (body,)))
 
 
 def and_elim(sub: ArgumentStructure, side: int) -> ArgumentStructure:
@@ -560,23 +571,11 @@ def or_elim(
     c = conclusion(left_case)
     if conclusion(right_case) != c:
         raise StructureError("or_elim cases conclude different formulas")
-    ext = [
-        (AssumptionDischarge(leaf=(1,) + path), ())
-        for path, g in assumption_paths(left_case).items()
-        if g == f.left
-    ]
-    ext += [
-        (AssumptionDischarge(leaf=(2,) + path), ())
-        for path, g in assumption_paths(right_case).items()
-        if g == f.right
-    ]
-    return structure_of_inference(
-        Inference(
-            subs=(major, left_case, right_case),
-            conclusion=c,
-            extension=tuple(ext),
-        )
+    cases = (
+        _discharge_open(left_case.root, f.left),
+        _discharge_open(right_case.root, f.right),
     )
+    return ArgumentStructure(Node(c, (major.root, *cases)))
 
 
 def weaken(sub: ArgumentStructure, extra: Formula) -> ArgumentStructure:
@@ -640,12 +639,10 @@ def match_impl_intro(struct: ArgumentStructure) -> bool:
     kids = struct.root.children
     if not (isinstance(f, Impl) and len(kids) == 1 and kids[0].formula == f.right):
         return False
-    for item in root_discharges(struct):
-        if not isinstance(item, AssumptionDischarge):
-            return False
-        if struct.node_at(item.leaf).formula != f.left:
-            return False
-    return True
+    return all(
+        not (node.children or node.axiomatic) and node.formula == f.left
+        for _, node in _bound_at(struct.root)
+    )
 
 
 def match_and_elim(struct: ArgumentStructure) -> int | None:
@@ -684,18 +681,11 @@ def match_or_elim(struct: ArgumentStructure) -> bool:
     c = struct.root.formula
     if kids[1].formula != c or kids[2].formula != c:
         return False
-    for item, target in struct.discharge:
-        if target != ():
-            continue
-        if not isinstance(item, AssumptionDischarge):
-            return False
-        label = struct.node_at(item.leaf).formula
-        if item.leaf[:1] == (1,) and label == g.left:
-            continue
-        if item.leaf[:1] == (2,) and label == g.right:
-            continue
-        return False
-    return True
+    return all(
+        not (node.children or node.axiomatic)
+        and (path[0], node.formula) in ((1, g.left), (2, g.right))
+        for path, node in _bound_at(struct.root)
+    )
 
 
 def match_weaken(struct: ArgumentStructure) -> bool:
@@ -727,28 +717,6 @@ def is_canonical(struct: ArgumentStructure) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class RuleSchema:
-    name: str
-    matcher: Callable[[ArgumentStructure], object]
-    builder: Callable[..., ArgumentStructure]
-
-
-SCHEMATA: dict[str, RuleSchema] = {
-    s.name: s
-    for s in [
-        RuleSchema("and_intro", match_and_intro, and_intro),
-        RuleSchema("or_intro", match_or_intro, or_intro_left),
-        RuleSchema("impl_intro", match_impl_intro, impl_intro),
-        RuleSchema("and_elim", match_and_elim, and_elim),
-        RuleSchema("or_elim", match_or_elim, or_elim),
-        RuleSchema("impl_elim", match_impl_elim, impl_elim),
-        RuleSchema("weaken", match_weaken, weaken),
-        RuleSchema("or_project", match_or_project, or_project),
-    ]
-}
-
-
 # ---------------------------------------------------------------------------
 # atomic derivations as structures
 
@@ -760,36 +728,34 @@ def derivation_to_structure(
     applications of assumed rules are discharged at the node that made them
     available (edge sets for proper rules, axiom leaves for axioms)."""
     base_rules = base.rules if isinstance(base, Base) else base
-    entries: list[tuple[DischargeItem, Path]] = []
 
-    def build(node: DerivationNode, path: Path, env: dict[AtomicRule, Path]) -> Node:
+    def build(node: DerivationNode, depth: int, env: dict[AtomicRule, int]) -> Node:
         formula: Formula = BOT if node.conclusion == "bot" else Atom(node.conclusion)
-        if not node.rule.premises:
-            if node.rule not in base_rules:
-                if node.rule not in env:
-                    raise StructureError(
-                        f"axiom {format_rule(node.rule)} is neither in the "
-                        "base nor assumed anywhere below"
-                    )
-                entries.append((AxiomDischarge(leaf=path), env[node.rule]))
-            return Node(formula=formula, axiomatic=True)
-        children = []
-        for i, (prem, child) in enumerate(zip(node.rule.premises, node.children)):
-            inner = dict(env)
-            for s in prem.discharged:
-                inner[s] = path
-            children.append(build(child, path + (i,), inner))
+        bound = 0
         if node.rule not in base_rules:
             if node.rule not in env:
+                what = "rule" if node.rule.premises else "axiom"
                 raise StructureError(
-                    f"rule {format_rule(node.rule)} is neither in the base "
-                    "nor assumed anywhere below"
+                    f"{what} {format_rule(node.rule)} is neither in the "
+                    "base nor assumed anywhere below"
                 )
-            entries.append((RuleDischarge(node=path, rule=node.rule), env[node.rule]))
-        return Node(formula=formula, children=tuple(children))
+            bound = depth - env[node.rule]
+        if not node.rule.premises:
+            return Node(formula=formula, axiomatic=True, bound=bound)
+        children = []
+        for prem, child in zip(node.rule.premises, node.children):
+            inner = dict(env)
+            for s in prem.discharged:
+                inner[s] = depth
+            children.append(build(child, depth + 1, inner))
+        return Node(
+            formula=formula,
+            children=tuple(children),
+            bound=bound,
+            rule=node.rule if bound else None,
+        )
 
-    root = build(tree, (), {})
-    return ArgumentStructure(root=root, discharge=tuple(entries))
+    return ArgumentStructure(root=build(tree, 0, {}))
 
 
 def is_atomic_derivation(
@@ -799,38 +765,25 @@ def is_atomic_derivation(
     every leaf an available axiom, every step an available rule, where
     availability flows from the base and from discharged rule premises."""
     base_rules = base.rules if isinstance(base, Base) else base
-    axiom_items = {
-        item.leaf: target
-        for item, target in struct.discharge
-        if isinstance(item, AxiomDischarge)
-    }
-    rule_items = {
-        item.node: (item.rule, target)
-        for item, target in struct.discharge
-        if isinstance(item, RuleDischarge)
-    }
-    if any(
-        isinstance(item, AssumptionDischarge) for item, _ in struct.discharge
-    ):
-        return False
 
-    def ok(node: Node, path: Path, env: dict[AtomicRule, set[Path]]) -> bool:
+    # env maps each assumed rule to the depths of the nodes on the way down
+    # that made it available
+    def ok(node: Node, depth: int, env: dict[AtomicRule, set[int]]) -> bool:
         if not _atomic_formula(node.formula):
             return False
         name = _atom_name(node.formula)
+        assumed = 0 < node.bound <= depth
         if not node.children:
             if not node.axiomatic:
                 return False
             ax = axiom(name)
-            if path in axiom_items:
-                target = axiom_items[path]
-                return ax in env and target in env[ax]
+            if assumed:
+                return ax in env and depth - node.bound in env[ax]
             return ax in base_rules
-        if path in rule_items:
-            rule, target = rule_items[path]
-            if rule not in env or target not in env[rule]:
+        if assumed:
+            if node.rule not in env or depth - node.bound not in env[node.rule]:
                 return False
-            candidates = [rule]
+            candidates = [node.rule]
         else:
             candidates = [
                 r
@@ -840,12 +793,12 @@ def is_atomic_derivation(
         for rule in candidates:
             if rule.conclusion != name or len(rule.premises) != len(node.children):
                 continue
-            if _match_children(node, path, rule, env):
+            if _match_children(node, depth, rule, env):
                 return True
         return False
 
     def _match_children(
-        node: Node, path: Path, rule: AtomicRule, env: dict[AtomicRule, set[Path]]
+        node: Node, depth: int, rule: AtomicRule, env: dict[AtomicRule, set[int]]
     ) -> bool:
         # assign premises to children by conclusion name, backtracking over
         # ties because different premises may open different rule sets
@@ -861,16 +814,16 @@ def is_atomic_derivation(
             for j in order:
                 if j in used or rule.premises[j].conclusion != cname:
                     continue
-                inner = {r: set(paths) for r, paths in env.items()}
+                inner = {r: set(depths) for r, depths in env.items()}
                 for s in rule.premises[j].discharged:
-                    inner.setdefault(s, set()).add(path)
-                if ok(child, path + (i,), inner) and assign(i + 1, used | {j}):
+                    inner.setdefault(s, set()).add(depth)
+                if ok(child, depth + 1, inner) and assign(i + 1, used | {j}):
                     return True
             return False
 
         return assign(0, set())
 
-    return ok(struct.root, (), {})
+    return ok(struct.root, 0, {})
 
 
 # ---------------------------------------------------------------------------

@@ -530,21 +530,6 @@ def format_base(b: Base) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def rule_to_obj(r: AtomicRule) -> object:
-    return {
-        "conclusion": r.conclusion,
-        "premises": [
-            {
-                "discharged": sorted(
-                    (format_rule(s) for s in p.discharged)
-                ),
-                "atom": p.conclusion,
-            }
-            for p in r.premises
-        ],
-    }
-
-
 def iter_subrules(r: AtomicRule) -> Iterator[AtomicRule]:
     """The rule itself plus every rule nested in a discharged set."""
     yield r

@@ -287,16 +287,16 @@ def _cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
     # no target: rewrite to a normal form, tracing the steps
     current = arg.structure
     steps = []
-    while len(steps) < cfg.budget:
+    while True:
         step = reduce_step(current, reds)
-        if step is None:
+        if step is None or len(steps) >= cfg.budget:
             break
         steps.append({"position": list(step.position), "rule": step.rule})
         current = step.result
     payload = {
         "steps": steps,
         "normal_form": structure_to_obj(current),
-        "stuck": reduce_step(current, reds) is None,
+        "stuck": step is None,
     }
     lines = []
     for k, step in enumerate(steps, 1):

@@ -10,31 +10,25 @@ may add pointer reductions (one fixed structure to another) and constant
 reductions (every instance of a one-step inference to one fixed closed
 structure).
 
-Rewrites apply at any position whose subtree is self-contained: no discharge
-reaches from inside it to a node above it.  A discharge crossing the
-boundary would need the rewrite to track where the bound leaf ends up, so
-such positions are skipped; the search reports that a closure computed with
-skips is not a proof of unreachability.
+Rewrites apply at every position, under binders too, as in Prawitz's
+detour conversions.  Discharges are stored as distances up the tree, so a
+rewrite that moves a subtree to another depth adjusts the distances that
+reach above the subtree, and a leaf discharged above the redex stays
+discharged where it lands.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from prooflab.arguments import (
     ArgumentStructure,
-    AssumptionDischarge,
-    AxiomDischarge,
-    DischargeItem,
-    Inference,
+    Node,
     Path,
-    RuleDischarge,
     StructureError,
-    _splice_leaves,
-    and_elim,
-    assumption,
+    _moved,
     assumptions,
     conclusion,
     is_closed,
@@ -48,7 +42,7 @@ from prooflab.arguments import (
     match_or_project,
     match_weaken,
     replace,
-    structure_of_inference,
+    root_discharges,
     sub_structures,
 )
 from prooflab.syntax import Formula, format_formula
@@ -70,6 +64,7 @@ __all__ = [
     "SearchOutcome",
     "search_reduct",
     "reduces_to",
+    "Reachable",
     "closure",
     "ClosureResult",
 ]
@@ -87,17 +82,11 @@ class Reduction:
 
 # ---------------------------------------------------------------------------
 # the standard detour conversions
-
-
-def _root_entry_leaves(struct: ArgumentStructure, child: int) -> list[Path]:
-    """Leaves under the given child that the root step discharges, as paths
-    relative to that child."""
-    out = []
-    for item, target in struct.discharge:
-        if target == () and isinstance(item, AssumptionDischarge):
-            if item.leaf[:1] == (child,):
-                out.append(item.leaf[1:])
-    return out
+#
+# Each rewrite builds its result at the redex's own position from the
+# redex's nodes.  The matchers rule out discharges at the eliminated steps
+# other than the binder's own, so a moved subtree's escaping distances all
+# reach above the redex and shrink by the levels it moves up.
 
 
 def _conj_applies(d: ArgumentStructure) -> bool:
@@ -107,7 +96,7 @@ def _conj_applies(d: ArgumentStructure) -> bool:
 
 def _conj_rewrite(d: ArgumentStructure) -> ArgumentStructure:
     side = match_and_elim(d)
-    return sub_structures(sub_structures(d)[0])[side - 1]
+    return ArgumentStructure(_moved(d.root.children[0].children[side - 1], -2))
 
 
 def _disj_applies(d: ArgumentStructure) -> bool:
@@ -115,13 +104,11 @@ def _disj_applies(d: ArgumentStructure) -> bool:
 
 
 def _disj_rewrite(d: ArgumentStructure) -> ArgumentStructure:
-    major = sub_structures(d)[0]
-    inner = sub_structures(major)[0]
-    g = major.root.formula  # the disjunction
-    case = 1 if conclusion(inner) == g.left else 2
-    case_sub = sub_structures(d)[case]
-    grafts = {path: inner for path in _root_entry_leaves(d, case)}
-    return _splice_leaves(case_sub, grafts)
+    major = d.root.children[0]
+    inner = major.children[0]
+    case = 1 if inner.formula == major.formula.left else 2
+    # the case's leaves discharged at the root take the introduced premise
+    return ArgumentStructure(_moved(d.root.children[case], -1, inner, -2))
 
 
 def _imp_applies(d: ArgumentStructure) -> bool:
@@ -129,10 +116,8 @@ def _imp_applies(d: ArgumentStructure) -> bool:
 
 
 def _imp_rewrite(d: ArgumentStructure) -> ArgumentStructure:
-    major, minor = sub_structures(d)
-    body = sub_structures(major)[0]
-    grafts = {path: minor for path in _root_entry_leaves(major, 0)}
-    return _splice_leaves(body, grafts)
+    major, minor = d.root.children
+    return ArgumentStructure(_moved(major.children[0], -2, minor, -1))
 
 
 def _weaken_applies(d: ArgumentStructure) -> bool:
@@ -140,18 +125,13 @@ def _weaken_applies(d: ArgumentStructure) -> bool:
 
 
 def _weaken_rewrite(d: ArgumentStructure) -> ArgumentStructure:
-    intro = sub_structures(d)[0]
-    body = sub_structures(intro)[0]
     f = d.root.formula  # Impl(Conj(a, c), b)
-    paths = _root_entry_leaves(intro, 0)
-    stub = and_elim(assumption(f.left), 1)
-    new_body = _splice_leaves(body, {path: stub for path in paths})
-    ext = tuple(
-        (AssumptionDischarge(leaf=(0,) + path + (0,)), ()) for path in paths
-    )
-    return structure_of_inference(
-        Inference(subs=(new_body,), conclusion=f, extension=ext)
-    )
+    body = d.root.children[0].children[0]
+    # a from the assumption a & c, which a new ->-intro at the root
+    # discharges: two levels up from the leaf while the stub sits just
+    # below the root
+    stub = Node(f.left.left, (Node(f.left, bound=2),))
+    return ArgumentStructure(Node(f, (_moved(body, -1, stub),)))
 
 
 def _project_applies(d: ArgumentStructure) -> bool:
@@ -162,7 +142,7 @@ def _project_applies(d: ArgumentStructure) -> bool:
 
 
 def _project_rewrite(d: ArgumentStructure) -> ArgumentStructure:
-    return sub_structures(sub_structures(d)[0])[0]
+    return ArgumentStructure(_moved(d.root.children[0].children[0], -2))
 
 
 CONJ_DETOUR = Reduction("conj-detour", _conj_applies, _conj_rewrite)
@@ -215,7 +195,7 @@ def constant_reduction(
     def applies(d: ArgumentStructure) -> bool:
         if d.root.formula != concl or len(d.root.children) != len(want):
             return False
-        if any(t == () for _, t in d.discharge):
+        if root_discharges(d):
             return False
         return all(
             conclusion(sub) == f for sub, f in zip(sub_structures(d), want)
@@ -228,31 +208,10 @@ def constant_reduction(
 # applying reductions in place
 
 
-def extract(struct: ArgumentStructure, at: Path) -> ArgumentStructure | None:
-    """The subtree at a position as a structure of its own, or None when a
-    discharge escapes it."""
-    entries = []
-    for item, target in struct.discharge:
-        src = _item_source(item)
-        src_in = src[: len(at)] == at
-        tgt_in = target[: len(at)] == at
-        if src_in and not tgt_in:
-            return None
-        if src_in:
-            entries.append((_strip_item(item, len(at)), target[len(at):]))
-    return ArgumentStructure(root=struct.node_at(at), discharge=tuple(entries))
-
-
-def _item_source(item: DischargeItem) -> Path:
-    return item.leaf if hasattr(item, "leaf") else item.node
-
-
-def _strip_item(item: DischargeItem, n: int) -> DischargeItem:
-    if isinstance(item, AssumptionDischarge):
-        return AssumptionDischarge(leaf=item.leaf[n:])
-    if isinstance(item, AxiomDischarge):
-        return AxiomDischarge(leaf=item.leaf[n:])
-    return RuleDischarge(node=item.node[n:], rule=item.rule)
+def extract(struct: ArgumentStructure, at: Path) -> ArgumentStructure:
+    """The subtree at a position as a structure of its own; a node
+    discharged above the position is open in it."""
+    return ArgumentStructure(struct.node_at(at))
 
 
 @dataclass(frozen=True)
@@ -262,47 +221,34 @@ class ReductionStep:
     result: ArgumentStructure
 
 
-def reduce_step(
+def _rewrites(
     struct: ArgumentStructure, reductions: Sequence[Reduction]
-) -> ReductionStep | None:
-    """First applicable rewrite, scanning positions outermost-first and
+) -> Iterator[ReductionStep]:
+    """Every one-step rewrite, scanning positions outermost-first and
     leftmost, reductions in the given order."""
-    for path, node in iter_nodes(struct):
+    for path, _ in iter_nodes(struct):
         sub = extract(struct, path)
-        if sub is None:
-            continue
         for red in reductions:
             if red.applies(sub):
-                return ReductionStep(
+                yield ReductionStep(
                     position=path,
                     rule=red.name,
                     result=replace(struct, path, red.rewrite(sub)),
                 )
-    return None
+
+
+def reduce_step(
+    struct: ArgumentStructure, reductions: Sequence[Reduction]
+) -> ReductionStep | None:
+    """The first applicable rewrite."""
+    return next(_rewrites(struct, reductions), None)
 
 
 def successors(
     struct: ArgumentStructure, reductions: Sequence[Reduction]
-) -> tuple[list[ReductionStep], bool]:
-    """All one-step rewrites, plus whether any position was skipped because
-    a discharge escapes it."""
-    out: list[ReductionStep] = []
-    skipped = False
-    for path, node in iter_nodes(struct):
-        sub = extract(struct, path)
-        if sub is None:
-            skipped = True
-            continue
-        for red in reductions:
-            if red.applies(sub):
-                out.append(
-                    ReductionStep(
-                        position=path,
-                        rule=red.name,
-                        result=replace(struct, path, red.rewrite(sub)),
-                    )
-                )
-    return out, skipped
+) -> list[ReductionStep]:
+    """All one-step rewrites."""
+    return list(_rewrites(struct, reductions))
 
 
 @dataclass(frozen=True)
@@ -318,11 +264,44 @@ class SearchOutcome:
 class ClosureResult:
     structures: tuple[ArgumentStructure, ...]  # BFS order, start included
     complete: bool
-    skipped: bool
     visited: int
 
 
 DEFAULT_BUDGET = 10_000
+
+
+class Reachable:
+    """Iterating yields the start and then every structure reachable from
+    it by rewriting, breadth-first, each as it is found, up to the budget on
+    distinct structures.  complete turns False when the budget cuts the
+    enumeration short, so a caller may stop at the first structure it wants
+    without computing the rest."""
+
+    def __init__(
+        self,
+        start: ArgumentStructure,
+        reductions: Sequence[Reduction],
+        budget: int = DEFAULT_BUDGET,
+    ) -> None:
+        self.start = start
+        self.reductions = reductions
+        self.budget = budget
+        self.complete = True
+
+    def __iter__(self) -> Iterator[ArgumentStructure]:
+        seen = {self.start}
+        queue = deque([self.start])
+        yield self.start
+        while queue:
+            for step in successors(queue.popleft(), self.reductions):
+                if step.result in seen:
+                    continue
+                if len(seen) >= self.budget:
+                    self.complete = False
+                    return
+                seen.add(step.result)
+                queue.append(step.result)
+                yield step.result
 
 
 def closure(
@@ -332,30 +311,10 @@ def closure(
 ) -> ClosureResult:
     """Every structure reachable by rewriting, breadth-first, up to the
     budget on distinct structures."""
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    skipped_any = False
-    complete = True
-    while queue:
-        cur = queue.popleft()
-        succ, skipped = successors(cur, reductions)
-        skipped_any |= skipped
-        for step in succ:
-            if step.result in seen:
-                continue
-            if len(seen) >= budget:
-                complete = False
-                queue.clear()
-                break
-            seen.add(step.result)
-            order.append(step.result)
-            queue.append(step.result)
+    walk = Reachable(start, reductions, budget)
+    structures = tuple(walk)
     return ClosureResult(
-        structures=tuple(order),
-        complete=complete,
-        skipped=skipped_any,
-        visited=len(order),
+        structures=structures, complete=walk.complete, visited=len(structures)
     )
 
 
@@ -366,8 +325,8 @@ def search_reduct(
     budget: int = DEFAULT_BUDGET,
 ) -> SearchOutcome:
     """Breadth-first search for a reduct: a fixed structure or anything
-    satisfying a predicate.  "no" means the whole closure was enumerated
-    with no skipped positions; otherwise a failed search is inconclusive."""
+    satisfying a predicate.  "no" means the whole closure was enumerated;
+    a search the budget cuts short is inconclusive."""
     if callable(goal):
         pred = goal
     else:
@@ -376,7 +335,6 @@ def search_reduct(
         start: None
     }
     queue = deque([start])
-    skipped_any = False
     visited = 0
     while queue:
         cur = queue.popleft()
@@ -394,9 +352,7 @@ def search_reduct(
                 witness=cur,
                 visited=visited,
             )
-        succ, skipped = successors(cur, reductions)
-        skipped_any |= skipped
-        for step in succ:
+        for step in successors(cur, reductions):
             if step.result in parents:
                 continue
             if len(parents) >= budget:
@@ -409,14 +365,6 @@ def search_reduct(
                 )
             parents[step.result] = (cur, step.position, step.rule)
             queue.append(step.result)
-    if skipped_any:
-        return SearchOutcome(
-            status="inconclusive",
-            path=None,
-            witness=None,
-            visited=visited,
-            note="some positions were crossed by discharges and not rewritten",
-        )
     return SearchOutcome(status="no", path=None, witness=None, visited=visited)
 
 

@@ -59,8 +59,8 @@ from prooflab.base_semantics import (
 )
 from prooflab.reductions import (
     DEFAULT_BUDGET,
+    Reachable,
     Reduction,
-    closure,
     constant_reduction,
     search_reduct,
     standard_reductions,
@@ -192,10 +192,14 @@ def _check_closed(
             )
         return ValidityVerdict(Status.INCONCLUSIVE, out.note)
 
-    clo = closure(struct, reds, budget=budget)
+    # each reduct is tried as the search reaches it, so a valid one ends the
+    # search before the rest of the closure, which may be unbounded, is built
+    walk = Reachable(struct, reds, budget)
     notes: list[str] = []
     saw_inconclusive = False
-    for cand in clo.structures:
+    visited = 0
+    for cand in walk:
+        visited += 1
         if not is_canonical(cand):
             continue
         verdicts = []
@@ -220,23 +224,19 @@ def _check_closed(
         notes.extend(
             v.reason for v in verdicts if v.status is not Status.VALID
         )
-    if clo.complete and not clo.skipped and not saw_inconclusive:
+    if walk.complete and not saw_inconclusive:
         return ValidityVerdict(
             Status.INVALID,
             "no canonical reduct with valid sub-arguments; the whole "
-            f"reduction closure ({clo.visited} structures) was enumerated",
+            f"reduction closure ({visited} structures) was enumerated",
             notes=tuple(notes[:4]),
         )
     why = []
-    if not clo.complete:
+    if not walk.complete:
         why.append("reduction budget exhausted")
-    if clo.skipped:
-        why.append("positions crossed by discharges were not rewritten")
     if saw_inconclusive:
         why.append("a sub-argument could not be settled")
-    return ValidityVerdict(
-        Status.INCONCLUSIVE, "; ".join(why) or "no decision", notes=tuple(notes[:4])
-    )
+    return ValidityVerdict(Status.INCONCLUSIVE, "; ".join(why), notes=tuple(notes[:4]))
 
 
 def _check_open(
@@ -429,7 +429,7 @@ def semantic_suite_provider(base: Base, budget: int = DEFAULT_BUDGET) -> SuitePr
 
 def synthesize_witness(
     base: Base, sequent: Sequent, *, strict: bool = False
-) -> tuple[Argument, Suite | None]:
+) -> Argument:
     """An argument for the sequent read off the semantics, assuming the
     underlying consequence holds.  With strict=True only the standard
     reductions may be used, and synthesis refuses where that is not enough."""
@@ -458,10 +458,7 @@ def synthesize_witness(
                     name="close[premises]",
                 )
             )
-            suite = None  # provider will close it
-        else:
-            suite = None
-        return Argument(struct, tuple(justs)), suite
+        return Argument(struct, tuple(justs))
     if strict:
         probe: list[Reduction] = []
         struct = _closed_witness(base, ev, sequent.conclusion, probe)
@@ -470,9 +467,9 @@ def synthesize_witness(
                 "the witness needs justifications beyond the standard "
                 "reductions"
             )
-        return Argument(struct, ()), None
+        return Argument(struct, ())
     struct = _closed_witness(base, ev, sequent.conclusion, justs)
-    return Argument(struct, tuple(justs)), None
+    return Argument(struct, tuple(justs))
 
 
 @dataclass(frozen=True)
@@ -505,7 +502,7 @@ def models_alpha(
             holds=False,
         )
     try:
-        arg, suite = synthesize_witness(base, sequent, strict=strict)
+        arg = synthesize_witness(base, sequent, strict=strict)
     except StructureError as exc:
         return AlphaResult(
             verdict=ValidityVerdict(Status.INCONCLUSIVE, str(exc)),
@@ -515,7 +512,6 @@ def models_alpha(
     verdict = check_valid(
         arg,
         base,
-        suite=suite,
         suite_provider=semantic_suite_provider(base, budget),
         budget=budget,
     )

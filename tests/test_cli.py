@@ -14,6 +14,7 @@ from prooflab.arguments import (
     and_intro,
     assumption,
     axiom_leaf,
+    impl_elim,
     impl_intro,
     structure_to_obj,
 )
@@ -30,7 +31,7 @@ from prooflab.syntax import Atom
 p, q = Atom("p"), Atom("q")
 
 DETOUR = and_elim(and_intro(axiom_leaf(p), axiom_leaf(q)), 1)
-BLOCKED = impl_intro(and_elim(and_intro(assumption(p), assumption(q)), 1), q)
+BINDER = impl_intro(and_elim(and_intro(assumption(p), assumption(q)), 1), q)
 
 
 def write_json(path, obj):
@@ -123,6 +124,30 @@ def test_eval_base_file(tmp_path, capsys):
     code = main(["eval", "--base", str(base), "--sequent", "|- q"])
     capsys.readouterr()
     assert code == EX_OK
+
+
+def test_eval_alpha_constant_reduction_inside_its_target(capsys):
+    # the witness's constant reduction matches inside its own target, so
+    # the reduction closure is unbounded; a valid candidate must end the
+    # search before the closure is built
+    code = main(
+        [
+            "eval",
+            "--rule",
+            "([p => p] => q)",
+            "--rule",
+            "(q => p)",
+            "--rule",
+            "q",
+            "--sequent",
+            "|- (q -> p) & (p | q) | (q | p | ~bot)",
+            "--semantics",
+            "alpha",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == EX_OK
+    assert "status:    valid" in out
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +263,40 @@ def test_reduce_target_unreachable(tmp_path, capsys):
     assert "status:  no" in out
 
 
-def test_reduce_blocked_position_is_inconclusive(tmp_path, capsys):
-    # the only redex sits under a discharge, so in-place rewriting must
-    # skip it and the reachability answer degrades honestly
-    path = argument_file(tmp_path, BLOCKED)
+def test_reduce_under_binder(tmp_path, capsys):
+    # the only redex sits under the ->-intro that discharges its q-leaf
+    path = argument_file(tmp_path, BINDER)
+    code = main(["reduce", "--argument", path, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EX_OK
+    assert payload["normal_form"] == structure_to_obj(impl_intro(assumption(p), q))
+    assert payload["stuck"] is True
     target = write_json(tmp_path / "t.json", structure_to_obj(axiom_leaf(q)))
     code = main(["reduce", "--argument", path, "--target", target])
     out = capsys.readouterr().out
-    assert code == EX_INCONCLUSIVE
-    assert "crossed by discharges" in out
+    assert code == EX_FAILS
+    assert "status:  no" in out
+
+
+def test_reduce_binder_detours(tmp_path, capsys):
+    # p -> p through a conj- and an imp-detour whose assumption the outer
+    # ->-intro discharges
+    plain = impl_intro(assumption(p), p)
+    conj = impl_intro(and_elim(and_intro(assumption(p), axiom_leaf(q)), 1), p)
+    imp = impl_intro(impl_elim(impl_intro(assumption(p), p), assumption(p)), p)
+    path = argument_file(tmp_path, conj, name="conj.json")
+    target = write_json(tmp_path / "t.json", structure_to_obj(plain))
+    code = main(["reduce", "--argument", path, "--target", target])
+    out = capsys.readouterr().out
+    assert code == EX_OK
+    assert "status:  yes" in out
+    path = argument_file(tmp_path, imp, name="imp.json")
+    code = main(["reduce", "--argument", path, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EX_OK
+    assert [s["rule"] for s in payload["steps"]] == ["imp-detour"]
+    assert payload["normal_form"] == structure_to_obj(plain)
+    assert payload["stuck"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ from prooflab.arguments import (
     or_intro_left,
     or_intro_right,
     or_project,
+    structure_from_obj,
     structure_of_inference,
+    structure_to_obj,
     weaken,
 )
 from prooflab.reductions import (
@@ -48,6 +50,7 @@ from prooflab.reductions import (
     successors,
 )
 from prooflab.syntax import Atom, Conj, Disj, Impl
+from test_arguments import structures
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 STD = standard_reductions()
@@ -136,17 +139,95 @@ def test_weaken_detour_vacuous():
 
 
 # ---------------------------------------------------------------------------
-# positions and self-containment
+# positions and discharges across them
 
 
-def test_escaping_discharge_blocks_position():
-    redex = and_elim(and_intro(assumption(p), assumption(q)), 1)
-    d = impl_intro(redex, q)  # binds the q-leaf inside the redex
-    assert extract(d, (0,)) is None
-    assert reduce_step(d, STD) is None
-    succ, skipped = successors(d, STD)
-    assert succ == []
-    assert skipped
+@pytest.mark.parametrize(
+    "d, reduct",
+    [
+        # the conj-detour drops the q-leaf the outer ->-intro discharges
+        (
+            impl_intro(and_elim(and_intro(assumption(p), assumption(q)), 1), q),
+            impl_intro(assumption(p), q),
+        ),
+        # the minor, discharged by the outer ->-intro, moves up a level
+        (
+            impl_intro(impl_elim(impl_intro(assumption(p), p), assumption(p)), p),
+            impl_intro(assumption(p), p),
+        ),
+        # the minor's leaf stays discharged by the outer ->-intro from the
+        # depth of the leaf the minor replaces
+        (
+            impl_intro(
+                impl_elim(
+                    impl_intro(and_intro(assumption(p), assumption(r)), p),
+                    and_elim(assumption(Conj(p, q)), 1),
+                ),
+                Conj(p, q),
+            ),
+            impl_intro(
+                and_intro(and_elim(assumption(Conj(p, q)), 1), assumption(r)),
+                Conj(p, q),
+            ),
+        ),
+        # the case keeps its p-leaf discharged at the outer root
+        (
+            impl_intro(
+                or_elim(
+                    or_intro_left(assumption(r), s),
+                    and_intro(assumption(r), assumption(p)),
+                    and_intro(axiom_leaf(r), assumption(p)),
+                ),
+                p,
+            ),
+            impl_intro(and_intro(assumption(r), assumption(p)), p),
+        ),
+        # the introduced premise keeps its q-leaf discharged at the outer
+        # root from where the case's leaf was
+        (
+            impl_intro(
+                or_elim(
+                    or_intro_left(impl_elim(assumption(Impl(q, p)), assumption(q)), s),
+                    and_intro(axiom_leaf(r), assumption(p)),
+                    and_intro(axiom_leaf(r), axiom_leaf(p)),
+                ),
+                q,
+            ),
+            impl_intro(
+                and_intro(
+                    axiom_leaf(r), impl_elim(assumption(Impl(q, p)), assumption(q))
+                ),
+                q,
+            ),
+        ),
+        # the stub's leaf is discharged by the new ->-intro, the q-leaf
+        # still by the outer one
+        (
+            impl_intro(
+                weaken(impl_intro(and_intro(assumption(p), assumption(q)), p), r),
+                q,
+            ),
+            impl_intro(
+                impl_intro(
+                    and_intro(and_elim(assumption(Conj(p, r)), 1), assumption(q)),
+                    Conj(p, r),
+                ),
+                q,
+            ),
+        ),
+        (
+            impl_intro(or_project(or_intro_left(assumption(p), q)), p),
+            impl_intro(assumption(p), p),
+        ),
+    ],
+    ids=["conj", "imp", "imp-minor", "disj", "disj-premise", "weaken", "project"],
+)
+def test_detour_under_binder_reduces(d, reduct):
+    step = reduce_step(d, STD)
+    assert step.position == (0,)
+    assert step.result == reduct
+    assert [s.result for s in successors(d, STD)] == [reduct]
+    assert structure_from_obj(structure_to_obj(step.result)) == reduct
 
 
 def test_extract_keeps_local_discharges():
@@ -173,7 +254,7 @@ def test_closure_and_reachability():
     inner = or_project(or_intro_left(assumption(p), q))
     d = and_elim(and_intro(inner, assumption(r)), 1)
     res = closure(d, STD)
-    assert res.complete and not res.skipped
+    assert res.complete
     expected = {
         d,
         inner,
@@ -205,12 +286,12 @@ def test_search_with_predicate():
     assert out.witness == d  # already closed, zero steps
 
 
-def test_failed_search_with_skips_is_inconclusive():
+def test_failed_search_under_binder_is_definite():
     redex = and_elim(and_intro(assumption(p), assumption(q)), 1)
     d = impl_intro(redex, q)
     out = reduces_to(d, assumption(s), STD)
-    assert out.status == "inconclusive"
-    assert "not rewritten" in out.note
+    assert out.status == "no"
+    assert out.visited == 2
 
 
 def test_budget_exhaustion_is_inconclusive():
@@ -349,3 +430,53 @@ def test_weaken_detour_preserves_interface(body, a, c):
     assert conclusion(step.result) == Impl(Conj(a, c), conclusion(body))
     assert assumptions(step.result) <= assumptions(d) | {Conj(a, c)} - {a}
     assert match_impl_intro(step.result)
+
+
+def detours():
+    """structures() with detours of every kind built around its members and
+    ->-intro binders around those, so redexes sit under discharges."""
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children, st.sampled_from([1, 2])).map(
+                lambda t: and_elim(and_intro(t[0], t[1]), t[2])
+            ),
+            st.tuples(children, children).map(
+                lambda t: impl_elim(impl_intro(t[1], conclusion(t[0])), t[0])
+            ),
+            st.tuples(children, children).map(
+                lambda t: or_elim(or_intro_left(t[0], s), t[1], t[1])
+            ),
+            st.tuples(children, small_formulas()).map(
+                lambda t: weaken(impl_intro(t[0], t[1]), r)
+            ),
+            children.map(lambda d: or_project(or_intro_left(d, q))),
+            st.tuples(children, small_formulas()).map(
+                lambda t: impl_intro(t[0], t[1])
+            ),
+        )
+
+    return st.recursive(structures(), extend, max_leaves=6)
+
+
+def binders_match(d):
+    """Every discharged leaf hangs under an ->-intro for its label or in the
+    case of an |-elim whose disjunct it is."""
+    for item, target in d.discharge:
+        binder = d.node_at(target)
+        label = d.node_at(item.leaf).formula
+        if len(binder.children) == 1:
+            assert binder.formula.left == label
+        else:
+            g = binder.children[0].formula
+            assert (item.leaf[len(target)], label) in ((1, g.left), (2, g.right))
+
+
+@settings(max_examples=150, deadline=None)
+@given(detours())
+def test_successors_keep_conclusion_assumptions_and_serialize(d):
+    for step in successors(d, STD):
+        assert conclusion(step.result) == conclusion(d)
+        assert assumptions(step.result) <= assumptions(d)
+        assert structure_from_obj(structure_to_obj(step.result)) == step.result
+        binders_match(step.result)

@@ -324,7 +324,7 @@ def test_compare_table_shapes():
 
 
 def test_witness_for_disjunction_picks_the_live_disjunct():
-    arg, _ = synthesize_witness(B_P, parse_sequent("|- p | q"))
+    arg = synthesize_witness(B_P, parse_sequent("|- p | q"))
     assert conclusion(arg.structure) == Disj(p, q)
     assert arg.structure.root.children[0].formula == p
 
