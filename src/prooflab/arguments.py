@@ -460,9 +460,20 @@ def replace(
     struct: ArgumentStructure, at: Path, replacement: ArgumentStructure
 ) -> ArgumentStructure:
     """Swap the subtree at a position for a structure with the same
-    conclusion.  Discharges of leaves in the hole vanish with them; the
-    replacement's discharges that reach above its root land on the
-    ancestors of the position."""
+    conclusion.  A node in the hole discharged above it would leave its
+    binder without it and is rejected; discharges wholly inside the hole
+    vanish with it, and the replacement's discharges that reach above its
+    root land on the ancestors of the position."""
+    if struct.node_at(at).free:
+        raise StructureError(f"the hole at {at} holds a node discharged above it")
+    return _graft(struct, at, replacement)
+
+
+def _graft(
+    struct: ArgumentStructure, at: Path, replacement: ArgumentStructure
+) -> ArgumentStructure:
+    """replace without the check on the hole: discharges of nodes in it
+    vanish with them, as when a reduction drops a discharged leaf."""
     old = struct.node_at(at)
     if conclusion(replacement) != old.formula:
         raise StructureError(

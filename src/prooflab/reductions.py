@@ -28,6 +28,7 @@ from prooflab.arguments import (
     Node,
     Path,
     StructureError,
+    _graft,
     _moved,
     assumptions,
     conclusion,
@@ -41,7 +42,6 @@ from prooflab.arguments import (
     match_or_intro,
     match_or_project,
     match_weaken,
-    replace,
     root_discharges,
     sub_structures,
 )
@@ -233,7 +233,7 @@ def _rewrites(
                 yield ReductionStep(
                     position=path,
                     rule=red.name,
-                    result=replace(struct, path, red.rewrite(sub)),
+                    result=_graft(struct, path, red.rewrite(sub)),
                 )
 
 

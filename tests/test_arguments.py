@@ -366,16 +366,10 @@ def test_replace_rejects_conclusion_mismatch():
         replace(d, (0,), assumption(r))
 
 
-def test_replace_drops_discharges_of_replaced_leaves():
-    # a discharged leaf in the hole vanishes with it, and its discharge
-    # with the leaf: the binder above is left discharging fewer leaves
+def test_replace_rejects_dangling_discharge():
     d = impl_intro(assumption(p), p)
-    assert replace(d, (0,), axiom_leaf(p)) == impl_intro(axiom_leaf(p), p)
-    d = impl_intro(impl_elim(assumption(Impl(p, q)), assumption(p)), p)
-    out = replace(d, (0, 1), axiom_leaf(p))
-    assert out == impl_intro(impl_elim(assumption(Impl(p, q)), axiom_leaf(p)), p)
-    assert out.discharge == ()
-    assert assumptions(out) == {Impl(p, q)}
+    with pytest.raises(StructureError):
+        replace(d, (0,), axiom_leaf(p))
 
 
 def test_replace_at_root_swaps_everything():
@@ -390,6 +384,14 @@ def test_replace_keeps_outside_discharges():
     assert conclusion(out) == Conj(Impl(p, p), q)
     assert is_closed(out)
     assert len(out.discharge) == 1
+
+
+def test_replace_rejects_discharged_leaf_as_hole():
+    # the discharged leaf itself sits inside the hole while its target
+    # survives, so the discharge would dangle
+    d = impl_intro(impl_elim(assumption(Impl(p, q)), assumption(p)), p)
+    with pytest.raises(StructureError):
+        replace(d, (0, 1), axiom_leaf(p))
 
 
 # ---------------------------------------------------------------------------
