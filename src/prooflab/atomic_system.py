@@ -15,8 +15,12 @@ rules derive bot outright.
 
 Derivability is decided by saturating the finite family of reachable rule
 contexts (the closure of the initial rule supply under adding discharged
-sets).  A positive answer carries a derivation tree that an independent
-checker (check_derivation) replays against the rule supply.
+sets): every rule is numbered once, a context is a bitmask over those
+numbers, every (context, rule) application is grounded once, and facts
+propagate through per-application counters of unmet premises, as in
+linear-time Horn satisfiability.  A positive answer carries a derivation
+tree that an independent checker (check_derivation) replays against the
+rule supply; the tree does not depend on the hash seed.
 
 Concrete rule syntax, one rule per line in base files:
 
@@ -87,35 +91,59 @@ class Premise:
 
     discharged: frozenset[AtomicRule]
     conclusion: str
+    # canonical sort key, computed once; see _rule_key
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _ATOM_RE.fullmatch(self.conclusion):
             raise ValueError(f"premise conclusion is not an atom: {self.conclusion!r}")
+        object.__setattr__(
+            self,
+            "_key",
+            (self.conclusion, tuple(sorted(s._key for s in self.discharged))),
+        )
 
 
 @dataclass(frozen=True, slots=True)
 class AtomicRule:
     premises: tuple[Premise, ...]
     conclusion: str
+    # canonical sort key and hash, computed once; see _rule_key
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _ATOM_RE.fullmatch(self.conclusion):
             raise ValueError(f"rule conclusion is not an atom: {self.conclusion!r}")
         # canonical premise order makes equality independent of listing order
+        premises = tuple(sorted(self.premises, key=_premise_key))
+        object.__setattr__(self, "premises", premises)
         object.__setattr__(
-            self, "premises", tuple(sorted(self.premises, key=_premise_key))
+            self, "_key", (self.conclusion, tuple(p._key for p in premises))
         )
+        object.__setattr__(self, "_hash", hash((premises, self.conclusion)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a pickled hash would be stale in a
+        # process with another hash seed
+        return (AtomicRule, (self.premises, self.conclusion))
 
     def __str__(self) -> str:
         return format_rule(self)
 
 
-def _rule_key(r: AtomicRule):
-    return (r.conclusion, tuple(_premise_key(p) for p in r.premises))
+def _rule_key(r: AtomicRule) -> tuple:
+    """Sort key that tells rules apart exactly as equality does and does not
+    depend on the hash seed: (conclusion, premise keys in canonical order)."""
+    return r._key
 
 
-def _premise_key(p: Premise):
-    return (p.conclusion, tuple(sorted(_rule_key(s) for s in p.discharged)))
+def _premise_key(p: Premise) -> tuple:
+    """(conclusion, sorted keys of the discharged rules)."""
+    return p._key
 
 
 def axiom(name: str) -> AtomicRule:
@@ -216,77 +244,157 @@ class DerivationNode:
 class _Saturation:
     """Fixpoint of 'atom a is derivable in context R' over reachable contexts.
 
-    Justifications reference only facts recorded earlier, so witness
-    extraction is well-founded even through cyclic rule supplies.
+    A context is the supply plus some of the rules that premises discharge.
+    Built in three steps:
+
+    1. Number every rule once, in the fixed order of _rule_key: the supply
+       and every rule nested in a discharged set.  A context is then an int
+       bitmask over those numbers, and a premise's target context is the
+       current one OR'd with the premise's discharged-rule mask.
+    2. Ground every (context, rule) application once, breadth first from
+       the supply's context: each premise resolves its target context (new
+       targets join the queue) and the application watches the fact
+       (target context, premise atom).  A rule whose conclusion an axiom
+       of the context already gives is skipped (axioms sort first among
+       the rules concluding an atom), together with its premises.
+    3. Propagate with counters, as in linear-time Horn satisfiability
+       (Dowling & Gallier 1984): each application counts its unmet
+       premises; a newly recorded fact decrements the applications that
+       watch it, and one whose count reaches zero records its conclusion.
+
+    Each justification references only facts recorded before it, so witness
+    extraction is well-founded even through cyclic rule supplies.  Every
+    order followed comes from the rule numbering, never from iterating a
+    set, so the witness does not depend on the hash seed.  Only the fact
+    tables are kept: facts[c][atom] is (rule, target context of each
+    premise), context 0 being the supply's.
     """
 
-    def __init__(self, initial: frozenset[AtomicRule], max_steps: int) -> None:
-        self.initial = initial
-        contexts = {initial}
-        stack = [initial]
+    __slots__ = ("facts",)
+
+    def __init__(self, supply: frozenset[AtomicRule], max_steps: int) -> None:
+        seen: dict[AtomicRule, None] = {}
+        todo = list(supply)
+        while todo:
+            r = todo.pop()
+            if r not in seen:
+                seen[r] = None
+                for p in r.premises:
+                    todo.extend(p.discharged)
+        order = sorted(seen, key=_rule_key)
+        index = {r: i for i, r in enumerate(order)}
+        atoms: dict[str, int] = {}
+        # per rule number: (conclusion, ((premise atom, discharged mask), ...)),
+        # atoms as numbers too
+        shapes = []
+        for r in order:
+            prems = []
+            for p in r.premises:
+                dmask = 0
+                for s in p.discharged:
+                    dmask |= 1 << index[s]
+                prems.append((atoms.setdefault(p.conclusion, len(atoms)), dmask))
+            shapes.append((atoms.setdefault(r.conclusion, len(atoms)), tuple(prems)))
+        initial = 0
+        for r in supply:
+            initial |= 1 << index[r]
+        n = len(atoms)
+        unset = [None] * n
+
+        # a fact (context c, atom a) is the number c * n + a.  Application k
+        # is rule app_rule[k] in the context of fact app_head[k], its
+        # conclusion there, with counts[k] premises unmet; watchers[f] lists
+        # the applications waiting on fact f (once per premise), just[f] the
+        # one that recorded it, and queue the recorded facts in order.
+        ids = {initial: 0}
+        masks = [initial]
+        watchers: list[list[int]] = [[] for _ in range(n)]
+        just: list[int | None] = unset[:]
+        app_rule: list[int] = []
+        app_head: list[int] = []
+        counts: list[int] = []
+        queue: list[int] = []
         steps = 0
-        while stack:
-            ctx = stack.pop()
-            for rule in ctx:
-                for p in rule.premises:
-                    steps += 1
-                    if steps > max_steps:
-                        raise ResourceLimitExceeded(
-                            f"context closure exceeded {max_steps} steps"
-                        )
-                    if p.discharged:
-                        nxt = ctx | p.discharged
-                        if nxt not in contexts:
-                            contexts.add(nxt)
-                            stack.append(nxt)
-        self.contexts = contexts
-        # facts[ctx][atom] = (rule, premise contexts, insertion index)
-        self.facts: dict[frozenset[AtomicRule], dict[str, tuple]] = {
-            ctx: {} for ctx in contexts
-        }
-        counter = 0
-        changed = True
-        while changed:
-            changed = False
-            for ctx in contexts:
-                known = self.facts[ctx]
-                for rule in ctx:
-                    if rule.conclusion in known:
+        for c, m in enumerate(masks):  # masks grows as targets are found
+            here = c * n
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i = low.bit_length() - 1
+                head, prems = shapes[i]
+                head += here
+                if just[head] is not None:
+                    # an axiom here already concludes it (axioms sort first)
+                    continue
+                k = len(counts)
+                app_rule.append(i)
+                app_head.append(head)
+                counts.append(len(prems))
+                if not prems:
+                    just[head] = k
+                    queue.append(head)
+                    continue
+                steps += len(prems)
+                if steps > max_steps:
+                    raise ResourceLimitExceeded(
+                        f"saturation exceeded {max_steps} steps"
+                    )
+                for a, dmask in prems:
+                    tm = m | dmask
+                    if tm == m:
+                        watchers[here + a].append(k)
                         continue
-                    steps += 1
-                    if steps > max_steps:
-                        raise ResourceLimitExceeded(
-                            f"saturation exceeded {max_steps} steps"
-                        )
-                    targets = []
-                    for p in rule.premises:
-                        tctx = ctx | p.discharged if p.discharged else ctx
-                        if p.conclusion not in self.facts[tctx]:
-                            break
-                        targets.append(tctx)
-                    else:
-                        known[rule.conclusion] = (rule, tuple(targets), counter)
-                        counter += 1
-                        changed = True
+                    t = ids.get(tm)
+                    if t is None:
+                        t = ids[tm] = len(masks)
+                        masks.append(tm)
+                        watchers.extend([] for _ in range(n))
+                        just.extend(unset)
+                    watchers[t * n + a].append(k)
+
+        for f in queue:  # queue grows as facts are recorded
+            waiting = watchers[f]
+            steps += len(waiting)
+            if steps > max_steps:
+                raise ResourceLimitExceeded(f"saturation exceeded {max_steps} steps")
+            for k in waiting:
+                left = counts[k] - 1
+                counts[k] = left
+                if not left:
+                    head = app_head[k]
+                    if just[head] is None:
+                        just[head] = k
+                        queue.append(head)
+
+        names = list(atoms)
+        self.facts: list[dict[str, tuple[AtomicRule, tuple[int, ...]]]] = [
+            {} for _ in masks
+        ]
+        for f in queue:
+            c, a = divmod(f, n)
+            m = masks[c]
+            i = app_rule[just[f]]
+            targets = tuple(ids[m | dmask] for _, dmask in shapes[i][1])
+            self.facts[c][names[a]] = (order[i], targets)
 
     def derivable(self, goal: str) -> bool:
-        return goal in self.facts[self.initial]
+        return goal in self.facts[0]
 
     def tree(self, goal: str) -> DerivationNode:
-        def extract(ctx: frozenset[AtomicRule], atom: str) -> DerivationNode:
-            rule, targets, _ = self.facts[ctx][atom]
+        def extract(c: int, atom: str) -> DerivationNode:
+            rule, targets = self.facts[c][atom]
             children = tuple(
-                extract(tctx, p.conclusion)
-                for p, tctx in zip(rule.premises, targets)
+                extract(t, p.conclusion) for p, t in zip(rule.premises, targets)
             )
             return DerivationNode(conclusion=atom, rule=rule, children=children)
 
-        return extract(self.initial, goal)
+        return extract(0, goal)
 
 
 @lru_cache(maxsize=16384)
-def _saturate(initial: frozenset, max_steps: int = DEFAULT_MAX_STEPS) -> _Saturation:
-    return _Saturation(initial, max_steps)
+def _saturate(supply: frozenset, max_steps: int = DEFAULT_MAX_STEPS) -> _Saturation:
+    return _Saturation(supply, max_steps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,7 +424,10 @@ def derive(
 
     A YES carries a derivation tree; replay it with check_derivation against
     base.rules | assumed (plus the explosion rules when that option is on).
-    Budget exhaustion raises ResourceLimitExceeded rather than answering NO.
+    Budget exhaustion raises ResourceLimitExceeded rather than answering NO;
+    a step is one grounded premise (a premise of a rule in a reachable
+    context) or one counter decrement (a recorded fact passed on to one
+    application watching it).
     """
     supply = base.rules | frozenset(assumed)
     if explosion:
@@ -333,13 +444,19 @@ def derive(
 def derivable_atoms(base: Base, assumed: Iterable[AtomicRule] = ()) -> frozenset[str]:
     """Every atom (bot included) derivable from base plus assumed rules."""
     supply = base.rules | frozenset(assumed)
-    sat = _saturate(supply)
-    return frozenset(sat.facts[supply].keys())
+    return frozenset(_saturate(supply).facts[0])
 
 
 def check_consistency(rules: Iterable[AtomicRule]) -> bool:
-    """True when the rules do not derive bot on their own."""
+    """True when the rules do not derive bot on their own.
+
+    A derivation's last step applies one of the rules themselves (rules
+    nested in a discharged set are only available above a premise), so
+    when none of them concludes bot no saturation is needed.
+    """
     supply = frozenset(rules)
+    if all(r.conclusion != "bot" for r in supply):
+        return True
     return not _saturate(supply).derivable("bot")
 
 

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written in the most naive shape available so
 that agreement with the package is meaningful: bounded exhaustive enumeration
-for derivability, a direct classical collapse for the standard evaluator, a
-direct clause transcription for the variant evaluator, and finite Kripke
-frames (equivalently, up-set Heyting algebras of small posets) for
-intuitionistic derivability.
+and a least fixpoint by full passes over frozenset contexts for derivability,
+a direct classical collapse for the standard evaluator, a direct clause
+transcription for the variant evaluator, and finite Kripke frames
+(equivalently, up-set Heyting algebras of small posets) for intuitionistic
+derivability.
 """
 
 from __future__ import annotations
@@ -42,6 +43,34 @@ def enum_derivable_atoms(
     rules: frozenset[AtomicRule], atoms: set[str], depth: int
 ) -> frozenset[str]:
     return frozenset(a for a in atoms if enum_derivable(rules, a, depth))
+
+
+def naive_derivable(rules: frozenset[AtomicRule]) -> frozenset[str]:
+    """Every atom derivable from the rules: the least fixpoint of 'a holds in
+    context C', by repeated full passes over every reachable context, each
+    context the frozenset of its rules."""
+    contexts = {rules}
+    stack = [rules]
+    while stack:
+        ctx = stack.pop()
+        for r in ctx:
+            for p in r.premises:
+                nxt = ctx | p.discharged
+                if nxt not in contexts:
+                    contexts.add(nxt)
+                    stack.append(nxt)
+    holds: dict[frozenset[AtomicRule], set[str]] = {ctx: set() for ctx in contexts}
+    changed = True
+    while changed:
+        changed = False
+        for ctx in contexts:
+            for r in ctx:
+                if r.conclusion not in holds[ctx] and all(
+                    p.conclusion in holds[ctx | p.discharged] for p in r.premises
+                ):
+                    holds[ctx].add(r.conclusion)
+                    changed = True
+    return frozenset(holds[rules])
 
 
 # ---------------------------------------------------------------------------

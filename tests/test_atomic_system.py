@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import enum_derivable, enum_derivable_atoms
+from oracles import enum_derivable, enum_derivable_atoms, naive_derivable
 from prooflab.atomic_system import (
     AtomicRule,
     Base,
     DerivationCheckError,
     InconsistentBaseError,
+    ResourceLimitExceeded,
     atoms_of_base,
     atoms_of_rule,
     axiom,
@@ -226,6 +227,45 @@ def test_derivable_atoms_monotone(rs, extra):
     assert derivable_atoms(Base(rules=rs)) <= derivable_atoms(
         Base(rules=rs | {extra})
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rules(max_level=4), min_size=0, max_size=4))
+def test_derivable_atoms_match_naive_fixpoint(rs):
+    # level 4 nests discharged rules that discharge again; the rules are
+    # assumed over the empty base, so sets deriving bot are checked too
+    rs = frozenset(rs)
+    got = derivable_atoms(Base(), assumed=rs)
+    assert got == naive_derivable(rs)
+    for a in got:
+        res = derive(Base(), assumed=rs, goal=a)
+        assert res.derivable
+        assert check_derivation(res.tree, rs)
+
+
+def discharge_fan(k: int) -> str:
+    """a0 plus k rules ([x_i => y] => z): 2^k reachable contexts."""
+    return "a0.\n" + "\n".join(f"([x{i} => y] => z)" for i in range(k))
+
+
+def test_step_budget_raises_rather_than_answering_no():
+    b = base(discharge_fan(6) + "\n(x3 => y)")
+    for goal in ("z", "y"):
+        with pytest.raises(ResourceLimitExceeded):
+            derive(b, goal=goal, max_steps=20)
+    assert derive(b, goal="z").derivable
+    assert not derive(b, goal="y").derivable
+
+
+def test_consistency_needs_no_saturation_without_a_bot_rule():
+    # no rule concludes bot, so building the base does not saturate its
+    # 2^16 contexts (about a million steps)
+    b = base(discharge_fan(16))
+    assert len(b.rules) == 17
+    with pytest.raises(ResourceLimitExceeded):
+        derive(b, goal="z", max_steps=10_000)
+    # bot concluded only by a discharged rule: still consistent
+    assert check_consistency(base("([(p => bot) => bot] => q)\np.").rules)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ documents shows up at least once: 0, 1, 2, 64, 65.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -89,6 +92,24 @@ def test_eval_alpha_valid_with_witness(capsys):
     assert code == EX_OK
     assert "status:    valid" in out
     assert "witness:" in out
+
+
+def test_eval_alpha_witness_independent_of_hash_seed():
+    # two rules conclude r; the witness must not follow set iteration order
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    argv = [sys.executable, "-m", "prooflab.cli", "eval", "--semantics", "alpha"]
+    for r in ("p.", "q.", "(p => r)", "(q => r)"):
+        argv += ["--rule", r]
+    argv += ["--sequent", "|- r"]
+    outs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EX_OK, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    assert outs.pop().splitlines()[-3:] == ["witness:", "  r", "    p*"]
 
 
 def test_eval_alpha_invalid(capsys):
