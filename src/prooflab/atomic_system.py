@@ -91,7 +91,7 @@ class Premise:
 
     discharged: frozenset[AtomicRule]
     conclusion: str
-    # canonical sort key, computed once; see _rule_key
+    # (conclusion, sorted keys of the discharged rules), computed once
     _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -116,7 +116,7 @@ class AtomicRule:
         if not _ATOM_RE.fullmatch(self.conclusion):
             raise ValueError(f"rule conclusion is not an atom: {self.conclusion!r}")
         # canonical premise order makes equality independent of listing order
-        premises = tuple(sorted(self.premises, key=_premise_key))
+        premises = tuple(sorted(self.premises, key=lambda p: p._key))
         object.__setattr__(self, "premises", premises)
         object.__setattr__(
             self, "_key", (self.conclusion, tuple(p._key for p in premises))
@@ -139,11 +139,6 @@ def _rule_key(r: AtomicRule) -> tuple:
     """Sort key that tells rules apart exactly as equality does and does not
     depend on the hash seed: (conclusion, premise keys in canonical order)."""
     return r._key
-
-
-def _premise_key(p: Premise) -> tuple:
-    """(conclusion, sorted keys of the discharged rules)."""
-    return p._key
 
 
 def axiom(name: str) -> AtomicRule:
