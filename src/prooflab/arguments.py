@@ -133,7 +133,8 @@ class Node:
     a non-axiomatic leaf, an assumed axiom at an axiomatic one and an
     assumed application of rule at an inner node.  free is derived: bit i
     is set when some node of the subtree is discharged i + 1 levels above
-    this one."""
+    this one.  The hash is computed once, beside free, from the children's
+    cached hashes, so a lookup never walks the tree."""
 
     formula: Formula
     children: tuple["Node", ...] = ()
@@ -141,6 +142,7 @@ class Node:
     bound: int = 0
     rule: AtomicRule | None = None
     free: int = field(default=0, init=False, repr=False, compare=False)
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.axiomatic and self.children:
@@ -149,6 +151,22 @@ class Node:
         for child in self.children:
             free |= child.free >> 1
         object.__setattr__(self, "free", free)
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.formula, self.children, self.axiomatic, self.bound, self.rule)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a pickled hash would be stale in a
+        # process with another hash seed
+        return (
+            Node,
+            (self.formula, self.children, self.axiomatic, self.bound, self.rule),
+        )
 
 
 def _with_children(node: Node, children: tuple[Node, ...]) -> Node:
@@ -204,6 +222,9 @@ class ArgumentStructure:
         self, root: Node, discharge: Sequence[tuple[DischargeItem, Path]] = ()
     ) -> None:
         object.__setattr__(self, "root", _bind(root, discharge) if discharge else root)
+
+    def __hash__(self) -> int:
+        return self.root._hash
 
     @property
     def discharge(self) -> tuple[tuple[DischargeItem, Path], ...]:

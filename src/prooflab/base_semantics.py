@@ -148,7 +148,9 @@ class Evaluator:
     """Clause-directed evaluation for one base; memoized on (premises, goal).
 
     Reusable across sequents whose atoms lie inside the universe it was
-    created with; models() constructs a fresh one per call.
+    created with; models() constructs a fresh one per call, and
+    models_alpha shares one standard evaluator between the consequence it
+    checks, the witness it synthesizes and the suite that closes it.
     """
 
     def __init__(

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from prooflab.arguments import (
     ArgumentStructure,
@@ -478,7 +479,10 @@ def _cmd_suite(args: argparse.Namespace, cfg: RunConfig) -> int:
 # argument parsing
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and building it costs more than a typical command."""
     parser = _Parser(
         prog="prooflab",
         description=__doc__,

@@ -7,13 +7,16 @@ The grammar is
 with negation ``~X`` as sugar for ``X -> bot``.  Negation is never a
 constructor: parsing ``~p`` yields the implication, and the printer folds
 ``X -> bot`` back into ``~X``.  Formulas are immutable values with structural
-equality, so evaluators are free to memoize on them.
+equality, so evaluators are free to memoize on them.  Each formula computes
+its hash once, at construction, from its children's cached hashes, so a
+lookup never walks the tree; the value is the one the generated dataclass
+hash would give.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
 __all__ = [
@@ -50,6 +53,7 @@ class Formula:
 @dataclass(frozen=True, slots=True)
 class Atom(Formula):
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _ATOM_RE.fullmatch(self.name):
@@ -57,6 +61,15 @@ class Atom(Formula):
         if self.name == "bot":
             # absurdity is a distinct constant, never a named atom
             raise ValueError("'bot' is reserved for absurdity; use Absurdity()")
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a pickled hash would be stale in a
+        # process with another hash seed
+        return (Atom, (self.name,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,21 +78,35 @@ class Absurdity(Formula):
 
 
 @dataclass(frozen=True, slots=True)
-class Conj(Formula):
+class _Binary(Formula):
+    """The fields, equality and cached hash the three connectives share;
+    equality also compares the class, so Conj(a, b) != Disj(a, b)."""
+
     left: Formula
     right: Formula
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, as Atom is
+        return (type(self), (self.left, self.right))
 
 
-@dataclass(frozen=True, slots=True)
-class Disj(Formula):
-    left: Formula
-    right: Formula
+class Conj(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Impl(Formula):
-    left: Formula
-    right: Formula
+class Disj(_Binary):
+    __slots__ = ()
+
+
+class Impl(_Binary):
+    __slots__ = ()
 
 
 BOT = Absurdity()

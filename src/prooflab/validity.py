@@ -407,7 +407,10 @@ def semantic_suite_provider(base: Base, budget: int = DEFAULT_BUDGET) -> SuitePr
     instance mapping each assumption to a canonical argument for it, or a
     vacuous suite when some assumption has no closed valid argument."""
     ev = Evaluator(SemanticsKind.STANDARD, base, None, record=False)
+    return _suite_provider(base, ev)
 
+
+def _suite_provider(base: Base, ev: Evaluator) -> SuiteProvider:
     def provide(struct: ArgumentStructure) -> Suite:
         sigma: list[tuple[Formula, Argument]] = []
         for f in sorted(assumptions(struct), key=format_formula):
@@ -434,6 +437,12 @@ def synthesize_witness(
     underlying consequence holds.  With strict=True only the standard
     reductions may be used, and synthesis refuses where that is not enough."""
     ev = Evaluator(SemanticsKind.STANDARD, base, None, record=False)
+    return _synthesize(base, ev, sequent, strict)
+
+
+def _synthesize(
+    base: Base, ev: Evaluator, sequent: Sequent, strict: bool
+) -> Argument:
     justs: list[Reduction] = []
     if sequent.premises:
         prems = sorted(sequent.premises, key=format_formula)
@@ -489,9 +498,11 @@ def models_alpha(
     """Consequence through valid arguments: the premises are taken to the
     conclusion when some argument with those assumptions is valid over the
     base.  Evaluates the clause-defined consequence first; a positive
-    answer is then backed by a synthesized argument that is rechecked."""
-    std = models(SemanticsKind.STANDARD, base, sequent, trace=False)
-    if not std.holds:
+    answer is then backed by a synthesized argument that is rechecked.
+    One standard evaluator answers the consequence and serves the witness
+    and the closing suite."""
+    ev = Evaluator(SemanticsKind.STANDARD, base, None, record=False)
+    if not ev.entails(sequent.premises, sequent.conclusion):
         return AlphaResult(
             verdict=ValidityVerdict(
                 Status.INVALID,
@@ -502,7 +513,7 @@ def models_alpha(
             holds=False,
         )
     try:
-        arg = synthesize_witness(base, sequent, strict=strict)
+        arg = _synthesize(base, ev, sequent, strict)
     except StructureError as exc:
         return AlphaResult(
             verdict=ValidityVerdict(Status.INCONCLUSIVE, str(exc)),
@@ -510,10 +521,7 @@ def models_alpha(
             holds=None,
         )
     verdict = check_valid(
-        arg,
-        base,
-        suite_provider=semantic_suite_provider(base, budget),
-        budget=budget,
+        arg, base, suite_provider=_suite_provider(base, ev), budget=budget
     )
     holds = {
         Status.VALID: True,

@@ -2,6 +2,9 @@
 derivation encoding."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -540,3 +543,37 @@ def test_iter_nodes_preorder():
     d = and_intro(assumption(p), assumption(q))
     paths = [path for path, _ in iter_nodes(d)]
     assert paths == [(), (0,), (1,)]
+
+
+_PICKLED_VALUES = """
+import pickle, sys
+from prooflab.arguments import and_intro, assumption, axiom_leaf, impl_intro
+from prooflab.syntax import parse_formula
+f = parse_formula("(p & q) | ~r -> p")
+d = impl_intro(and_intro(assumption(f), axiom_leaf(parse_formula("q"))), f)
+"""
+
+
+def test_pickles_rehash_under_another_hash_seed(tmp_path):
+    # a pickle must not carry a cached hash from the hash seed it was made under
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    path = str(tmp_path / "values.pickle")
+    dump = _PICKLED_VALUES + f"pickle.dump((f, d), open({path!r}, 'wb'))\n"
+    load = _PICKLED_VALUES + f"""
+lf, ld = pickle.load(open({path!r}, "rb"))
+assert (lf, ld) == (f, d)
+assert hash(lf) == hash(f) and hash(ld) == hash(d) and hash(ld.root) == hash(d.root)
+assert {{f: 1}}[lf] and {{d: 1}}[ld] and {{d.root: 1}}[ld.root]
+assert {{lf: 1}}[f] and {{ld: 1}}[d] and {{ld.root: 1}}[d.root]
+"""
+    for seed, code in (("1", dump), ("2", load)):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr

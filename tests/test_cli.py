@@ -27,6 +27,7 @@ from prooflab.cli import (
     EX_INCONCLUSIVE,
     EX_OK,
     EX_USAGE,
+    build_parser,
     main,
 )
 from prooflab.syntax import Atom
@@ -457,6 +458,32 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     capsys.readouterr()
     assert exc.value.code == EX_USAGE
+
+
+def _exit_and_stdout(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys):
+    # main builds its parser once per process; a call must not see the last
+    rules = ["--rule", "p.", "--rule", "(p => q)", "--rule", "(q => r)"]
+    calls = [
+        ["eval", *rules, "--sequent", "|- r"],
+        ["eval", "--sequent", "|- p", "--frobnicate"],
+        ["search", "--sequent", "p |- q", "--bounds", "2,2,1"],
+        ["eval", "--sequent", "|- r"],
+    ]
+    in_order = [_exit_and_stdout(argv, capsys) for argv in calls]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(_exit_and_stdout(argv, capsys))
+    assert in_order == alone
+    assert [code for code, _ in alone] == [EX_OK, EX_USAGE, EX_OK, EX_FAILS]
 
 
 def test_bad_bounds_text_is_usage_error(capsys):

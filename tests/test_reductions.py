@@ -22,12 +22,14 @@ from prooflab.arguments import (
     impl_intro,
     instantiate,
     is_closed,
+    iter_nodes,
     leaf,
     match_impl_intro,
     or_elim,
     or_intro_left,
     or_intro_right,
     or_project,
+    replace,
     structure_from_obj,
     structure_of_inference,
     structure_to_obj,
@@ -49,8 +51,17 @@ from prooflab.reductions import (
     standard_reductions,
     successors,
 )
-from prooflab.syntax import Atom, Conj, Disj, Impl
+from prooflab.syntax import (
+    Atom,
+    Conj,
+    Disj,
+    Impl,
+    format_formula,
+    parse_formula,
+    subformulas,
+)
 from test_arguments import structures
+from test_syntax import formulas
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 STD = standard_reductions()
@@ -480,3 +491,44 @@ def test_successors_keep_conclusion_assumptions_and_serialize(d):
         assert assumptions(step.result) <= assumptions(d)
         assert structure_from_obj(structure_to_obj(step.result)) == step.result
         binders_match(step.result)
+
+
+def _formula_hash_is_the_field_tuple_hash(f):
+    """The cached hashes equal the generated dataclass hashes, so sets and
+    dicts of formulas and nodes iterate as they did without the cache."""
+    for g in subformulas(f):
+        if isinstance(g, Atom):
+            assert hash(g) == hash((g.name,))
+        elif isinstance(g, (Conj, Disj, Impl)):
+            assert hash(g) == hash((g.left, g.right))
+
+
+def _node_hash_is_the_field_tuple_hash(d):
+    assert hash(d) == hash(d.root)
+    for _, node in iter_nodes(d):
+        fields = (node.formula, node.children, node.axiomatic, node.bound, node.rule)
+        assert hash(node) == hash(fields)
+        _formula_hash_is_the_field_tuple_hash(node.formula)
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas(), detours())
+def test_hash_of_equal_values_built_apart_agrees(f, d):
+    g = parse_formula(format_formula(f))
+    assert g == f and hash(g) == hash(f)
+    _formula_hash_is_the_field_tuple_hash(f)
+    c0 = Atom("c0")
+
+    def stand_in(g):
+        return and_elim(assumption(Conj(g, c0)), 1)
+
+    built = [d] + [step.result for step in successors(d, STD)]
+    built.append(instantiate(d, {a: stand_in(a) for a in assumptions(d)}))
+    for path, node in iter_nodes(d):
+        if not node.free:
+            built.append(replace(d, path, stand_in(node.formula)))
+    for e in built:
+        rebuilt = structure_from_obj(structure_to_obj(e))
+        assert rebuilt == e and hash(rebuilt) == hash(e)
+        assert {rebuilt: True}[e]
+        _node_hash_is_the_field_tuple_hash(e)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from prooflab.arguments import (
     ArgumentStructure,
+    StructureError,
     Inference,
     Node,
     and_elim,
@@ -46,6 +47,7 @@ from prooflab.validity import (
     semantic_suite_provider,
     synthesize_witness,
 )
+from test_acceptance import base_family, sequent_pool
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -263,6 +265,36 @@ def test_alpha_conjunction_and_implication():
     assert models_alpha(B_CHAIN, parse_sequent("|- p -> q")).holds is True
     assert models_alpha(B_P, parse_sequent("|- q -> p")).holds is True
     assert models_alpha(B_P, parse_sequent("|- p -> q")).holds is False
+
+
+def _public_route(base, seq, strict):
+    """models_alpha spelled out through the public functions, each of which
+    builds its own evaluator."""
+    if not models(SemanticsKind.STANDARD, base, seq, trace=False).holds:
+        return Status.INVALID, None, None
+    try:
+        arg = synthesize_witness(base, seq, strict=strict)
+    except StructureError as exc:
+        return Status.INCONCLUSIVE, str(exc), None
+    verdict = check_valid(arg, base, suite_provider=semantic_suite_provider(base))
+    return verdict.status, verdict.reason, arg
+
+
+def test_alpha_shared_evaluator_matches_public_route():
+    for base in base_family()[::6]:
+        for seq in sequent_pool()[::5]:
+            for strict in (False, True):
+                res = models_alpha(base, seq, strict=strict)
+                status, reason, arg = _public_route(base, seq, strict)
+                assert res.verdict.status is status
+                if reason is not None:
+                    assert res.verdict.reason == reason
+                if arg is None:
+                    assert res.witness is None
+                else:
+                    assert res.witness.structure == arg.structure
+                    names = [j.name for j in res.witness.justifications]
+                    assert names == [j.name for j in arg.justifications]
 
 
 def test_alpha_strict_mode():
