@@ -78,7 +78,6 @@ __all__ = [
     "instantiate",
     "replace",
     "Inference",
-    "root_inference",
     "structure_of_inference",
     "and_intro",
     "or_intro_left",
@@ -517,13 +516,6 @@ class Inference:
     subs: tuple[ArgumentStructure, ...]
     conclusion: Formula
     extension: tuple[tuple[DischargeItem, Path], ...] = ()
-
-
-def root_inference(struct: ArgumentStructure) -> Inference:
-    ext = tuple((item, ()) for item in root_discharges(struct))
-    return Inference(
-        subs=sub_structures(struct), conclusion=struct.root.formula, extension=ext
-    )
 
 
 def structure_of_inference(inf: Inference, axiomatic: bool = False) -> ArgumentStructure:

@@ -50,7 +50,6 @@ __all__ = [
     "rule_to_premise",
     "level",
     "Base",
-    "base_level",
     "atoms_of_rule",
     "atoms_of_base",
     "DerivationNode",
@@ -64,7 +63,6 @@ __all__ = [
     "ResourceLimitExceeded",
     "RuleSyntaxError",
     "star_translate",
-    "star_translate_base",
     "parse_rule",
     "parse_base_text",
     "format_rule",
@@ -210,10 +208,6 @@ class Base:
 
     def __str__(self) -> str:
         return format_base(self)
-
-
-def base_level(b: Base) -> int:
-    return max((level(r) for r in b.rules), default=0)
 
 
 def atoms_of_base(b: Base) -> frozenset[str]:
@@ -501,11 +495,6 @@ def star_translate(r: AtomicRule) -> Formula:
     for part in reversed(parts[:-1]):
         conj = Conj(part, conj)
     return Impl(conj, _atom_formula(r.conclusion))
-
-
-def star_translate_base(b: Base | Iterable[AtomicRule]) -> frozenset[Formula]:
-    rules = b.rules if isinstance(b, Base) else frozenset(b)
-    return frozenset(star_translate(r) for r in rules)
 
 
 # ---------------------------------------------------------------------------

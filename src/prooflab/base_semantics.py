@@ -13,6 +13,15 @@ and the sequent plus one fresh atom; a note in every trace records this.
 The trailing formula of the variant disjunction clause is read as the
 quantified atom itself (the natural reading; traces carry a note).
 
+How a sequent is evaluated: each base gets one BaseContext, built on first
+use and dropped with the base.  It holds the derivable atoms and decides
+truth for both relations by one classical valuation: read materially, the
+clauses collapse to it, and the variant's fresh atom, which no base
+derives, makes its disjunction clause collapse too.  models() answers from
+the context; only when a trace is asked for does an Evaluator replay the
+clauses to render the trace's entries.  The context also keeps one
+atomic witness argument per derivable atom, for the validity layer.
+
 Also here: counterexample search over bases, a bounded monotone variant of
 the relations, the export-principle harness, and a decision procedure for
 intuitionistic propositional derivability (the contraction-free four-case
@@ -21,20 +30,23 @@ calculus) used to compare proof-theoretic consequence with derivability.
 
 from __future__ import annotations
 
+import copy
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
+from prooflab.arguments import ArgumentStructure, derivation_to_structure
 from prooflab.atomic_system import (
     AtomicRule,
     Base,
-    InconsistentBaseError,
     atoms_of_base,
     axiom,
     check_consistency,
     derivable_atoms,
+    derive,
     format_rule,
     star_translate,
 )
@@ -60,6 +72,8 @@ __all__ = [
     "EvalTrace",
     "EvalResult",
     "models",
+    "BaseContext",
+    "base_context",
     "Evaluator",
     "fresh_atom",
     "SearchBounds",
@@ -144,108 +158,180 @@ _VARIANT_NOTES = (
 )
 
 
-class Evaluator:
-    """Clause-directed evaluation for one base; memoized on (premises, goal).
+def _notes(kind: SemanticsKind) -> tuple[str, ...]:
+    return _VARIANT_NOTES if kind is SemanticsKind.SANDQVIST else ()
 
-    Reusable across sequents whose atoms lie inside the universe it was
-    created with; models() constructs a fresh one per call, and
-    models_alpha shares one standard evaluator between the consequence it
-    checks, the witness it synthesizes and the suite that closes it.
+
+class BaseContext:
+    """What evaluation over one base needs, computed once for that base.
+
+    It holds the base's derivable atoms, the atoms it mentions (the
+    variant's universe starts from them) and at most one atomic witness
+    argument per atom, built on first request.  It also decides truth:
+    with a nonempty premise set read materially, both relations collapse
+    to the classical valuation that makes exactly the derivable atoms true.
+    For the variant's disjunction clause this is because the universe
+    always holds a fresh atom, which the base never derives, so the clause
+    fails exactly when both disjuncts fail.  Truth values are memoized per
+    formula.  Get the context of a base from base_context().
+    """
+
+    def __init__(self, base: Base) -> None:
+        self.derivable = derivable_atoms(base)
+        self.atoms = atoms_of_base(base)
+        # an equal copy, not the base itself: the context is a value of the
+        # weak mapping keyed by the base, and a reference to that key would
+        # keep both alive for good
+        self._base = copy.copy(base)
+        self._truth: dict[Formula, bool] = {}
+        self._witnesses: dict[str, ArgumentStructure | None] = {}
+
+    def holds(self, f: Formula) -> bool:
+        """Does the closed formula f hold over the base?"""
+        if isinstance(f, Atom):
+            return f.name in self.derivable
+        got = self._truth.get(f)
+        if got is None:
+            if isinstance(f, Absurdity):
+                got = "bot" in self.derivable
+            elif isinstance(f, Conj):
+                got = self.holds(f.left) and self.holds(f.right)
+            elif isinstance(f, Disj):
+                got = self.holds(f.left) or self.holds(f.right)
+            else:
+                assert isinstance(f, Impl)
+                got = not self.holds(f.left) or self.holds(f.right)
+            self._truth[f] = got
+        return got
+
+    def entails(self, premises: frozenset[Formula], goal: Formula) -> bool:
+        """The premises, read materially, entail the goal."""
+        return not all(map(self.holds, premises)) or self.holds(goal)
+
+    def atom_witness(self, name: str) -> ArgumentStructure | None:
+        """The base's derivation of the atom as an argument structure, or
+        None when the atom is not derivable."""
+        if name not in self._witnesses:
+            res = derive(self._base, frozenset(), name)
+            self._witnesses[name] = (
+                derivation_to_structure(res.tree, self._base)
+                if res.derivable
+                else None
+            )
+        return self._witnesses[name]
+
+
+# one context per live base, dropped with the base; bases are keyed by
+# value, so equal bases alive at once share one context
+_CONTEXTS: weakref.WeakKeyDictionary[Base, BaseContext] = weakref.WeakKeyDictionary()
+
+
+def base_context(base: Base) -> BaseContext:
+    """The evaluation context of the base, built on first use."""
+    ctx = _CONTEXTS.get(base)
+    if ctx is None:
+        ctx = _CONTEXTS[base] = BaseContext(base)
+    return ctx
+
+
+class Evaluator:
+    """Renders the clause-by-clause trace of evaluations over one base,
+    given the base's context.
+
+    It replays the clauses of the chosen relation in their recursive order
+    and records one entry per (premises, goal) pair the first time it is
+    reached; every truth value comes from the base's context.  models()
+    replays the clauses only when a trace is asked for.
     """
 
     def __init__(
         self,
         kind: SemanticsKind,
-        base: Base,
+        context: BaseContext,
         universe: tuple[str, ...] | None,
-        record: bool = True,
     ) -> None:
         self.kind = kind
-        self.base = base
-        self.derivable = derivable_atoms(base)
+        self.context = context
         self.universe = universe
-        self.record = record
-        self.memo: dict[tuple[frozenset[Formula], Formula], bool] = {}
-        self.trace = EvalTrace(
-            kind=kind.value,
-            universe=universe,
-            notes=_VARIANT_NOTES if kind is SemanticsKind.SANDQVIST else (),
-        )
+        self.seen: set[tuple[frozenset[Formula], Formula]] = set()
+        self.trace = EvalTrace(kind.value, universe, _notes(kind))
 
     def _log(self, clause: str, premises: frozenset[Formula], goal: Formula, result: bool) -> None:
-        if self.record:
-            rendered = ", ".join(sorted(format_formula(g) for g in premises))
-            self.trace.entries.append((clause, rendered, format_formula(goal), result))
+        rendered = ", ".join(sorted(format_formula(g) for g in premises))
+        self.trace.entries.append((clause, rendered, format_formula(goal), result))
 
     def entails(self, premises: frozenset[Formula], goal: Formula) -> bool:
+        result = self.context.entails(premises, goal)
         key = (premises, goal)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        # every clause strictly shrinks the formula multiset, so plain
-        # memoized recursion terminates without an in-progress guard
+        if key in self.seen:
+            return result
+        # every clause strictly shrinks the formula multiset, so a pair is
+        # never reached again while its own clause is replayed
+        self.seen.add(key)
         if premises:
-            result = (
-                not all(self.entails(frozenset(), g) for g in premises)
-            ) or self.entails(frozenset(), goal)
+            if all(self.entails(frozenset(), g) for g in premises):
+                self.entails(frozenset(), goal)
             self._log("premises", premises, goal, result)
         else:
-            result = self._closed(goal)
-        self.memo[key] = result
+            self._closed(goal, result)
         return result
 
-    def _closed(self, goal: Formula) -> bool:
+    def _closed(self, goal: Formula, result: bool) -> None:
         none: frozenset[Formula] = frozenset()
         if isinstance(goal, Atom):
-            result = goal.name in self.derivable
             self._log("atom", none, goal, result)
-            return result
-        if isinstance(goal, Absurdity):
-            result = "bot" in self.derivable
+        elif isinstance(goal, Absurdity):
             self._log("bot", none, goal, result)
-            return result
-        if isinstance(goal, Conj):
-            result = self.entails(none, goal.left) and self.entails(none, goal.right)
+        elif isinstance(goal, Conj):
+            if self.entails(none, goal.left):
+                self.entails(none, goal.right)
             self._log("conj", none, goal, result)
-            return result
-        if isinstance(goal, Impl):
-            result = self.entails(frozenset({goal.left}), goal.right)
+        elif isinstance(goal, Impl):
+            self.entails(frozenset({goal.left}), goal.right)
             self._log("impl", none, goal, result)
-            return result
-        assert isinstance(goal, Disj)
-        if self.kind is SemanticsKind.STANDARD:
-            result = self.entails(none, goal.left) or self.entails(none, goal.right)
+        elif self.kind is SemanticsKind.STANDARD:
+            if not self.entails(none, goal.left):
+                self.entails(none, goal.right)
             self._log("disj", none, goal, result)
-            return result
-        assert self.universe is not None
-        result = True
-        for name in self.universe:
-            c = Atom(name)
-            if (
-                self.entails(frozenset({goal.left}), c)
-                and self.entails(frozenset({goal.right}), c)
-                and not self.entails(none, c)
-            ):
-                result = False
-                break
-        self._log("disj-elim", none, goal, result)
-        return result
+        else:
+            # every atom C of the universe entailed by both disjuncts must
+            # hold; the search stops at the first C that does not
+            assert self.universe is not None
+            for name in self.universe:
+                c = Atom(name)
+                if (
+                    self.entails(frozenset({goal.left}), c)
+                    and self.entails(frozenset({goal.right}), c)
+                    and not self.entails(none, c)
+                ):
+                    break
+            self._log("disj-elim", none, goal, result)
 
 
-def _universe_for(kind: SemanticsKind, base: Base, sequent: Sequent) -> tuple[str, ...] | None:
+def _universe_for(
+    kind: SemanticsKind, ctx: BaseContext, sequent: Sequent
+) -> tuple[str, ...] | None:
     if kind is not SemanticsKind.SANDQVIST:
         return None
-    used = atoms_of_base(base) | atoms_of_sequent(sequent)
+    used = ctx.atoms | atoms_of_sequent(sequent)
     return tuple(sorted(used)) + (fresh_atom(used),)
 
 
 def models(
     kind: SemanticsKind, base: Base, sequent: Sequent, *, trace: bool = True
 ) -> EvalResult:
-    """Does the sequent hold over the base under the chosen relation?"""
-    ev = Evaluator(kind, base, _universe_for(kind, base, sequent), record=trace)
-    holds = ev.entails(sequent.premises, sequent.conclusion)
-    return EvalResult(holds=holds, trace=ev.trace)
+    """Does the sequent hold over the base under the chosen relation?  The
+    trace's entries are rendered only when trace is True."""
+    ctx = base_context(base)
+    universe = _universe_for(kind, ctx, sequent)
+    if trace:
+        ev = Evaluator(kind, ctx, universe)
+        holds = ev.entails(sequent.premises, sequent.conclusion)
+        return EvalResult(holds=holds, trace=ev.trace)
+    return EvalResult(
+        holds=ctx.entails(sequent.premises, sequent.conclusion),
+        trace=EvalTrace(kind.value, universe, _notes(kind)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,7 @@ def _cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_check_valid(args: argparse.Namespace, cfg: RunConfig) -> int:
     base = _load_base(args)
     arg = _load_argument(args.argument)
-    provider = semantic_suite_provider(base, cfg.budget)
+    provider = semantic_suite_provider(base)
     verdict = check_valid(
         arg, base, suite_provider=provider, budget=cfg.budget
     )

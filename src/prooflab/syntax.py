@@ -10,7 +10,8 @@ constructor: parsing ``~p`` yields the implication, and the printer folds
 equality, so evaluators are free to memoize on them.  Each formula computes
 its hash once, at construction, from its children's cached hashes, so a
 lookup never walks the tree; the value is the one the generated dataclass
-hash would give.
+hash would give.  A compound formula also keeps its printed text once it
+has been printed, outside comparison, repr, hash and pickle.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ class _Binary(Formula):
     left: Formula
     right: Formula
     _hash: int = field(init=False, repr=False, compare=False)
+    # format_formula's text, set on first use; left unset until then, so
+    # construction does not pay for it
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
@@ -93,7 +97,7 @@ class _Binary(Formula):
         return self._hash
 
     def __reduce__(self):
-        # rebuilt through __init__, as Atom is
+        # rebuilt through __init__, as Atom is; the cached text is left out
         return (type(self), (self.left, self.right))
 
 
@@ -234,16 +238,26 @@ def _prec(f: Formula) -> int:
 
 
 def format_formula(f: Formula) -> str:
-    """Minimal-parentheses text; parse_formula(format_formula(f)) == f."""
+    """Minimal-parentheses text; parse_formula(format_formula(f)) == f.
 
-    def wrap(g: Formula, floor: int) -> str:
-        s = format_formula(g)
-        return f"({s})" if _prec(g) < floor else s
-
+    A compound formula renders once and keeps its text."""
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Absurdity):
         return "bot"
+    try:
+        return f._text
+    except AttributeError:
+        text = _render(f)
+        object.__setattr__(f, "_text", text)
+        return text
+
+
+def _render(f: Formula) -> str:
+    def wrap(g: Formula, floor: int) -> str:
+        s = format_formula(g)
+        return f"({s})" if _prec(g) < floor else s
+
     if is_neg(f):
         assert isinstance(f, Impl)
         return "~" + wrap(f.left, 4)

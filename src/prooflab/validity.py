@@ -21,7 +21,12 @@ Consequence: Γ is taken to the conclusion over B when some argument from
 assumptions Γ is valid over B.  The evaluator rides on the equivalence with
 the clause-defined consequence relation: it evaluates that relation first
 and then synthesizes and rechecks a concrete witness argument, so a
-positive answer always comes with an argument in hand.
+positive answer always comes with an argument in hand.  The base's
+evaluation context (base_semantics.base_context) answers the clause-defined
+relation by its classical valuation and supplies the atomic derivations the
+witness and the closing instances are built from, one per atom for as long
+as the base lives.  Compound witnesses and verdicts are built afresh on
+every call.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from prooflab.arguments import (
     assumption,
     assumptions,
     conclusion,
-    derivation_to_structure,
     impl_intro,
     instantiate,
     is_atomic_derivation,
@@ -49,11 +53,12 @@ from prooflab.arguments import (
     structure_of_inference,
     sub_structures,
 )
-from prooflab.atomic_system import Base, derive
+from prooflab.atomic_system import Base
 from prooflab.base_semantics import (
-    Evaluator,
+    BaseContext,
     SemanticsKind,
     Sequent,
+    base_context,
     format_sequent,
     models,
 )
@@ -233,7 +238,7 @@ def _check_closed(
         )
     why = []
     if not walk.complete:
-        why.append("reduction budget exhausted")
+        why.append(f"reduction budget of {budget} distinct structures exhausted")
     if saw_inconclusive:
         why.append("a sub-argument could not be settled")
     return ValidityVerdict(Status.INCONCLUSIVE, "; ".join(why), notes=tuple(notes[:4]))
@@ -359,37 +364,33 @@ def _check_open(
 # witnesses and the consequence evaluator
 
 
-def _closed_holds(ev: Evaluator, f: Formula) -> bool:
-    return ev.entails(frozenset(), f)
-
-
-def _closed_witness(base: Base, ev: Evaluator, f: Formula, justs: list[Reduction]) -> ArgumentStructure:
+def _closed_witness(ctx: BaseContext, f: Formula, justs: list[Reduction]) -> ArgumentStructure:
     """A canonical closed argument for a formula that holds over the base;
     justifications collected along the way end up in justs."""
     if isinstance(f, Atom):
-        res = derive(base, frozenset(), f.name)
-        if not res.derivable:
+        witness = ctx.atom_witness(f.name)
+        if witness is None:
             raise StructureError(
                 f"no derivation of {f.name} although it was claimed to hold"
             )
-        return derivation_to_structure(res.tree, base)
+        return witness
     if isinstance(f, Absurdity):
         raise StructureError("absurdity cannot hold over a consistent base")
     if isinstance(f, Conj):
         return and_intro(
-            _closed_witness(base, ev, f.left, justs),
-            _closed_witness(base, ev, f.right, justs),
+            _closed_witness(ctx, f.left, justs),
+            _closed_witness(ctx, f.right, justs),
         )
     if isinstance(f, Disj):
-        if _closed_holds(ev, f.left):
-            return or_intro_left(_closed_witness(base, ev, f.left, justs), f.right)
-        return or_intro_right(_closed_witness(base, ev, f.right, justs), f.left)
+        if ctx.holds(f.left):
+            return or_intro_left(_closed_witness(ctx, f.left, justs), f.right)
+        return or_intro_right(_closed_witness(ctx, f.right, justs), f.left)
     if isinstance(f, Impl):
         stub = structure_of_inference(
             Inference(subs=(assumption(f.left),), conclusion=f.right)
         )
-        if _closed_holds(ev, f.left):
-            target = _closed_witness(base, ev, f.right, justs)
+        if ctx.holds(f.left):
+            target = _closed_witness(ctx, f.right, justs)
             justs.append(
                 constant_reduction(
                     [f.left],
@@ -402,19 +403,18 @@ def _closed_witness(base: Base, ev: Evaluator, f: Formula, justs: list[Reduction
     raise StructureError(f"no witness for {format_formula(f)}")
 
 
-def semantic_suite_provider(base: Base, budget: int = DEFAULT_BUDGET) -> SuiteProvider:
+def semantic_suite_provider(base: Base) -> SuiteProvider:
     """Closes open arguments with witnesses read off the semantics: one
     instance mapping each assumption to a canonical argument for it, or a
     vacuous suite when some assumption has no closed valid argument."""
-    ev = Evaluator(SemanticsKind.STANDARD, base, None, record=False)
-    return _suite_provider(base, ev)
+    return _suite_provider(base_context(base))
 
 
-def _suite_provider(base: Base, ev: Evaluator) -> SuiteProvider:
+def _suite_provider(ctx: BaseContext) -> SuiteProvider:
     def provide(struct: ArgumentStructure) -> Suite:
         sigma: list[tuple[Formula, Argument]] = []
         for f in sorted(assumptions(struct), key=format_formula):
-            if not _closed_holds(ev, f):
+            if not ctx.holds(f):
                 return Suite(
                     instances=(),
                     vacuous_reason=(
@@ -423,7 +423,7 @@ def _suite_provider(base: Base, ev: Evaluator) -> SuiteProvider:
                     ),
                 )
             justs: list[Reduction] = []
-            witness = _closed_witness(base, ev, f, justs)
+            witness = _closed_witness(ctx, f, justs)
             sigma.append((f, Argument(witness, tuple(justs))))
         return Suite(instances=(Instantiation(assignment=tuple(sigma)),))
 
@@ -436,13 +436,10 @@ def synthesize_witness(
     """An argument for the sequent read off the semantics, assuming the
     underlying consequence holds.  With strict=True only the standard
     reductions may be used, and synthesis refuses where that is not enough."""
-    ev = Evaluator(SemanticsKind.STANDARD, base, None, record=False)
-    return _synthesize(base, ev, sequent, strict)
+    return _synthesize(base_context(base), sequent, strict)
 
 
-def _synthesize(
-    base: Base, ev: Evaluator, sequent: Sequent, strict: bool
-) -> Argument:
+def _synthesize(ctx: BaseContext, sequent: Sequent, strict: bool) -> Argument:
     justs: list[Reduction] = []
     if sequent.premises:
         prems = sorted(sequent.premises, key=format_formula)
@@ -452,13 +449,13 @@ def _synthesize(
                 conclusion=sequent.conclusion,
             )
         )
-        if all(_closed_holds(ev, g) for g in prems):
+        if all(map(ctx.holds, prems)):
             if strict:
                 raise StructureError(
                     "a one-step argument from live premises needs a "
                     "justification beyond the standard reductions"
                 )
-            target = _closed_witness(base, ev, sequent.conclusion, justs)
+            target = _closed_witness(ctx, sequent.conclusion, justs)
             justs.append(
                 constant_reduction(
                     prems,
@@ -470,14 +467,14 @@ def _synthesize(
         return Argument(struct, tuple(justs))
     if strict:
         probe: list[Reduction] = []
-        struct = _closed_witness(base, ev, sequent.conclusion, probe)
+        struct = _closed_witness(ctx, sequent.conclusion, probe)
         if probe:
             raise StructureError(
                 "the witness needs justifications beyond the standard "
                 "reductions"
             )
         return Argument(struct, ())
-    struct = _closed_witness(base, ev, sequent.conclusion, justs)
+    struct = _closed_witness(ctx, sequent.conclusion, justs)
     return Argument(struct, tuple(justs))
 
 
@@ -499,10 +496,10 @@ def models_alpha(
     conclusion when some argument with those assumptions is valid over the
     base.  Evaluates the clause-defined consequence first; a positive
     answer is then backed by a synthesized argument that is rechecked.
-    One standard evaluator answers the consequence and serves the witness
-    and the closing suite."""
-    ev = Evaluator(SemanticsKind.STANDARD, base, None, record=False)
-    if not ev.entails(sequent.premises, sequent.conclusion):
+    The base's evaluation context answers the consequence and serves the
+    witness and the closing suite."""
+    ctx = base_context(base)
+    if not ctx.entails(sequent.premises, sequent.conclusion):
         return AlphaResult(
             verdict=ValidityVerdict(
                 Status.INVALID,
@@ -513,7 +510,7 @@ def models_alpha(
             holds=False,
         )
     try:
-        arg = _synthesize(base, ev, sequent, strict)
+        arg = _synthesize(ctx, sequent, strict)
     except StructureError as exc:
         return AlphaResult(
             verdict=ValidityVerdict(Status.INCONCLUSIVE, str(exc)),
@@ -521,7 +518,7 @@ def models_alpha(
             holds=None,
         )
     verdict = check_valid(
-        arg, base, suite_provider=_suite_provider(base, ev), budget=budget
+        arg, base, suite_provider=_suite_provider(ctx), budget=budget
     )
     holds = {
         Status.VALID: True,

@@ -48,10 +48,8 @@ from prooflab.arguments import (
     pretty,
     replace,
     root_discharges,
-    root_inference,
     rule_step,
     structure_from_obj,
-    structure_of_inference,
     structure_to_obj,
     sub_structures,
     validate,
@@ -303,12 +301,6 @@ def structures():
         )
 
     return st.recursive(base, extend, max_leaves=6)
-
-
-@settings(max_examples=120)
-@given(structures())
-def test_inference_roundtrip(d):
-    assert structure_of_inference(root_inference(d)) == d
 
 
 @settings(max_examples=120)

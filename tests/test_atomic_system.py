@@ -15,7 +15,6 @@ from prooflab.atomic_system import (
     atoms_of_base,
     atoms_of_rule,
     axiom,
-    base_level,
     check_consistency,
     check_derivation,
     derivable_atoms,
@@ -30,7 +29,6 @@ from prooflab.atomic_system import (
     premise_to_rule,
     rule_to_premise,
     star_translate,
-    star_translate_base,
     RuleSyntaxError,
 )
 from prooflab.syntax import parse_formula
@@ -288,14 +286,6 @@ def test_star_is_disjunction_free(r):
     assert "|" not in str(star_translate(r))
 
 
-def test_star_base():
-    b = base("p.\n(p => q)")
-    assert star_translate_base(b) == {
-        parse_formula("p"),
-        parse_formula("p -> q"),
-    }
-
-
 # ---------------------------------------------------------------------------
 # concrete syntax
 
@@ -344,4 +334,3 @@ def test_atoms_and_subrules():
     assert {format_rule(s) for s in iter_subrules(r)} == {"([p => q] => bot)", "p"}
     b = base("(p => q)\n(q => bot)")
     assert atoms_of_base(b) == {"p", "q"}
-    assert base_level(b) == 1

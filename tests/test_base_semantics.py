@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,10 +12,17 @@ from oracles import (
     enum_derivable_atoms,
     heyting_entails,
     heyting_valid,
+    naive_derivable,
     ref_standard,
     ref_variant,
 )
-from prooflab.atomic_system import Base, axiom, check_consistency, parse_base_text
+from prooflab.atomic_system import (
+    Base,
+    atoms_of_base,
+    axiom,
+    check_consistency,
+    parse_base_text,
+)
 from prooflab.base_semantics import (
     EvalResult,
     ExportReport,
@@ -26,10 +36,13 @@ from prooflab.base_semantics import (
     il_derives,
     models,
     models_monotone_bounded,
+    base_context,
     parse_sequent,
     search_counterexample,
 )
-from prooflab.syntax import Atom, BOT, Impl, parse_formula
+from prooflab.syntax import Atom, BOT, Conj, Disj, Impl, atoms_of, parse_formula
+from prooflab.validity import models_alpha
+from test_acceptance import base_family
 
 STD = SemanticsKind.STANDARD
 SDQ = SemanticsKind.SANDQVIST
@@ -152,6 +165,106 @@ def test_variant_matches_direct_transcription(btext):
         universe = frozenset(got.trace.universe or ())
         expect = ref_variant(s.premises, s.conclusion, derivable, universe)
         assert got.holds == expect, (btext, right)
+
+
+kernel_formulas = st.recursive(
+    st.one_of(st.sampled_from(["p", "q", "r"]).map(Atom), st.just(BOT)),
+    lambda sub: st.one_of(
+        st.builds(Conj, sub, sub), st.builds(Disj, sub, sub), st.builds(Impl, sub, sub)
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.frozensets(kernel_formulas, max_size=2), kernel_formulas)
+def test_kernel_matches_both_oracles(data, premises, conclusion):
+    b = data.draw(st.sampled_from(base_family()))
+    derivable = naive_derivable(b.rules)
+    used = atoms_of_base(b) | atoms_of(conclusion)
+    for g in premises:
+        used |= atoms_of(g)
+    assert "fresh" not in used
+    universe = used | {"fresh"}
+    s = Sequent(premises=premises, conclusion=conclusion)
+    want_std = ref_standard(premises, conclusion, derivable)
+    want_var = ref_variant(premises, conclusion, derivable, universe)
+    assert base_context(b).entails(premises, conclusion) == want_std == want_var
+    assert models(STD, b, s, trace=False).holds == want_std
+    assert models(SDQ, b, s, trace=False).holds == want_var
+
+
+@pytest.mark.parametrize("btext", base_pool)
+def test_traced_and_untraced_models_agree(btext):
+    b = parse_base_text(btext)
+    for left in [None, "p", "~p", "p -> q"]:
+        for right in formula_pool:
+            premises = frozenset({parse_formula(left)}) if left else frozenset()
+            s = Sequent(premises=premises, conclusion=parse_formula(right))
+            for kind in (STD, SDQ):
+                traced = models(kind, b, s)
+                plain = models(kind, b, s, trace=False)
+                assert traced.holds == plain.holds, (btext, left, right, kind)
+                assert traced.trace.universe == plain.trace.universe
+                assert traced.trace.notes == plain.trace.notes
+                assert traced.trace.kind == plain.trace.kind == kind.value
+                assert traced.trace.entries and not plain.trace.entries
+                # the last entry is the sequent's own clause
+                assert traced.trace.entries[-1][-1] == traced.holds
+
+
+def test_trace_entries_follow_the_clauses_in_order():
+    # each pair is logged once, after the pairs its clause asked about; a
+    # conjunction stops at a failed conjunct, a disjunction at a true
+    # disjunct, and disjunction elimination at the first universe atom
+    # entailed by both disjuncts that fails
+    b = base("p.\n(q => r)")
+    std = models(STD, b, seq("p |- (p | q) & (q | p) & ~bot"))
+    assert std.holds and std.trace.entries == [
+        ("atom", "", "p", True),
+        ("disj", "", "p | q", True),
+        ("atom", "", "q", False),
+        ("disj", "", "q | p", True),
+        ("conj", "", "(p | q) & (q | p)", True),
+        ("bot", "", "bot", False),
+        ("premises", "bot", "bot", True),
+        ("impl", "", "~bot", True),
+        ("conj", "", "(p | q) & (q | p) & ~bot", True),
+        ("premises", "p", "(p | q) & (q | p) & ~bot", True),
+    ]
+    sdq = models(SDQ, b, seq("|- (p -> q | r) & (q | p)"))
+    assert sdq.trace.universe == ("p", "q", "r", "c")
+    assert not sdq.holds and sdq.trace.entries == [
+        ("atom", "", "p", True),
+        ("atom", "", "q", False),
+        ("premises", "q", "p", True),
+        ("atom", "", "r", False),
+        ("premises", "r", "p", True),
+        ("premises", "q", "q", True),
+        ("premises", "r", "q", True),
+        ("disj-elim", "", "q | r", False),
+        ("premises", "p", "q | r", False),
+        ("impl", "", "p -> q | r", False),
+        ("conj", "", "(p -> q | r) & (q | p)", False),
+    ]
+
+
+def test_context_lives_exactly_as_long_as_its_base():
+    # atoms no other test uses: contexts are keyed by the base's value, so
+    # an equal base kept alive elsewhere would keep this context too
+    text = "gc_s.\n(gc_s => gc_t)"
+    b = parse_base_text(text)
+    ctx = base_context(b)
+    assert base_context(b) is ctx
+    twin = parse_base_text(text)
+    assert base_context(twin) is ctx
+    assert models(SDQ, b, seq("gc_s |- gc_t | r")).holds
+    assert models_alpha(b, seq("|- gc_s & gc_t")).holds
+    assert ctx.atom_witness("gc_t") is not None and ctx.atom_witness("r") is None
+    gone = weakref.ref(ctx)
+    del b, twin, ctx
+    gc.collect()
+    assert gone() is None
 
 
 def test_evaluation_is_stable_under_memoization():

@@ -92,6 +92,16 @@ def test_atomic_budget_exhaustion_is_inconclusive():
 # closed arguments, compound conclusion
 
 
+def test_compound_budget_exhaustion_names_the_budget():
+    pair = and_intro(axiom_leaf(p), axiom_leaf(q))
+    d = and_elim(and_intro(pair, axiom_leaf(p)), 1)
+    assert is_closed(d) and conclusion(d) == Conj(p, q)
+    assert valid(Argument(d), B_PQ)
+    verdict = check_valid(Argument(d), B_PQ, budget=1)
+    assert verdict.status is Status.INCONCLUSIVE
+    assert verdict.reason == "reduction budget of 1 distinct structures exhausted"
+
+
 def test_canonical_pair_is_valid():
     arg = Argument(and_intro(axiom_leaf(p), axiom_leaf(q)))
     assert valid(arg, B_PQ)
@@ -268,8 +278,7 @@ def test_alpha_conjunction_and_implication():
 
 
 def _public_route(base, seq, strict):
-    """models_alpha spelled out through the public functions, each of which
-    builds its own evaluator."""
+    """models_alpha spelled out through the public functions."""
     if not models(SemanticsKind.STANDARD, base, seq, trace=False).holds:
         return Status.INVALID, None, None
     try:
