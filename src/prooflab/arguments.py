@@ -1,7 +1,8 @@
 """Argument structures: labelled trees with a discharge function.
 
 A structure is a finite rooted tree of formula-labelled nodes together with
-a discharge map f.  Top-nodes (leaves) split into axiomatic and
+a discharge map f; here a structure is its root node, which carries the
+discharges.  Top-nodes (leaves) split into axiomatic and
 non-axiomatic; f may send
 
   (a) a non-axiomatic leaf (an assumption occurrence),
@@ -22,9 +23,9 @@ own.  A node discharged above a subtree's root counts as undischarged in
 that subtree (an open assumption, if it is a non-axiomatic leaf); moving a
 subtree to another depth adjusts only those escaping distances.  Absolute
 paths (tuples of child indexes from the root) address discharges only at
-the boundary: the table of (source, target) entries that hand-built
-structures and JSON files give is checked once and converted when a
-structure is built from it, and read back for printing and serialization.
+the boundary: bind checks the table of (source, target) entries that
+hand-built structures and JSON files give and writes it onto the tree, and
+Node.discharge reads it back for printing and serialization.
 
 Assumptions are the labels of undischarged non-axiomatic leaves; a structure
 is closed when it has none.  An instance replaces every assumption leaf by a
@@ -65,6 +66,7 @@ __all__ = [
     "RuleDischarge",
     "DischargeItem",
     "ArgumentStructure",
+    "bind",
     "StructureError",
     "leaf",
     "assumption",
@@ -133,7 +135,8 @@ class Node:
     assumed application of rule at an inner node.  free is derived: bit i
     is set when some node of the subtree is discharged i + 1 levels above
     this one.  The hash is computed once, beside free, from the children's
-    cached hashes, so a lookup never walks the tree."""
+    cached hashes, so a lookup never walks the tree.  A node is also the
+    structure rooted at it, discharges reaching above it left open."""
 
     formula: Formula
     children: tuple["Node", ...] = ()
@@ -166,6 +169,25 @@ class Node:
             Node,
             (self.formula, self.children, self.axiomatic, self.bound, self.rule),
         )
+
+    @property
+    def discharge(self) -> tuple[tuple[DischargeItem, Path], ...]:
+        """The discharges with a target inside the structure, sources in
+        preorder."""
+        return tuple(_entries(self))
+
+    def node_at(self, path: Path) -> Node:
+        node = self
+        for i in path:
+            node = node.children[i]
+        return node
+
+    def __str__(self) -> str:
+        return pretty(self)
+
+
+# the paper's term for a tree with its discharges: its root node
+ArgumentStructure = Node
 
 
 def _with_children(node: Node, children: tuple[Node, ...]) -> Node:
@@ -208,41 +230,8 @@ def _is_proper_prefix(short: Path, long: Path) -> bool:
     return len(short) < len(long) and long[: len(short)] == short
 
 
-@dataclass(frozen=True, init=False)
-class ArgumentStructure:
-    """A structure is its root node, which carries the discharges.  Given a
-    table of (item, target path) entries as well, the constructor checks
-    each entry against the tree and writes it onto its source node;
-    discharge reads the table back."""
-
-    root: Node
-
-    def __init__(
-        self, root: Node, discharge: Sequence[tuple[DischargeItem, Path]] = ()
-    ) -> None:
-        object.__setattr__(self, "root", _bind(root, discharge) if discharge else root)
-
-    def __hash__(self) -> int:
-        return self.root._hash
-
-    @property
-    def discharge(self) -> tuple[tuple[DischargeItem, Path], ...]:
-        """The discharges with a target inside the structure, sources in
-        preorder."""
-        return tuple(_entries(self.root))
-
-    def node_at(self, path: Path) -> Node:
-        node = self.root
-        for i in path:
-            node = node.children[i]
-        return node
-
-    def __str__(self) -> str:
-        return pretty(self)
-
-
 def iter_nodes(struct: ArgumentStructure) -> Iterator[tuple[Path, Node]]:
-    return _walk(struct.root, ())
+    return _walk(struct, ())
 
 
 def _walk(node: Node, path: Path) -> Iterator[tuple[Path, Node]]:
@@ -269,8 +258,13 @@ def _bound_at(node: Node, path: Path = ()) -> Iterator[tuple[Path, Node]]:
             yield from _bound_at(child, sub)
 
 
-def _bind(root: Node, entries: Sequence[tuple[DischargeItem, Path]]) -> Node:
-    """root with each entry checked and written onto its source node."""
+def bind(
+    root: Node, entries: Sequence[tuple[DischargeItem, Path]]
+) -> ArgumentStructure:
+    """The structure root with a table of (item, target path) entries: each
+    entry is checked against the tree and written onto its source node."""
+    if not entries:
+        return root
     nodes = dict(_walk(root, ()))
     marks: dict[Path, tuple[int, AtomicRule | None]] = {}
     for item, target in entries:
@@ -374,15 +368,15 @@ def leaf(f: Formula, axiomatic: bool = False) -> Node:
 
 def assumption(f: Formula) -> ArgumentStructure:
     """The single-node structure: its own conclusion and only assumption."""
-    return ArgumentStructure(root=leaf(f))
+    return leaf(f)
 
 
 def axiom_leaf(f: Formula) -> ArgumentStructure:
-    return ArgumentStructure(root=leaf(f, axiomatic=True))
+    return leaf(f, axiomatic=True)
 
 
 def conclusion(struct: ArgumentStructure) -> Formula:
-    return struct.root.formula
+    return struct.formula
 
 
 def _is_open(node: Node, depth: int) -> bool:
@@ -409,14 +403,14 @@ def is_closed(struct: ArgumentStructure) -> bool:
 
 
 def root_discharges(struct: ArgumentStructure) -> tuple[DischargeItem, ...]:
-    return tuple(_item(node, path) for path, node in _bound_at(struct.root))
+    return tuple(_item(node, path) for path, node in _bound_at(struct))
 
 
 def sub_structures(struct: ArgumentStructure) -> tuple[ArgumentStructure, ...]:
     """Immediate sub-structures.  The nodes the root discharges stay marked
     one level above the sub-structure's root, so its leaves come out open
     again, and are discharged anew under the same inference."""
-    return tuple(ArgumentStructure(child) for child in struct.root.children)
+    return struct.children
 
 
 def _moved(
@@ -468,12 +462,12 @@ def instantiate(
 
     def fill(node: Node, depth: int) -> Node:
         if _is_open(node, depth):
-            return _moved(sigma[node.formula].root, depth)
+            return _moved(sigma[node.formula], depth)
         if not node.children:
             return node
         return _with_children(node, tuple(fill(c, depth + 1) for c in node.children))
 
-    return ArgumentStructure(fill(struct.root, 0))
+    return fill(struct, 0)
 
 
 def replace(
@@ -500,7 +494,7 @@ def _graft(
             f"replacement concludes {format_formula(conclusion(replacement))}, "
             f"hole is {format_formula(old.formula)}"
         )
-    return ArgumentStructure(_with_subtree(struct.root, at, replacement.root))
+    return _with_subtree(struct, at, replacement)
 
 
 # ---------------------------------------------------------------------------
@@ -509,24 +503,18 @@ def _graft(
 
 @dataclass(frozen=True)
 class Inference:
-    """One step: immediate sub-structures, a conclusion, and the discharge
-    entries the step itself adds (sources given relative to the whole
-    one-step structure)."""
+    """One step: immediate sub-structures and a conclusion."""
 
     subs: tuple[ArgumentStructure, ...]
     conclusion: Formula
-    extension: tuple[tuple[DischargeItem, Path], ...] = ()
 
 
 def structure_of_inference(inf: Inference, axiomatic: bool = False) -> ArgumentStructure:
     """The structure an inference is uniquely associated to."""
-    return ArgumentStructure(
-        root=Node(
-            formula=inf.conclusion,
-            children=tuple(sub.root for sub in inf.subs),
-            axiomatic=axiomatic and not inf.subs,
-        ),
-        discharge=inf.extension,
+    return Node(
+        formula=inf.conclusion,
+        children=tuple(inf.subs),
+        axiomatic=axiomatic and not inf.subs,
     )
 
 
@@ -564,8 +552,8 @@ def _discharge_open(node: Node, f: Formula, depth: int = 1) -> Node:
 
 def impl_intro(sub: ArgumentStructure, antecedent: Formula) -> ArgumentStructure:
     """Discharges every open occurrence of the antecedent; vacuous is fine."""
-    body = _discharge_open(sub.root, antecedent)
-    return ArgumentStructure(Node(Impl(antecedent, conclusion(sub)), (body,)))
+    body = _discharge_open(sub, antecedent)
+    return Node(Impl(antecedent, conclusion(sub)), (body,))
 
 
 def and_elim(sub: ArgumentStructure, side: int) -> ArgumentStructure:
@@ -596,10 +584,10 @@ def or_elim(
     if conclusion(right_case) != c:
         raise StructureError("or_elim cases conclude different formulas")
     cases = (
-        _discharge_open(left_case.root, f.left),
-        _discharge_open(right_case.root, f.right),
+        _discharge_open(left_case, f.left),
+        _discharge_open(right_case, f.right),
     )
-    return ArgumentStructure(Node(c, (major.root, *cases)))
+    return Node(c, (major, *cases))
 
 
 def weaken(sub: ArgumentStructure, extra: Formula) -> ArgumentStructure:
@@ -636,8 +624,8 @@ def rule_step(rule: AtomicRule, subs: Sequence[ArgumentStructure]) -> ArgumentSt
 
 
 def match_and_intro(struct: ArgumentStructure) -> bool:
-    f = struct.root.formula
-    kids = struct.root.children
+    f = struct.formula
+    kids = struct.children
     return (
         isinstance(f, Conj)
         and len(kids) == 2
@@ -648,8 +636,8 @@ def match_and_intro(struct: ArgumentStructure) -> bool:
 
 
 def match_or_intro(struct: ArgumentStructure) -> bool:
-    f = struct.root.formula
-    kids = struct.root.children
+    f = struct.formula
+    kids = struct.children
     return (
         isinstance(f, Disj)
         and len(kids) == 1
@@ -659,62 +647,62 @@ def match_or_intro(struct: ArgumentStructure) -> bool:
 
 
 def match_impl_intro(struct: ArgumentStructure) -> bool:
-    f = struct.root.formula
-    kids = struct.root.children
+    f = struct.formula
+    kids = struct.children
     if not (isinstance(f, Impl) and len(kids) == 1 and kids[0].formula == f.right):
         return False
     return all(
         not (node.children or node.axiomatic) and node.formula == f.left
-        for _, node in _bound_at(struct.root)
+        for _, node in _bound_at(struct)
     )
 
 
 def match_and_elim(struct: ArgumentStructure) -> int | None:
-    kids = struct.root.children
+    kids = struct.children
     if len(kids) != 1 or root_discharges(struct):
         return None
     g = kids[0].formula
     if not isinstance(g, Conj):
         return None
-    if struct.root.formula == g.left:
+    if struct.formula == g.left:
         return 1
-    if struct.root.formula == g.right:
+    if struct.formula == g.right:
         return 2
     return None
 
 
 def match_impl_elim(struct: ArgumentStructure) -> bool:
-    kids = struct.root.children
+    kids = struct.children
     if len(kids) != 2 or root_discharges(struct):
         return False
     g = kids[0].formula
     return (
         isinstance(g, Impl)
         and g.left == kids[1].formula
-        and g.right == struct.root.formula
+        and g.right == struct.formula
     )
 
 
 def match_or_elim(struct: ArgumentStructure) -> bool:
-    kids = struct.root.children
+    kids = struct.children
     if len(kids) != 3:
         return False
     g = kids[0].formula
     if not isinstance(g, Disj):
         return False
-    c = struct.root.formula
+    c = struct.formula
     if kids[1].formula != c or kids[2].formula != c:
         return False
     return all(
         not (node.children or node.axiomatic)
         and (path[0], node.formula) in ((1, g.left), (2, g.right))
-        for path, node in _bound_at(struct.root)
+        for path, node in _bound_at(struct)
     )
 
 
 def match_weaken(struct: ArgumentStructure) -> bool:
-    f = struct.root.formula
-    kids = struct.root.children
+    f = struct.formula
+    kids = struct.children
     return (
         isinstance(f, Impl)
         and isinstance(f.left, Conj)
@@ -725,11 +713,11 @@ def match_weaken(struct: ArgumentStructure) -> bool:
 
 
 def match_or_project(struct: ArgumentStructure) -> bool:
-    kids = struct.root.children
+    kids = struct.children
     if len(kids) != 1 or root_discharges(struct):
         return False
     g = kids[0].formula
-    return isinstance(g, Disj) and g.left == struct.root.formula
+    return isinstance(g, Disj) and g.left == struct.formula
 
 
 def is_canonical(struct: ArgumentStructure) -> bool:
@@ -779,7 +767,7 @@ def derivation_to_structure(
             rule=node.rule if bound else None,
         )
 
-    return ArgumentStructure(root=build(tree, 0, {}))
+    return build(tree, 0, {})
 
 
 def is_atomic_derivation(
@@ -847,7 +835,7 @@ def is_atomic_derivation(
 
         return assign(0, set())
 
-    return ok(struct.root, 0, {})
+    return ok(struct, 0, {})
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +874,7 @@ def structure_to_obj(struct: ArgumentStructure) -> object:
             e["path"] = list(item.node)
             e["rule"] = format_rule(item.rule)
         entries.append(e)
-    return {"root": _node_to_obj(struct.root), "discharge": entries}
+    return {"root": _node_to_obj(struct), "discharge": entries}
 
 
 def structure_from_obj(obj: dict) -> ArgumentStructure:
@@ -904,7 +892,7 @@ def structure_from_obj(obj: dict) -> ArgumentStructure:
             )
         else:
             raise StructureError(f"unknown discharge kind: {e['kind']!r}")
-    return ArgumentStructure(root=_node_from_obj(obj["root"]), discharge=tuple(entries))
+    return bind(_node_from_obj(obj["root"]), entries)
 
 
 def pretty(struct: ArgumentStructure) -> str:
@@ -924,5 +912,5 @@ def pretty(struct: ArgumentStructure) -> str:
         for i, child in enumerate(node.children):
             walk(child, path + (i,), depth + 1)
 
-    walk(struct.root, (), 0)
+    walk(struct, (), 0)
     return "\n".join(lines)

@@ -9,9 +9,8 @@ axioms are level 0, otherwise 1 + the maximal level of the premise rules.
 A consequence of the recurrence is that a level-k rule only ever discharges
 rules of level at most k - 2.
 
-``bot`` is an ordinary atom here: deriving it is not special unless the
-explosion option is switched on, and a Base refuses construction when its
-rules derive bot outright.
+``bot`` is an ordinary atom here: deriving it is not special, except that a
+Base refuses construction when its rules derive bot outright.
 
 Derivability is decided by saturating the finite family of reachable rule
 contexts (the closure of the initial rule supply under adding discharged
@@ -37,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from prooflab.syntax import Absurdity, Atom, BOT, Conj, Formula, Impl
 
@@ -67,7 +66,6 @@ __all__ = [
     "parse_base_text",
     "format_rule",
     "format_base",
-    "explosion_rules",
 ]
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
@@ -106,7 +104,9 @@ class Premise:
 class AtomicRule:
     premises: tuple[Premise, ...]
     conclusion: str
-    # canonical sort key and hash, computed once; see _rule_key
+    # canonical sort key and hash, computed once: the key, (conclusion,
+    # premise keys in canonical order), tells rules apart exactly as
+    # equality does and does not depend on the hash seed
     _key: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
@@ -133,12 +133,6 @@ class AtomicRule:
         return format_rule(self)
 
 
-def _rule_key(r: AtomicRule) -> tuple:
-    """Sort key that tells rules apart exactly as equality does and does not
-    depend on the hash seed: (conclusion, premise keys in canonical order)."""
-    return r._key
-
-
 def axiom(name: str) -> AtomicRule:
     return AtomicRule(premises=(), conclusion=name)
 
@@ -150,7 +144,9 @@ def premise(conclusion: str, discharged: Iterable[AtomicRule] = ()) -> Premise:
 def premise_to_rule(p: Premise) -> AtomicRule:
     """(C, a) viewed as the rule deriving a from the rules in C."""
     return AtomicRule(
-        premises=tuple(rule_to_premise(s) for s in sorted(p.discharged, key=_rule_key)),
+        premises=tuple(
+            rule_to_premise(s) for s in sorted(p.discharged, key=lambda s: s._key)
+        ),
         conclusion=p.conclusion,
     )
 
@@ -236,7 +232,7 @@ class _Saturation:
     A context is the supply plus some of the rules that premises discharge.
     Built in three steps:
 
-    1. Number every rule once, in the fixed order of _rule_key: the supply
+    1. Number every rule once, in the fixed order of the rule keys: the supply
        and every rule nested in a discharged set.  A context is then an int
        bitmask over those numbers, and a premise's target context is the
        current one OR'd with the premise's discharged-rule mask.
@@ -270,7 +266,7 @@ class _Saturation:
                 seen[r] = None
                 for p in r.premises:
                     todo.extend(p.discharged)
-        order = sorted(seen, key=_rule_key)
+        order = sorted(seen, key=lambda r: r._key)
         index = {r: i for i, r in enumerate(order)}
         atoms: dict[str, int] = {}
         # per rule number: (conclusion, ((premise atom, discharged mask), ...)),
@@ -392,38 +388,23 @@ class DeriveResult:
     tree: DerivationNode | None
 
 
-def explosion_rules(atoms: Iterable[str]) -> frozenset[AtomicRule]:
-    """bot-to-anything rules, for the optional explosive reading of bot."""
-    return frozenset(
-        AtomicRule(premises=(premise("bot"),), conclusion=a)
-        for a in atoms
-        if a != "bot"
-    )
-
-
 def derive(
     base: Base,
     assumed: Iterable[AtomicRule] = (),
     goal: str = "bot",
     *,
-    explosion: bool = False,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> DeriveResult:
     """Decide whether goal is derivable from base plus assumed rules.
 
     A YES carries a derivation tree; replay it with check_derivation against
-    base.rules | assumed (plus the explosion rules when that option is on).
+    base.rules | assumed.
     Budget exhaustion raises ResourceLimitExceeded rather than answering NO;
     a step is one grounded premise (a premise of a rule in a reachable
     context) or one counter decrement (a recorded fact passed on to one
     application watching it).
     """
     supply = base.rules | frozenset(assumed)
-    if explosion:
-        atoms = atoms_of_base(base) | {goal}
-        for r in assumed:
-            atoms |= atoms_of_rule(r)
-        supply |= explosion_rules(atoms)
     sat = _saturate(supply, max_steps)
     if not sat.derivable(goal):
         return DeriveResult(derivable=False, tree=None)
@@ -617,7 +598,7 @@ def format_rule(r: AtomicRule) -> str:
             parts.append(p.conclusion)
         else:
             inner = ", ".join(
-                format_rule(s) for s in sorted(p.discharged, key=_rule_key)
+                format_rule(s) for s in sorted(p.discharged, key=lambda s: s._key)
             )
             parts.append(f"[{inner} => {p.conclusion}]")
     return f"({', '.join(parts)} => {r.conclusion})"
@@ -625,15 +606,8 @@ def format_rule(r: AtomicRule) -> str:
 
 def format_base(b: Base) -> str:
     lines = []
-    for r in sorted(b.rules, key=lambda r: (level(r), _rule_key(r))):
+    for r in sorted(b.rules, key=lambda r: (level(r), r._key)):
         text = format_rule(r)
         lines.append(text + "." if not r.premises else text)
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def iter_subrules(r: AtomicRule) -> Iterator[AtomicRule]:
-    """The rule itself plus every rule nested in a discharged set."""
-    yield r
-    for p in r.premises:
-        for s in p.discharged:
-            yield from iter_subrules(s)

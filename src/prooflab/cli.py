@@ -54,7 +54,7 @@ from prooflab.reductions import (
     constant_reduction,
     pointer_reduction,
     reduce_step,
-    reduces_to,
+    search_reduct,
     standard_reductions,
 )
 from prooflab.syntax import FormulaSyntaxError, format_formula, parse_formula
@@ -266,7 +266,7 @@ def _cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
     reds = arg.reductions()
     if args.target:
         target = _load_structure(args.target)
-        out = reduces_to(arg.structure, target, reds, budget=cfg.budget)
+        out = search_reduct(arg.structure, target, reds, budget=cfg.budget)
         payload = {
             "status": out.status,
             "visited": out.visited,

@@ -15,6 +15,12 @@ detour conversions.  Discharges are stored as distances up the tree, so a
 rewrite that moves a subtree to another depth adjusts the distances that
 reach above the subtree, and a leaf discharged above the redex stays
 discharged where it lands.
+
+A structure is its root node, so a rewrite at a position grafts the
+rewritten subtree back into the same tree of nodes.  One breadth-first walk,
+Reachable, enumerates the reduction closure up to a budget on distinct
+structures and records the step that first reached each one; search_reduct
+and the validity checker both stop it at the first structure they want.
 """
 
 from __future__ import annotations
@@ -63,10 +69,7 @@ __all__ = [
     "successors",
     "SearchOutcome",
     "search_reduct",
-    "reduces_to",
     "Reachable",
-    "closure",
-    "ClosureResult",
 ]
 
 
@@ -96,7 +99,7 @@ def _conj_applies(d: ArgumentStructure) -> bool:
 
 def _conj_rewrite(d: ArgumentStructure) -> ArgumentStructure:
     side = match_and_elim(d)
-    return ArgumentStructure(_moved(d.root.children[0].children[side - 1], -2))
+    return _moved(d.children[0].children[side - 1], -2)
 
 
 def _disj_applies(d: ArgumentStructure) -> bool:
@@ -104,11 +107,11 @@ def _disj_applies(d: ArgumentStructure) -> bool:
 
 
 def _disj_rewrite(d: ArgumentStructure) -> ArgumentStructure:
-    major = d.root.children[0]
+    major = d.children[0]
     inner = major.children[0]
     case = 1 if inner.formula == major.formula.left else 2
     # the case's leaves discharged at the root take the introduced premise
-    return ArgumentStructure(_moved(d.root.children[case], -1, inner, -2))
+    return _moved(d.children[case], -1, inner, -2)
 
 
 def _imp_applies(d: ArgumentStructure) -> bool:
@@ -116,8 +119,8 @@ def _imp_applies(d: ArgumentStructure) -> bool:
 
 
 def _imp_rewrite(d: ArgumentStructure) -> ArgumentStructure:
-    major, minor = d.root.children
-    return ArgumentStructure(_moved(major.children[0], -2, minor, -1))
+    major, minor = d.children
+    return _moved(major.children[0], -2, minor, -1)
 
 
 def _weaken_applies(d: ArgumentStructure) -> bool:
@@ -125,24 +128,24 @@ def _weaken_applies(d: ArgumentStructure) -> bool:
 
 
 def _weaken_rewrite(d: ArgumentStructure) -> ArgumentStructure:
-    f = d.root.formula  # Impl(Conj(a, c), b)
-    body = d.root.children[0].children[0]
+    f = d.formula  # Impl(Conj(a, c), b)
+    body = d.children[0].children[0]
     # a from the assumption a & c, which a new ->-intro at the root
     # discharges: two levels up from the leaf while the stub sits just
     # below the root
     stub = Node(f.left.left, (Node(f.left, bound=2),))
-    return ArgumentStructure(Node(f, (_moved(body, -1, stub),)))
+    return Node(f, (_moved(body, -1, stub),))
 
 
 def _project_applies(d: ArgumentStructure) -> bool:
     if not (match_or_project(d) and match_or_intro(sub_structures(d)[0])):
         return False
     major = sub_structures(d)[0]
-    return conclusion(sub_structures(major)[0]) == major.root.formula.left
+    return conclusion(sub_structures(major)[0]) == major.formula.left
 
 
 def _project_rewrite(d: ArgumentStructure) -> ArgumentStructure:
-    return ArgumentStructure(_moved(d.root.children[0].children[0], -2))
+    return _moved(d.children[0].children[0], -2)
 
 
 CONJ_DETOUR = Reduction("conj-detour", _conj_applies, _conj_rewrite)
@@ -193,7 +196,7 @@ def constant_reduction(
     want = tuple(premises)
 
     def applies(d: ArgumentStructure) -> bool:
-        if d.root.formula != concl or len(d.root.children) != len(want):
+        if d.formula != concl or len(d.children) != len(want):
             return False
         if root_discharges(d):
             return False
@@ -211,7 +214,7 @@ def constant_reduction(
 def extract(struct: ArgumentStructure, at: Path) -> ArgumentStructure:
     """The subtree at a position as a structure of its own; a node
     discharged above the position is open in it."""
-    return ArgumentStructure(struct.node_at(at))
+    return struct.node_at(at)
 
 
 @dataclass(frozen=True)
@@ -226,8 +229,7 @@ def _rewrites(
 ) -> Iterator[ReductionStep]:
     """Every one-step rewrite, scanning positions outermost-first and
     leftmost, reductions in the given order."""
-    for path, _ in iter_nodes(struct):
-        sub = extract(struct, path)
+    for path, sub in iter_nodes(struct):
         for red in reductions:
             if red.applies(sub):
                 yield ReductionStep(
@@ -256,15 +258,8 @@ class SearchOutcome:
     status: str  # "yes" | "no" | "inconclusive"
     path: tuple[tuple[Path, str], ...] | None
     witness: ArgumentStructure | None
-    visited: int
+    visited: int  # structures the walk found, the start included
     note: str = ""
-
-
-@dataclass(frozen=True)
-class ClosureResult:
-    structures: tuple[ArgumentStructure, ...]  # BFS order, start included
-    complete: bool
-    visited: int
 
 
 DEFAULT_BUDGET = 10_000
@@ -273,9 +268,11 @@ DEFAULT_BUDGET = 10_000
 class Reachable:
     """Iterating yields the start and then every structure reachable from
     it by rewriting, breadth-first, each as it is found, up to the budget on
-    distinct structures.  complete turns False when the budget cuts the
-    enumeration short, so a caller may stop at the first structure it wants
-    without computing the rest."""
+    distinct structures; a caller may stop at the first structure it wants
+    without computing the rest.  parents maps each structure found to the
+    step that first reached it, (previous structure, position, rule name),
+    or None for the start, and path reads the steps back.  complete turns
+    False when the budget cuts the enumeration short."""
 
     def __init__(
         self,
@@ -287,35 +284,34 @@ class Reachable:
         self.reductions = reductions
         self.budget = budget
         self.complete = True
+        self.parents: dict[
+            ArgumentStructure, tuple[ArgumentStructure, Path, str] | None
+        ] = {}
 
     def __iter__(self) -> Iterator[ArgumentStructure]:
-        seen = {self.start}
+        parents = self.parents = {self.start: None}
         queue = deque([self.start])
         yield self.start
         while queue:
-            for step in successors(queue.popleft(), self.reductions):
-                if step.result in seen:
+            cur = queue.popleft()
+            for step in successors(cur, self.reductions):
+                if step.result in parents:
                     continue
-                if len(seen) >= self.budget:
+                if len(parents) >= self.budget:
                     self.complete = False
                     return
-                seen.add(step.result)
+                parents[step.result] = (cur, step.position, step.rule)
                 queue.append(step.result)
                 yield step.result
 
-
-def closure(
-    start: ArgumentStructure,
-    reductions: Sequence[Reduction],
-    budget: int = DEFAULT_BUDGET,
-) -> ClosureResult:
-    """Every structure reachable by rewriting, breadth-first, up to the
-    budget on distinct structures."""
-    walk = Reachable(start, reductions, budget)
-    structures = tuple(walk)
-    return ClosureResult(
-        structures=structures, complete=walk.complete, visited=len(structures)
-    )
+    def path(self, struct: ArgumentStructure) -> tuple[tuple[Path, str], ...]:
+        """The (position, rule name) steps from the start to a structure
+        found."""
+        steps = []
+        while self.parents[struct] is not None:
+            struct, pos, name = self.parents[struct]
+            steps.append((pos, name))
+        return tuple(reversed(steps))
 
 
 def search_reduct(
@@ -324,55 +320,16 @@ def search_reduct(
     reductions: Sequence[Reduction],
     budget: int = DEFAULT_BUDGET,
 ) -> SearchOutcome:
-    """Breadth-first search for a reduct: a fixed structure or anything
-    satisfying a predicate.  "no" means the whole closure was enumerated;
-    a search the budget cuts short is inconclusive."""
-    if callable(goal):
-        pred = goal
-    else:
-        pred = lambda d: d == goal
-    parents: dict[ArgumentStructure, tuple[ArgumentStructure, Path, str] | None] = {
-        start: None
-    }
-    queue = deque([start])
-    visited = 0
-    while queue:
-        cur = queue.popleft()
-        visited += 1
+    """Breadth-first search for a reduct, reflexive and transitive: a fixed
+    structure or anything satisfying a predicate, each structure tested as
+    it is found.  "no" means the whole closure was enumerated; a search the
+    budget cuts short is inconclusive."""
+    pred = goal if callable(goal) else lambda d: d == goal
+    walk = Reachable(start, reductions, budget)
+    for cur in walk:
         if pred(cur):
-            steps = []
-            node = cur
-            while parents[node] is not None:
-                prev, pos, name = parents[node]
-                steps.append((pos, name))
-                node = prev
-            return SearchOutcome(
-                status="yes",
-                path=tuple(reversed(steps)),
-                witness=cur,
-                visited=visited,
-            )
-        for step in successors(cur, reductions):
-            if step.result in parents:
-                continue
-            if len(parents) >= budget:
-                return SearchOutcome(
-                    status="inconclusive",
-                    path=None,
-                    witness=None,
-                    visited=visited,
-                    note=f"budget of {budget} distinct structures exhausted",
-                )
-            parents[step.result] = (cur, step.position, step.rule)
-            queue.append(step.result)
-    return SearchOutcome(status="no", path=None, witness=None, visited=visited)
-
-
-def reduces_to(
-    start: ArgumentStructure,
-    target: ArgumentStructure,
-    reductions: Sequence[Reduction],
-    budget: int = DEFAULT_BUDGET,
-) -> SearchOutcome:
-    """Reflexive-transitive reachability of one structure from another."""
-    return search_reduct(start, target, reductions, budget=budget)
+            return SearchOutcome("yes", walk.path(cur), cur, len(walk.parents))
+    if walk.complete:
+        return SearchOutcome("no", None, None, len(walk.parents))
+    note = f"budget of {budget} distinct structures exhausted"
+    return SearchOutcome("inconclusive", None, None, len(walk.parents), note)

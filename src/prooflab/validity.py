@@ -202,9 +202,7 @@ def _check_closed(
     walk = Reachable(struct, reds, budget)
     notes: list[str] = []
     saw_inconclusive = False
-    visited = 0
     for cand in walk:
-        visited += 1
         if not is_canonical(cand):
             continue
         verdicts = []
@@ -233,7 +231,7 @@ def _check_closed(
         return ValidityVerdict(
             Status.INVALID,
             "no canonical reduct with valid sub-arguments; the whole "
-            f"reduction closure ({visited} structures) was enumerated",
+            f"reduction closure ({len(walk.parents)} structures) was enumerated",
             notes=tuple(notes[:4]),
         )
     why = []

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prooflab.arguments import (
-    ArgumentStructure,
     AssumptionDischarge,
     AxiomDischarge,
     Node,
@@ -23,6 +22,7 @@ from prooflab.arguments import (
     assumption_paths,
     assumptions,
     axiom_leaf,
+    bind,
     conclusion,
     derivation_to_structure,
     impl_elim,
@@ -171,40 +171,38 @@ def test_builder_argument_checks():
 
 def test_discharge_target_must_be_strictly_below():
     with pytest.raises(StructureError):
-        ArgumentStructure(
-            root=leaf(p), discharge=((AssumptionDischarge(leaf=()), ()),)
-        )
+        bind(leaf(p), ((AssumptionDischarge(leaf=()), ()),))
 
 
 def test_discharge_paths_must_exist():
     with pytest.raises(StructureError):
-        ArgumentStructure(
-            root=Node(formula=q, children=(leaf(p),)),
-            discharge=((AssumptionDischarge(leaf=(3,)), ()),),
+        bind(
+            Node(formula=q, children=(leaf(p),)),
+            ((AssumptionDischarge(leaf=(3,)), ()),),
         )
 
 
 def test_assumption_discharge_rejects_axiomatic_leaf():
     with pytest.raises(StructureError):
-        ArgumentStructure(
-            root=Node(formula=q, children=(leaf(p, axiomatic=True),)),
-            discharge=((AssumptionDischarge(leaf=(0,)), ()),),
+        bind(
+            Node(formula=q, children=(leaf(p, axiomatic=True),)),
+            ((AssumptionDischarge(leaf=(0,)), ()),),
         )
 
 
 def test_axiom_discharge_rejects_compound_label():
     with pytest.raises(StructureError):
-        ArgumentStructure(
-            root=Node(formula=q, children=(leaf(Conj(p, q), axiomatic=True),)),
-            discharge=((AxiomDischarge(leaf=(0,)), ()),),
+        bind(
+            Node(formula=q, children=(leaf(Conj(p, q), axiomatic=True),)),
+            ((AxiomDischarge(leaf=(0,)), ()),),
         )
 
 
 def test_duplicate_discharge_rejected():
     with pytest.raises(StructureError):
-        ArgumentStructure(
-            root=Node(formula=Impl(p, p), children=(leaf(p),)),
-            discharge=(
+        bind(
+            Node(formula=Impl(p, p), children=(leaf(p),)),
+            (
                 (AssumptionDischarge(leaf=(0,)), ()),
                 (AssumptionDischarge(leaf=(0,)), ()),
             ),
@@ -213,25 +211,25 @@ def test_duplicate_discharge_rejected():
 
 def test_rule_discharge_shape_checks():
     rule = parse_rule("(p => q)")
-    good = ArgumentStructure(
-        root=Node(
+    good = bind(
+        Node(
             formula=r,
             children=(
                 Node(formula=q, children=(leaf(p, axiomatic=True),)),
             ),
         ),
-        discharge=((RuleDischarge(node=(0,), rule=rule), ()),),
+        ((RuleDischarge(node=(0,), rule=rule), ()),),
     )
     assert good.node_at((0,)).formula == q
     with pytest.raises(StructureError):
-        ArgumentStructure(
-            root=Node(formula=r, children=(Node(formula=s, children=(leaf(p),)),)),
-            discharge=((RuleDischarge(node=(0,), rule=rule), ()),),
+        bind(
+            Node(formula=r, children=(Node(formula=s, children=(leaf(p),)),)),
+            ((RuleDischarge(node=(0,), rule=rule), ()),),
         )
     with pytest.raises(StructureError):
-        ArgumentStructure(
-            root=Node(formula=r, children=(leaf(q),)),
-            discharge=((RuleDischarge(node=(0,), rule=rule), ()),),
+        bind(
+            Node(formula=r, children=(leaf(q),)),
+            ((RuleDischarge(node=(0,), rule=rule), ()),),
         )
 
 
@@ -240,15 +238,15 @@ def test_assumption_may_not_land_on_rule_discharge_anchor():
     # set is ruled out, and likewise at that edge set's target
     rule = parse_rule("(p => q)")
     with pytest.raises(StructureError):
-        ArgumentStructure(
-            root=Node(
+        bind(
+            Node(
                 formula=r,
                 children=(
                     Node(formula=q, children=(leaf(p, axiomatic=True),)),
                     leaf(r),
                 ),
             ),
-            discharge=(
+            (
                 (RuleDischarge(node=(0,), rule=rule), ()),
                 (AssumptionDischarge(leaf=(1,)), ()),
             ),
@@ -257,15 +255,15 @@ def test_assumption_may_not_land_on_rule_discharge_anchor():
 
 def test_axiom_on_rule_discharge_anchor_is_flagged_not_rejected():
     rule = parse_rule("(p => q)")
-    d = ArgumentStructure(
-        root=Node(
+    d = bind(
+        Node(
             formula=r,
             children=(
                 Node(formula=q, children=(leaf(p, axiomatic=True),)),
                 leaf(s, axiomatic=True),
             ),
         ),
-        discharge=(
+        (
             (RuleDischarge(node=(0,), rule=rule), ()),
             (AxiomDischarge(leaf=(1,)), ()),
         ),
@@ -307,7 +305,7 @@ def structures():
 @given(structures())
 def test_sub_structures_reopen_discharged_leaves(d):
     for i, sub in enumerate(sub_structures(d)):
-        assert sub.root == d.root.children[i]
+        assert sub == d.children[i]
         reopened = {
             item.leaf[1:]
             for item, target in d.discharge
@@ -443,23 +441,23 @@ def test_derivation_with_assumed_rule_discharge():
 def test_atomic_replay_rejects_out_of_scope_use():
     # using the assumed axiom p outside the premise that introduced it
     base = parse_base_text("([p => p] => s)\n(s, p => t)\n")
-    bad = ArgumentStructure(
-        root=Node(
+    bad = bind(
+        Node(
             formula=Atom("t"),
             children=(
                 Node(formula=s, children=(leaf(p, axiomatic=True),)),
                 leaf(p, axiomatic=True),
             ),
         ),
-        discharge=(
+        (
             (AxiomDischarge(leaf=(0, 0)), (0,)),
             (AxiomDischarge(leaf=(1,)), ()),
         ),
     )
     assert not is_atomic_derivation(bad, base)
-    good = ArgumentStructure(
-        root=Node(formula=s, children=(leaf(p, axiomatic=True),)),
-        discharge=((AxiomDischarge(leaf=(0,)), ()),),
+    good = bind(
+        Node(formula=s, children=(leaf(p, axiomatic=True),)),
+        ((AxiomDischarge(leaf=(0,)), ()),),
     )
     assert is_atomic_derivation(good, base)
 
@@ -502,18 +500,20 @@ def test_atomic_replay_matches_engine_on_sample_bases():
 
 def test_obj_roundtrip():
     rule = parse_rule("(p => q)")
-    d = ArgumentStructure(
-        root=Node(
+    d = bind(
+        Node(
             formula=r,
             children=(Node(formula=q, children=(leaf(p, axiomatic=True),)),),
         ),
-        discharge=(
+        (
             (RuleDischarge(node=(0,), rule=rule), ()),
             (AxiomDischarge(leaf=(0, 0)), (0,)),
         ),
     )
     blob = json.dumps(structure_to_obj(d), sort_keys=True)
     assert structure_from_obj(json.loads(blob)) == d
+    assert bind(d, d.discharge) == d and bind(d, ()) is d
+    assert str(d) == pretty(d)
 
 
 @settings(max_examples=80)
@@ -555,9 +555,10 @@ def test_pickles_rehash_under_another_hash_seed(tmp_path):
     load = _PICKLED_VALUES + f"""
 lf, ld = pickle.load(open({path!r}, "rb"))
 assert (lf, ld) == (f, d)
-assert hash(lf) == hash(f) and hash(ld) == hash(d) and hash(ld.root) == hash(d.root)
-assert {{f: 1}}[lf] and {{d: 1}}[ld] and {{d.root: 1}}[ld.root]
-assert {{lf: 1}}[f] and {{ld: 1}}[d] and {{ld.root: 1}}[d.root]
+lk, k = ld.children[0], d.children[0]
+assert hash(lf) == hash(f) and hash(ld) == hash(d) and hash(lk) == hash(k)
+assert {{f: 1}}[lf] and {{d: 1}}[ld] and {{k: 1}}[lk]
+assert {{lf: 1}}[f] and {{ld: 1}}[d] and {{lk: 1}}[k]
 """
     for seed, code in (("1", dump), ("2", load)):
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)

@@ -21,7 +21,6 @@ from prooflab.atomic_system import (
     derive,
     format_base,
     format_rule,
-    iter_subrules,
     level,
     parse_base_text,
     parse_rule,
@@ -177,13 +176,6 @@ def test_witness_trees_replay():
         check_derivation(bad, frozenset())
 
 
-def test_explosion_option():
-    b = base("(p => bot)")
-    assert not derive(b, assumed={axiom("p")}, goal="q").derivable
-    res = derive(b, assumed={axiom("p")}, goal="q", explosion=True)
-    assert res.derivable
-
-
 def test_consistency_guard():
     with pytest.raises(InconsistentBaseError):
         base("p.\n(p => bot)")
@@ -331,6 +323,5 @@ def test_rule_syntax_errors():
 def test_atoms_and_subrules():
     r = rule("([p => q] => bot)")
     assert atoms_of_rule(r) == {"p", "q"}
-    assert {format_rule(s) for s in iter_subrules(r)} == {"([p => q] => bot)", "p"}
     b = base("(p => q)\n(q => bot)")
     assert atoms_of_base(b) == {"p", "q"}

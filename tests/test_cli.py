@@ -19,6 +19,8 @@ from prooflab.arguments import (
     axiom_leaf,
     impl_elim,
     impl_intro,
+    or_intro_left,
+    or_project,
     structure_to_obj,
 )
 from prooflab.cli import (
@@ -283,6 +285,27 @@ def test_reduce_target_unreachable(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EX_FAILS
     assert "status:  no" in out
+
+
+def test_reduce_target_under_a_cut_budget(tmp_path, capsys):
+    # a budget of two distinct structures: d and its one-step reduct
+    inner = or_project(or_intro_left(assumption(p), q))
+    d = and_elim(and_intro(inner, assumption(Atom("r"))), 1)
+    path = argument_file(tmp_path, d)
+    target = write_json(tmp_path / "t.json", structure_to_obj(inner))
+    argv = ["reduce", "--argument", path, "--target", target, "--budget", "2"]
+    code = main(argv)
+    assert code == EX_OK
+    assert capsys.readouterr().out == (
+        "status:  yes\nvisited: 2\n  at []: conj-detour\n"
+    )
+    target = write_json(tmp_path / "t.json", structure_to_obj(assumption(Atom("s"))))
+    code = main(argv)
+    assert code == EX_INCONCLUSIVE
+    assert capsys.readouterr().out == (
+        "status:  inconclusive\nvisited: 2\n"
+        "note:    budget of 2 distinct structures exhausted\n"
+    )
 
 
 def test_reduce_under_binder(tmp_path, capsys):

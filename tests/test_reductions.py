@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prooflab.arguments import (
-    ArgumentStructure,
     AssumptionDischarge,
     Inference,
     Node,
@@ -17,6 +16,7 @@ from prooflab.arguments import (
     assumption,
     assumptions,
     axiom_leaf,
+    bind,
     conclusion,
     impl_elim,
     impl_intro,
@@ -41,12 +41,11 @@ from prooflab.reductions import (
     IMP_DETOUR,
     PROJECT_DETOUR,
     WEAKEN_DETOUR,
-    closure,
+    Reachable,
     constant_reduction,
     extract,
     pointer_reduction,
     reduce_step,
-    reduces_to,
     search_reduct,
     standard_reductions,
     successors,
@@ -128,12 +127,9 @@ def test_weaken_detour():
     new_body = impl_elim(
         assumption(Impl(p, q)), and_elim(assumption(Conj(p, r)), 1)
     )
-    expected = structure_of_inference(
-        Inference(
-            subs=(new_body,),
-            conclusion=Impl(Conj(p, r), q),
-            extension=((AssumptionDischarge(leaf=(0, 1, 0)), ()),),
-        )
+    expected = bind(
+        Node(Impl(Conj(p, r), q), (new_body,)),
+        ((AssumptionDischarge(leaf=(0, 1, 0)), ()),),
     )
     assert step.result == expected
     assert match_impl_intro(step.result)
@@ -264,28 +260,30 @@ def test_inner_position_reduces():
 def test_closure_and_reachability():
     inner = or_project(or_intro_left(assumption(p), q))
     d = and_elim(and_intro(inner, assumption(r)), 1)
-    res = closure(d, STD)
-    assert res.complete
+    walk = Reachable(d, STD)
+    found = list(walk)
+    assert walk.complete
     expected = {
         d,
         inner,
         and_elim(and_intro(assumption(p), assumption(r)), 1),
         assumption(p),
     }
-    assert set(res.structures) == expected
+    assert set(found) == expected
+    assert set(walk.parents) == expected
 
-    yes = reduces_to(d, assumption(p), STD)
+    yes = search_reduct(d, assumption(p), STD)
     assert yes.status == "yes"
     assert len(yes.path) == 2
     assert yes.witness == assumption(p)
 
-    no = reduces_to(d, assumption(r), STD)
+    no = search_reduct(d, assumption(r), STD)
     assert no.status == "no"
 
 
 def test_reduces_to_is_reflexive():
     d = and_intro(assumption(p), assumption(q))
-    out = reduces_to(d, d, STD)
+    out = search_reduct(d, d, STD)
     assert out.status == "yes"
     assert out.path == ()
 
@@ -300,7 +298,7 @@ def test_search_with_predicate():
 def test_failed_search_under_binder_is_definite():
     redex = and_elim(and_intro(assumption(p), assumption(q)), 1)
     d = impl_intro(redex, q)
-    out = reduces_to(d, assumption(s), STD)
+    out = search_reduct(d, assumption(s), STD)
     assert out.status == "no"
     assert out.visited == 2
 
@@ -308,11 +306,25 @@ def test_failed_search_under_binder_is_definite():
 def test_budget_exhaustion_is_inconclusive():
     inner = or_project(or_intro_left(assumption(p), q))
     d = and_elim(and_intro(inner, assumption(r)), 1)
-    out = reduces_to(d, assumption(s), STD, budget=2)
+    out = search_reduct(d, assumption(s), STD, budget=2)
     assert out.status == "inconclusive"
     assert "budget" in out.note
-    res = closure(d, STD, budget=2)
-    assert not res.complete
+    # the structures found within the budget: d and the reduct at its root
+    assert out.visited == 2
+    walk = Reachable(d, STD, budget=2)
+    assert list(walk) == [d, inner]
+    assert not walk.complete
+
+
+def test_budget_cut_search_tests_every_structure_found():
+    # the same cut: the last structure found within the budget is the goal
+    inner = or_project(or_intro_left(assumption(p), q))
+    d = and_elim(and_intro(inner, assumption(r)), 1)
+    out = search_reduct(d, inner, STD, budget=2)
+    assert out.status == "yes"
+    assert out.path == (((), "conj-detour"),)
+    assert out.witness == inner
+    assert out.visited == 2
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +360,9 @@ def test_constant_reduction_matches_instances():
         Inference(subs=(assumption(p), assumption(p)), conclusion=q)
     )
     assert not red.applies(wrong_arity)
-    discharging = ArgumentStructure(
-        root=Node(formula=q, children=(leaf(p),)),
-        discharge=((AssumptionDischarge(leaf=(0,)), ()),),
+    discharging = bind(
+        Node(formula=q, children=(leaf(p),)),
+        ((AssumptionDischarge(leaf=(0,)), ()),),
     )
     assert not red.applies(discharging)
 
@@ -365,7 +377,7 @@ def test_justification_reductions_in_search():
     start = structure_of_inference(
         Inference(subs=(and_elim(and_intro(assumption(p), assumption(r)), 1),), conclusion=q)
     )
-    out = reduces_to(start, axiom_leaf(q), list(STD) + [red])
+    out = search_reduct(start, axiom_leaf(q), list(STD) + [red])
     assert out.status == "yes"
 
 
@@ -470,6 +482,31 @@ def detours():
     return st.recursive(structures(), extend, max_leaves=6)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(structures(), detours()), st.sampled_from([2, 60]))
+def test_reachable_yields_each_once_and_its_paths_replay(d, budget):
+    by_name = {red.name: red for red in STD}
+    walk = Reachable(d, STD, budget=budget)
+    found = list(walk)
+    assert found[0] == d
+    assert len(set(found)) == len(found) <= budget
+    assert set(walk.parents) == set(found)
+    for e in found:
+        # the named reduction at each position leads from d to e
+        cur = d
+        for pos, name in walk.path(e):
+            results = {
+                step.position: step.result
+                for step in successors(cur, [by_name[name]])
+            }
+            cur = results[pos]
+        assert cur == e
+    # the last structure found is tested even when the budget cuts the walk
+    out = search_reduct(d, found[-1], STD, budget=budget)
+    assert out.status == "yes" and out.witness == found[-1]
+    assert out.path == walk.path(found[-1]) and out.visited == len(found)
+
+
 def binders_match(d):
     """Every discharged leaf hangs under an ->-intro for its label or in the
     case of an |-elim whose disjunct it is."""
@@ -504,7 +541,6 @@ def _formula_hash_is_the_field_tuple_hash(f):
 
 
 def _node_hash_is_the_field_tuple_hash(d):
-    assert hash(d) == hash(d.root)
     for _, node in iter_nodes(d):
         fields = (node.formula, node.children, node.axiomatic, node.bound, node.rule)
         assert hash(node) == hash(fields)

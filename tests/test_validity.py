@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prooflab.arguments import (
-    ArgumentStructure,
     StructureError,
     Inference,
     Node,
@@ -125,7 +124,7 @@ def test_identity_implication_is_valid_everywhere():
 
 
 def test_compound_axiomatic_leaf_justifies_nothing():
-    d = ArgumentStructure(root=Node(formula=Conj(p, q), axiomatic=True))
+    d = Node(formula=Conj(p, q), axiomatic=True)
     verdict = check_valid(Argument(d), B_PQ)
     assert verdict.status is Status.INVALID
 
@@ -367,7 +366,7 @@ def test_compare_table_shapes():
 def test_witness_for_disjunction_picks_the_live_disjunct():
     arg = synthesize_witness(B_P, parse_sequent("|- p | q"))
     assert conclusion(arg.structure) == Disj(p, q)
-    assert arg.structure.root.children[0].formula == p
+    assert arg.structure.children[0].formula == p
 
 
 def test_witness_recheck_guards_synthesis():
