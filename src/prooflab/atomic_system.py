@@ -190,6 +190,9 @@ class Base:
 
     rules: frozenset[AtomicRule] = field(default_factory=frozenset)
     name: str | None = field(default=None, compare=False)
+    # computed once, the value the generated hash gives: bases key the
+    # per-base evaluation contexts
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", frozenset(self.rules))
@@ -197,6 +200,15 @@ class Base:
             raise InconsistentBaseError(
                 f"rules derive bot: {{{', '.join(sorted(map(format_rule, self.rules)))}}}"
             )
+        object.__setattr__(self, "_hash", hash((self.rules,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a pickled hash would be stale in a
+        # process with another hash seed
+        return (Base, (self.rules, self.name))
 
     @classmethod
     def of(cls, *rules: AtomicRule, name: str | None = None) -> "Base":

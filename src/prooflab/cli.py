@@ -51,9 +51,9 @@ from prooflab.base_semantics import (
 )
 from prooflab.reductions import (
     Reduction,
+    _rewrites_of,
     constant_reduction,
     pointer_reduction,
-    reduce_step,
     search_reduct,
     standard_reductions,
 )
@@ -288,16 +288,18 @@ def _cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
     # no target: rewrite to a normal form, tracing the steps
     current = arg.structure
     steps = []
+    # the steps share one memo: a step leaves most subtrees as they were
+    memo: dict = {}
     while True:
-        step = reduce_step(current, reds)
-        if step is None or len(steps) >= cfg.budget:
+        found = _rewrites_of(current, reds, memo)
+        if not found or len(steps) >= cfg.budget:
             break
-        steps.append({"position": list(step.position), "rule": step.rule})
-        current = step.result
+        pos, rule, current = found[0]
+        steps.append({"position": list(pos), "rule": rule})
     payload = {
         "steps": steps,
         "normal_form": structure_to_obj(current),
-        "stuck": step is None,
+        "stuck": not found,
     }
     lines = []
     for k, step in enumerate(steps, 1):

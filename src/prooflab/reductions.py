@@ -17,10 +17,15 @@ reach above the subtree, and a leaf discharged above the redex stays
 discharged where it lands.
 
 A structure is its root node, so a rewrite at a position grafts the
-rewritten subtree back into the same tree of nodes.  One breadth-first walk,
-Reachable, enumerates the reduction closure up to a budget on distinct
-structures and records the step that first reached each one; search_reduct
-and the validity checker both stop it at the first structure they want.
+rewritten subtree back into the same tree of nodes.  Because discharges are
+relative, whether a reduction applies to a subtree and what it rewrites to
+depend only on that subtree's value: one helper computes a node's one-step
+rewrites from its own and its children's, memoized per distinct subtree.
+One breadth-first walk, Reachable, enumerates the reduction closure up to a
+budget on distinct structures and records the step that first reached each
+one; the structures it finds share most of their subtrees, and each distinct
+subtree's rewrites are computed once per walk.  search_reduct and the
+validity checker both stop it at the first structure they want.
 """
 
 from __future__ import annotations
@@ -36,10 +41,10 @@ from prooflab.arguments import (
     StructureError,
     _graft,
     _moved,
+    _with_children,
     assumptions,
     conclusion,
     is_closed,
-    iter_nodes,
     match_and_elim,
     match_and_intro,
     match_impl_elim,
@@ -224,33 +229,50 @@ class ReductionStep:
     result: ArgumentStructure
 
 
-def _rewrites(
-    struct: ArgumentStructure, reductions: Sequence[Reduction]
-) -> Iterator[ReductionStep]:
-    """Every one-step rewrite, scanning positions outermost-first and
-    leftmost, reductions in the given order."""
-    for path, sub in iter_nodes(struct):
-        for red in reductions:
-            if red.applies(sub):
-                yield ReductionStep(
-                    position=path,
-                    rule=red.name,
-                    result=_graft(struct, path, red.rewrite(sub)),
-                )
+def _rewrites_of(
+    node: Node,
+    reductions: Sequence[Reduction],
+    memo: dict[Node, list[tuple[Path, str, Node]]],
+) -> list[tuple[Path, str, Node]]:
+    """Every one-step rewrite of the subtree at node, as (position below
+    node, rule name, rewritten node): the node's own rewrites, reductions in
+    the given order, then each child's in turn with node rebuilt around it,
+    so positions come outermost-first and leftmost.  Discharges are stored
+    as distances, so what a subtree rewrites to depends on its value alone:
+    memo maps each distinct subtree to its list, computed once, and is
+    shared by every call for the same reductions."""
+    found = memo.get(node)
+    if found is not None:
+        return found
+    # grafting at the root only checks that the rewrite keeps the conclusion
+    found = [
+        ((), red.name, _graft(node, (), red.rewrite(node)))
+        for red in reductions
+        if red.applies(node)
+    ]
+    kids = node.children
+    for i, child in enumerate(kids):
+        for pos, name, new in _rewrites_of(child, reductions, memo):
+            rebuilt = _with_children(node, kids[:i] + (new,) + kids[i + 1 :])
+            found.append(((i, *pos), name, rebuilt))
+    memo[node] = found
+    return found
 
 
 def reduce_step(
     struct: ArgumentStructure, reductions: Sequence[Reduction]
 ) -> ReductionStep | None:
-    """The first applicable rewrite."""
-    return next(_rewrites(struct, reductions), None)
+    """The first applicable rewrite, outermost-first and leftmost."""
+    found = _rewrites_of(struct, reductions, {})
+    return ReductionStep(*found[0]) if found else None
 
 
 def successors(
     struct: ArgumentStructure, reductions: Sequence[Reduction]
 ) -> list[ReductionStep]:
-    """All one-step rewrites."""
-    return list(_rewrites(struct, reductions))
+    """All one-step rewrites, positions outermost-first and leftmost,
+    reductions in the given order at each."""
+    return [ReductionStep(*step) for step in _rewrites_of(struct, reductions, {})]
 
 
 @dataclass(frozen=True)
@@ -272,7 +294,9 @@ class Reachable:
     without computing the rest.  parents maps each structure found to the
     step that first reached it, (previous structure, position, rule name),
     or None for the start, and path reads the steps back.  complete turns
-    False when the budget cuts the enumeration short."""
+    False when the budget cuts the enumeration short.  Each distinct subtree's
+    one-step rewrites are computed once per walk, in a memo made when the
+    walk first expands a structure and dropped when it ends."""
 
     def __init__(
         self,
@@ -292,17 +316,18 @@ class Reachable:
         parents = self.parents = {self.start: None}
         queue = deque([self.start])
         yield self.start
+        memo: dict = {}
         while queue:
             cur = queue.popleft()
-            for step in successors(cur, self.reductions):
-                if step.result in parents:
+            for pos, name, new in _rewrites_of(cur, self.reductions, memo):
+                if new in parents:
                     continue
                 if len(parents) >= self.budget:
                     self.complete = False
                     return
-                parents[step.result] = (cur, step.position, step.rule)
-                queue.append(step.result)
-                yield step.result
+                parents[new] = (cur, pos, name)
+                queue.append(new)
+                yield new
 
     def path(self, struct: ArgumentStructure) -> tuple[tuple[Path, str], ...]:
         """The (position, rule name) steps from the start to a structure

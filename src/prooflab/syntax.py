@@ -11,7 +11,8 @@ equality, so evaluators are free to memoize on them.  Each formula computes
 its hash once, at construction, from its children's cached hashes, so a
 lookup never walks the tree; the value is the one the generated dataclass
 hash would give.  A compound formula also keeps its printed text once it
-has been printed, outside comparison, repr, hash and pickle.
+has been printed, and its set of atoms once it has been asked for, outside
+comparison, repr, hash and pickle.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ class _Binary(Formula):
     left: Formula
     right: Formula
     _hash: int = field(init=False, repr=False, compare=False)
-    # format_formula's text, set on first use; left unset until then, so
-    # construction does not pay for it
+    # format_formula's text and atoms_of's set, each set on first use; left
+    # unset until then, so construction does not pay for them
     _text: str = field(init=False, repr=False, compare=False)
+    _atoms: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
@@ -97,7 +99,8 @@ class _Binary(Formula):
         return self._hash
 
     def __reduce__(self):
-        # rebuilt through __init__, as Atom is; the cached text is left out
+        # rebuilt through __init__, as Atom is; the cached text and atoms
+        # are left out
         return (type(self), (self.left, self.right))
 
 
@@ -282,13 +285,19 @@ def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
-    """Named atoms occurring in f; absurdity is excluded."""
+    """Named atoms occurring in f; absurdity is excluded.
+
+    A compound formula computes its set once and keeps it."""
     if isinstance(f, Atom):
         return frozenset({f.name})
     if isinstance(f, Absurdity):
         return frozenset()
-    assert isinstance(f, (Conj, Disj, Impl))
-    return atoms_of(f.left) | atoms_of(f.right)
+    try:
+        return f._atoms
+    except AttributeError:
+        atoms = atoms_of(f.left) | atoms_of(f.right)
+        object.__setattr__(f, "_atoms", atoms)
+        return atoms
 
 
 def depth(f: Formula) -> int:

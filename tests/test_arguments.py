@@ -540,9 +540,11 @@ def test_iter_nodes_preorder():
 _PICKLED_VALUES = """
 import pickle, sys
 from prooflab.arguments import and_intro, assumption, axiom_leaf, impl_intro
+from prooflab.atomic_system import parse_base_text
 from prooflab.syntax import parse_formula
 f = parse_formula("(p & q) | ~r -> p")
 d = impl_intro(and_intro(assumption(f), axiom_leaf(parse_formula("q"))), f)
+b = parse_base_text("p.\\n(p => q)\\n([p => q] => r)")
 """
 
 
@@ -551,14 +553,15 @@ def test_pickles_rehash_under_another_hash_seed(tmp_path):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(root, "src")
     path = str(tmp_path / "values.pickle")
-    dump = _PICKLED_VALUES + f"pickle.dump((f, d), open({path!r}, 'wb'))\n"
+    dump = _PICKLED_VALUES + f"pickle.dump((f, d, b), open({path!r}, 'wb'))\n"
     load = _PICKLED_VALUES + f"""
-lf, ld = pickle.load(open({path!r}, "rb"))
-assert (lf, ld) == (f, d)
+lf, ld, lb = pickle.load(open({path!r}, "rb"))
+assert (lf, ld, lb) == (f, d, b)
 lk, k = ld.children[0], d.children[0]
 assert hash(lf) == hash(f) and hash(ld) == hash(d) and hash(lk) == hash(k)
-assert {{f: 1}}[lf] and {{d: 1}}[ld] and {{k: 1}}[lk]
-assert {{lf: 1}}[f] and {{ld: 1}}[d] and {{lk: 1}}[k]
+assert hash(lb) == hash(b)
+assert {{f: 1}}[lf] and {{d: 1}}[ld] and {{k: 1}}[lk] and {{b: 1}}[lb]
+assert {{lf: 1}}[f] and {{ld: 1}}[d] and {{lk: 1}}[k] and {{lb: 1}}[b]
 """
     for seed, code in (("1", dump), ("2", load)):
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)

@@ -21,6 +21,7 @@ from prooflab.arguments import (
     impl_intro,
     or_intro_left,
     or_project,
+    pretty,
     structure_to_obj,
 )
 from prooflab.cli import (
@@ -33,6 +34,7 @@ from prooflab.cli import (
     main,
 )
 from prooflab.syntax import Atom
+from test_reductions import CHAIN_INNER, CHAIN_VISITED, detour_chain
 
 p, q = Atom("p"), Atom("q")
 
@@ -306,6 +308,26 @@ def test_reduce_target_under_a_cut_budget(tmp_path, capsys):
         "status:  inconclusive\nvisited: 2\n"
         "note:    budget of 2 distinct structures exhausted\n"
     )
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_reduce_detour_chain(tmp_path, capsys, depth):
+    d, rules = detour_chain(depth)
+    path = argument_file(tmp_path, d)
+    target = write_json(tmp_path / "t.json", structure_to_obj(CHAIN_INNER))
+    code = main(["reduce", "--argument", path, "--target", target, "--format", "json"])
+    assert code == EX_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "yes",
+        "visited": CHAIN_VISITED[depth - 1],
+        "note": "",
+        "path": [{"position": [], "rule": name} for name in rules],
+    }
+    code = main(["reduce", "--argument", path])
+    assert code == EX_OK
+    lines = [f"step {k}: {name} at []" for k, name in enumerate(rules, 1)]
+    lines += ["result:"] + ["  " + ln for ln in pretty(CHAIN_INNER).splitlines()]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_reduce_under_binder(tmp_path, capsys):

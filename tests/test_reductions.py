@@ -11,6 +11,7 @@ from prooflab.arguments import (
     Inference,
     Node,
     StructureError,
+    _graft,
     and_elim,
     and_intro,
     assumption,
@@ -18,6 +19,7 @@ from prooflab.arguments import (
     axiom_leaf,
     bind,
     conclusion,
+    derivation_to_structure,
     impl_elim,
     impl_intro,
     instantiate,
@@ -35,6 +37,7 @@ from prooflab.arguments import (
     structure_to_obj,
     weaken,
 )
+from prooflab.atomic_system import derive, parse_base_text
 from prooflab.reductions import (
     CONJ_DETOUR,
     DISJ_DETOUR,
@@ -42,6 +45,8 @@ from prooflab.reductions import (
     PROJECT_DETOUR,
     WEAKEN_DETOUR,
     Reachable,
+    ReductionStep,
+    _rewrites_of,
     constant_reduction,
     extract,
     pointer_reduction,
@@ -328,6 +333,44 @@ def test_budget_cut_search_tests_every_structure_found():
 
 
 # ---------------------------------------------------------------------------
+# detour chains: p from the axiom q by the rule (q => p), wrapped in
+# conj-, imp- and disj-detours, innermost first
+
+
+CHAIN_BASE = parse_base_text("q.\n(q => p)")
+CHAIN_INNER = derivation_to_structure(derive(CHAIN_BASE, goal="p").tree, CHAIN_BASE)
+CHAIN_KINDS = ("conj-detour", "imp-detour", "disj-detour")
+# distinct structures the search finds by depth: every order of removing
+# independent detours
+CHAIN_VISITED = (2, 4, 8, 15, 28, 52, 96, 177)
+
+
+def detour_chain(depth):
+    """The chain of the given depth and the rules that undo it, outermost
+    first."""
+    out = CHAIN_INNER
+    for i in range(depth):
+        kind = CHAIN_KINDS[i % 3]
+        if kind == "conj-detour":
+            out = and_elim(and_intro(out, CHAIN_INNER), 1)
+        elif kind == "imp-detour":
+            out = impl_elim(impl_intro(assumption(p), p), out)
+        else:
+            out = or_elim(or_intro_left(out, q), assumption(p), CHAIN_INNER)
+    rules = [CHAIN_KINDS[i % 3] for i in reversed(range(depth))]
+    return out, rules
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_detour_chain_search(depth):
+    d, rules = detour_chain(depth)
+    out = search_reduct(d, CHAIN_INNER, STD)
+    assert out.status == "yes"
+    assert out.visited == CHAIN_VISITED[depth - 1]
+    assert out.path == tuple(((), name) for name in rules)
+
+
+# ---------------------------------------------------------------------------
 # pointer and constant reductions
 
 
@@ -505,6 +548,65 @@ def test_reachable_yields_each_once_and_its_paths_replay(d, budget):
     out = search_reduct(d, found[-1], STD, budget=budget)
     assert out.status == "yes" and out.witness == found[-1]
     assert out.path == walk.path(found[-1]) and out.visited == len(found)
+
+
+def reference_rewrites(d, reductions):
+    """The one-step rewrites computed directly: every position in preorder,
+    the reductions in the given order at each, each rewrite grafted into
+    the whole structure."""
+    return [
+        (path, red.name, _graft(d, path, red.rewrite(sub)))
+        for path, sub in iter_nodes(d)
+        for red in reductions
+        if red.applies(sub)
+    ]
+
+
+def assert_rewrites_match_reference(d, reductions, budget=30):
+    want = reference_rewrites(d, reductions)
+    assert successors(d, reductions) == [ReductionStep(*w) for w in want]
+    first = reduce_step(d, reductions)
+    assert first == (ReductionStep(*want[0]) if want else None)
+    # one memo shared by every structure of a walk, as Reachable shares it
+    memo = {}
+    for e in Reachable(d, reductions, budget):
+        assert _rewrites_of(e, reductions, memo) == reference_rewrites(e, reductions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(structures(), detours()), st.permutations(STD))
+def test_rewrites_match_the_reference(d, reductions):
+    assert_rewrites_match_reference(d, reductions)
+
+
+def _justified_cases():
+    # kappa rewrites a q from q & r in one step, and the conj-detour applies
+    # at the same positions, under a binder too
+    kappa = constant_reduction([Conj(q, r)], q, axiom_leaf(q), name="kappa")
+    redex = and_elim(and_intro(assumption(q), assumption(r)), 1)
+    constant = and_intro(redex, impl_intro(redex, q))
+    # the pointer's source is a conj-detour too, found at two positions
+    source = and_elim(and_intro(assumption(p), assumption(q)), 1)
+    shortcut = pointer_reduction(source, assumption(p), name="shortcut")
+    pointer = and_intro(source, and_intro(source, assumption(r)))
+    return [
+        (constant, list(STD) + [kappa]),
+        (constant, [kappa] + list(STD)),
+        (pointer, list(STD) + [shortcut]),
+        (pointer, [shortcut] + list(STD)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "d, reductions",
+    _justified_cases(),
+    ids=["constant", "constant-first", "pointer", "pointer-first"],
+)
+def test_justified_rewrites_match_the_reference(d, reductions):
+    (just,) = [red for red in reductions if red not in STD]
+    names = [name for _, name, _ in reference_rewrites(d, reductions)]
+    assert names.count(just.name) == 2
+    assert_rewrites_match_reference(d, reductions)
 
 
 def binders_match(d):
