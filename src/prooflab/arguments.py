@@ -76,7 +76,6 @@ __all__ = [
     "assumption_paths",
     "is_closed",
     "sub_structures",
-    "root_discharges",
     "instantiate",
     "replace",
     "Inference",
@@ -94,11 +93,6 @@ __all__ = [
     "match_and_intro",
     "match_or_intro",
     "match_impl_intro",
-    "match_and_elim",
-    "match_or_elim",
-    "match_impl_elim",
-    "match_weaken",
-    "match_or_project",
     "is_canonical",
     "derivation_to_structure",
     "is_atomic_derivation",
@@ -402,8 +396,9 @@ def is_closed(struct: ArgumentStructure) -> bool:
     return not assumption_paths(struct)
 
 
-def root_discharges(struct: ArgumentStructure) -> tuple[DischargeItem, ...]:
-    return tuple(_item(node, path) for path, node in _bound_at(struct))
+def _binds(struct: ArgumentStructure) -> bool:
+    """Some node of the structure is discharged at its root."""
+    return any(c.free & 1 for c in struct.children)
 
 
 def sub_structures(struct: ArgumentStructure) -> tuple[ArgumentStructure, ...]:
@@ -620,7 +615,7 @@ def rule_step(rule: AtomicRule, subs: Sequence[ArgumentStructure]) -> ArgumentSt
     return structure_of_inference(Inference(subs=tuple(subs), conclusion=f))
 
 
-# matchers ------------------------------------------------------------------
+# introduction matchers ------------------------------------------------------
 
 
 def match_and_intro(struct: ArgumentStructure) -> bool:
@@ -631,7 +626,7 @@ def match_and_intro(struct: ArgumentStructure) -> bool:
         and len(kids) == 2
         and kids[0].formula == f.left
         and kids[1].formula == f.right
-        and not root_discharges(struct)
+        and not _binds(struct)
     )
 
 
@@ -642,7 +637,7 @@ def match_or_intro(struct: ArgumentStructure) -> bool:
         isinstance(f, Disj)
         and len(kids) == 1
         and kids[0].formula in (f.left, f.right)
-        and not root_discharges(struct)
+        and not _binds(struct)
     )
 
 
@@ -655,69 +650,6 @@ def match_impl_intro(struct: ArgumentStructure) -> bool:
         not (node.children or node.axiomatic) and node.formula == f.left
         for _, node in _bound_at(struct)
     )
-
-
-def match_and_elim(struct: ArgumentStructure) -> int | None:
-    kids = struct.children
-    if len(kids) != 1 or root_discharges(struct):
-        return None
-    g = kids[0].formula
-    if not isinstance(g, Conj):
-        return None
-    if struct.formula == g.left:
-        return 1
-    if struct.formula == g.right:
-        return 2
-    return None
-
-
-def match_impl_elim(struct: ArgumentStructure) -> bool:
-    kids = struct.children
-    if len(kids) != 2 or root_discharges(struct):
-        return False
-    g = kids[0].formula
-    return (
-        isinstance(g, Impl)
-        and g.left == kids[1].formula
-        and g.right == struct.formula
-    )
-
-
-def match_or_elim(struct: ArgumentStructure) -> bool:
-    kids = struct.children
-    if len(kids) != 3:
-        return False
-    g = kids[0].formula
-    if not isinstance(g, Disj):
-        return False
-    c = struct.formula
-    if kids[1].formula != c or kids[2].formula != c:
-        return False
-    return all(
-        not (node.children or node.axiomatic)
-        and (path[0], node.formula) in ((1, g.left), (2, g.right))
-        for path, node in _bound_at(struct)
-    )
-
-
-def match_weaken(struct: ArgumentStructure) -> bool:
-    f = struct.formula
-    kids = struct.children
-    return (
-        isinstance(f, Impl)
-        and isinstance(f.left, Conj)
-        and len(kids) == 1
-        and kids[0].formula == Impl(f.left.left, f.right)
-        and not root_discharges(struct)
-    )
-
-
-def match_or_project(struct: ArgumentStructure) -> bool:
-    kids = struct.children
-    if len(kids) != 1 or root_discharges(struct):
-        return False
-    g = kids[0].formula
-    return isinstance(g, Disj) and g.left == struct.formula
 
 
 def is_canonical(struct: ArgumentStructure) -> bool:

@@ -401,7 +401,7 @@ class DeriveResult:
 
 
 def derive(
-    base: Base,
+    base: Base | frozenset[AtomicRule],
     assumed: Iterable[AtomicRule] = (),
     goal: str = "bot",
     *,
@@ -409,14 +409,15 @@ def derive(
 ) -> DeriveResult:
     """Decide whether goal is derivable from base plus assumed rules.
 
-    A YES carries a derivation tree; replay it with check_derivation against
-    base.rules | assumed.
+    The base may also be given as its rule set.  A YES carries a derivation
+    tree; replay it with check_derivation against the base's rules | assumed.
     Budget exhaustion raises ResourceLimitExceeded rather than answering NO;
     a step is one grounded premise (a premise of a rule in a reachable
     context) or one counter decrement (a recorded fact passed on to one
     application watching it).
     """
-    supply = base.rules | frozenset(assumed)
+    rules = base.rules if isinstance(base, Base) else base
+    supply = rules | frozenset(assumed)
     sat = _saturate(supply, max_steps)
     if not sat.derivable(goal):
         return DeriveResult(derivable=False, tree=None)

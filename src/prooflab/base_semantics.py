@@ -30,7 +30,6 @@ calculus) used to compare proof-theoretic consequence with derivability.
 
 from __future__ import annotations
 
-import copy
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -179,10 +178,10 @@ class BaseContext:
     def __init__(self, base: Base) -> None:
         self.derivable = derivable_atoms(base)
         self.atoms = atoms_of_base(base)
-        # an equal copy, not the base itself: the context is a value of the
-        # weak mapping keyed by the base, and a reference to that key would
-        # keep both alive for good
-        self._base = copy.copy(base)
+        # the rules, not the base itself: the context is a value of the weak
+        # mapping keyed by the base, and a reference to that key would keep
+        # both alive for good
+        self._rules = base.rules
         self._truth: dict[Formula, bool] = {}
         self._witnesses: dict[str, ArgumentStructure | None] = {}
 
@@ -212,9 +211,9 @@ class BaseContext:
         """The base's derivation of the atom as an argument structure, or
         None when the atom is not derivable."""
         if name not in self._witnesses:
-            res = derive(self._base, frozenset(), name)
+            res = derive(self._rules, frozenset(), name)
             self._witnesses[name] = (
-                derivation_to_structure(res.tree, self._base)
+                derivation_to_structure(res.tree, self._rules)
                 if res.derivable
                 else None
             )

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from prooflab.arguments import (
-    ArgumentStructure,
     StructureError,
     conclusion,
     is_closed,
@@ -111,26 +110,28 @@ def _load_base(args: argparse.Namespace) -> Base:
     return parse_base_text("".join(chunks))
 
 
-def _load_structure(path: str) -> ArgumentStructure:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict) and "structure" in obj:
-        obj = obj["structure"]
-    return structure_from_obj(obj)
-
-
 def _load_argument(path: str) -> Argument:
+    """The argument in a JSON file: a structure, or an object holding one
+    under "structure" and optional "justifications".  A file that does not
+    have that shape is malformed input."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if "structure" in obj:
-        struct = structure_from_obj(obj["structure"])
-        justs = tuple(
-            _parse_justification(j) for j in obj.get("justifications", [])
-        )
-    else:
-        struct = structure_from_obj(obj)
-        justs = ()
-    return Argument(structure=struct, justifications=justs)
+    try:
+        if isinstance(obj, dict) and "structure" in obj:
+            struct = structure_from_obj(obj["structure"])
+            justs = tuple(
+                _parse_justification(j) for j in obj.get("justifications", [])
+            )
+            return Argument(structure=struct, justifications=justs)
+        return Argument(structure=structure_from_obj(obj), justifications=())
+    except (StructureError, FormulaSyntaxError, RuleSyntaxError):
+        raise
+    except KeyError as exc:
+        raise StructureError(
+            f"malformed argument file {path}: missing key {exc.args[0]!r}"
+        ) from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise StructureError(f"malformed argument file {path}: {exc}") from None
 
 
 _BY_NAME = {r.name: r for r in standard_reductions()}
@@ -205,12 +206,7 @@ def _cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
             )
         cfg.emit("\n".join(lines), payload)
         return _status_exit(res.verdict.status)
-    kind = (
-        SemanticsKind.SANDQVIST
-        if args.semantics == "sandqvist"
-        else SemanticsKind.STANDARD
-    )
-    res = models(kind, base, sequent)
+    res = models(SemanticsKind(args.semantics), base, sequent)
     payload = {
         "base": format_base(base).splitlines(),
         "sequent": format_sequent(sequent),
@@ -265,7 +261,7 @@ def _cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
     arg = _load_argument(args.argument)
     reds = arg.reductions()
     if args.target:
-        target = _load_structure(args.target)
+        target = _load_argument(args.target).structure
         out = search_reduct(arg.structure, target, reds, budget=cfg.budget)
         payload = {
             "status": out.status,
@@ -324,13 +320,8 @@ def _bounds(text: str) -> SearchBounds:
 
 def _cmd_search(args: argparse.Namespace, cfg: RunConfig) -> int:
     sequent = parse_sequent(args.sequent)
-    kind = (
-        SemanticsKind.SANDQVIST
-        if args.semantics == "sandqvist"
-        else SemanticsKind.STANDARD
-    )
     bounds = args.bounds
-    res = search_counterexample(kind, sequent, bounds)
+    res = search_counterexample(SemanticsKind(args.semantics), sequent, bounds)
     payload = {
         "sequent": format_sequent(sequent),
         "semantics": args.semantics,
@@ -504,7 +495,10 @@ def build_parser() -> _Parser:
             "--budget",
             type=int,
             default=DEFAULT_BUDGET,
-            help="bound on explored structures / saturation steps",
+            help=(
+                "bound on the distinct structures a reduction search explores"
+                " (on the rewrite steps, for reduce without --target)"
+            ),
         )
         sp.add_argument(
             "--format", choices=["text", "json"], default="text", dest="fmt"

@@ -1,8 +1,9 @@
 """Reductions on argument structures and the reachability search.
 
-A reduction is a named partial rewrite: a domain predicate plus a
-transformation that must preserve the conclusion and may only shrink the
-assumptions.  The standard set removes introduction/elimination detours
+A reduction is a named partial rewrite: one function that matches a
+structure and builds its reduct in one pass, returning None where the
+reduction does not apply.  A reduct keeps the conclusion and may only
+shrink the assumptions.  The standard set removes introduction/elimination detours
 (conjunction, disjunction, implication) and unwinds the two derived steps
 (weakening an implication's antecedent by a conjunct, projecting a
 disjunction) when their major premise is in introduced form.  Justifications
@@ -39,24 +40,19 @@ from prooflab.arguments import (
     Node,
     Path,
     StructureError,
+    _binds,
+    _bound_at,
     _graft,
     _moved,
     _with_children,
     assumptions,
     conclusion,
     is_closed,
-    match_and_elim,
     match_and_intro,
-    match_impl_elim,
     match_impl_intro,
-    match_or_elim,
     match_or_intro,
-    match_or_project,
-    match_weaken,
-    root_discharges,
-    sub_structures,
 )
-from prooflab.syntax import Formula, format_formula
+from prooflab.syntax import Conj, Disj, Formula, Impl, format_formula
 
 __all__ = [
     "Reduction",
@@ -80,9 +76,11 @@ __all__ = [
 
 @dataclass(eq=False, frozen=True)
 class Reduction:
+    """A named partial rewrite: rewrite returns the reduct of a structure,
+    or None where the reduction does not apply."""
+
     name: str
-    applies: Callable[[ArgumentStructure], bool]
-    rewrite: Callable[[ArgumentStructure], ArgumentStructure]
+    rewrite: Callable[[ArgumentStructure], ArgumentStructure | None]
 
     def __repr__(self) -> str:
         return f"<reduction {self.name}>"
@@ -91,73 +89,107 @@ class Reduction:
 # ---------------------------------------------------------------------------
 # the standard detour conversions
 #
-# Each rewrite builds its result at the redex's own position from the
-# redex's nodes.  The matchers rule out discharges at the eliminated steps
-# other than the binder's own, so a moved subtree's escaping distances all
-# reach above the redex and shrink by the levels it moves up.
+# Each matches an elimination whose major premise is in introduced form and
+# builds the reduct at the redex's own position from the redex's nodes.
+# Nothing may be discharged at an eliminated step but the binder's own
+# leaves, so a moved subtree's escaping distances all reach above the redex
+# and shrink by the levels it moves up.
 
 
-def _conj_applies(d: ArgumentStructure) -> bool:
-    side = match_and_elim(d)
-    return side is not None and match_and_intro(sub_structures(d)[0])
+def _conj_detour(d: ArgumentStructure) -> ArgumentStructure | None:
+    """A conjunct of a conjunction just introduced: that conjunct's proof."""
+    if len(d.children) != 1 or _binds(d):
+        return None
+    intro = d.children[0]
+    if not match_and_intro(intro):
+        return None
+    if d.formula == intro.formula.left:
+        return _moved(intro.children[0], -2)
+    if d.formula == intro.formula.right:
+        return _moved(intro.children[1], -2)
+    return None
 
 
-def _conj_rewrite(d: ArgumentStructure) -> ArgumentStructure:
-    side = match_and_elim(d)
-    return _moved(d.children[0].children[side - 1], -2)
+def _disj_detour(d: ArgumentStructure) -> ArgumentStructure | None:
+    """A case split on a disjunction just introduced: the case it picks,
+    its discharged leaves taking the introduced premise."""
+    kids = d.children
+    if len(kids) != 3 or not match_or_intro(kids[0]):
+        return None
+    g = kids[0].formula
+    if kids[1].formula != d.formula or kids[2].formula != d.formula:
+        return None
+    # the root discharges only the cases' own assumption leaves
+    if not all(
+        not (node.children or node.axiomatic)
+        and (path[0], node.formula) in ((1, g.left), (2, g.right))
+        for path, node in _bound_at(d)
+    ):
+        return None
+    inner = kids[0].children[0]
+    case = 1 if inner.formula == g.left else 2
+    return _moved(kids[case], -1, inner, -2)
 
 
-def _disj_applies(d: ArgumentStructure) -> bool:
-    return match_or_elim(d) and match_or_intro(sub_structures(d)[0])
-
-
-def _disj_rewrite(d: ArgumentStructure) -> ArgumentStructure:
-    major = d.children[0]
-    inner = major.children[0]
-    case = 1 if inner.formula == major.formula.left else 2
-    # the case's leaves discharged at the root take the introduced premise
-    return _moved(d.children[case], -1, inner, -2)
-
-
-def _imp_applies(d: ArgumentStructure) -> bool:
-    return match_impl_elim(d) and match_impl_intro(sub_structures(d)[0])
-
-
-def _imp_rewrite(d: ArgumentStructure) -> ArgumentStructure:
+def _imp_detour(d: ArgumentStructure) -> ArgumentStructure | None:
+    """Modus ponens on an implication just introduced: its body with the
+    minor premise for the discharged leaves."""
+    if len(d.children) != 2 or _binds(d):
+        return None
     major, minor = d.children
+    g = major.formula
+    if not (
+        isinstance(g, Impl)
+        and g.left == minor.formula
+        and g.right == d.formula
+        and match_impl_intro(major)
+    ):
+        return None
     return _moved(major.children[0], -2, minor, -1)
 
 
-def _weaken_applies(d: ArgumentStructure) -> bool:
-    return match_weaken(d) and match_impl_intro(sub_structures(d)[0])
-
-
-def _weaken_rewrite(d: ArgumentStructure) -> ArgumentStructure:
-    f = d.formula  # Impl(Conj(a, c), b)
-    body = d.children[0].children[0]
-    # a from the assumption a & c, which a new ->-intro at the root
+def _weaken_detour(d: ArgumentStructure) -> ArgumentStructure | None:
+    """An implication just introduced, weakened to a & c -> b: the body
+    under a new ->-intro, each a taken from the assumption a & c."""
+    f = d.formula
+    if not (isinstance(f, Impl) and isinstance(f.left, Conj)):
+        return None
+    if len(d.children) != 1 or _binds(d):
+        return None
+    intro = d.children[0]
+    g = intro.formula
+    if not (
+        isinstance(g, Impl)
+        and g.left == f.left.left
+        and g.right == f.right
+        and match_impl_intro(intro)
+    ):
+        return None
+    # a from the assumption a & c, which the new ->-intro at the root
     # discharges: two levels up from the leaf while the stub sits just
     # below the root
     stub = Node(f.left.left, (Node(f.left, bound=2),))
-    return Node(f, (_moved(body, -1, stub),))
+    return Node(f, (_moved(intro.children[0], -1, stub),))
 
 
-def _project_applies(d: ArgumentStructure) -> bool:
-    if not (match_or_project(d) and match_or_intro(sub_structures(d)[0])):
-        return False
-    major = sub_structures(d)[0]
-    return conclusion(sub_structures(major)[0]) == major.formula.left
+def _project_detour(d: ArgumentStructure) -> ArgumentStructure | None:
+    """The left disjunct projected out of its own left introduction: its
+    proof."""
+    if len(d.children) != 1 or _binds(d):
+        return None
+    intro = d.children[0]
+    g = intro.formula
+    if not (isinstance(g, Disj) and g.left == d.formula and match_or_intro(intro)):
+        return None
+    inner = intro.children[0]
+    return _moved(inner, -2) if inner.formula == g.left else None
 
 
-def _project_rewrite(d: ArgumentStructure) -> ArgumentStructure:
-    return _moved(d.children[0].children[0], -2)
-
-
-CONJ_DETOUR = Reduction("conj-detour", _conj_applies, _conj_rewrite)
-DISJ_DETOUR = Reduction("disj-detour", _disj_applies, _disj_rewrite)
-IMP_DETOUR = Reduction("imp-detour", _imp_applies, _imp_rewrite)
-WEAKEN_DETOUR = Reduction("weaken-detour", _weaken_applies, _weaken_rewrite)
-PROJECT_DETOUR = Reduction("project-detour", _project_applies, _project_rewrite)
+CONJ_DETOUR = Reduction("conj-detour", _conj_detour)
+DISJ_DETOUR = Reduction("disj-detour", _disj_detour)
+IMP_DETOUR = Reduction("imp-detour", _imp_detour)
+WEAKEN_DETOUR = Reduction("weaken-detour", _weaken_detour)
+PROJECT_DETOUR = Reduction("project-detour", _project_detour)
 
 _STANDARD = (CONJ_DETOUR, DISJ_DETOUR, IMP_DETOUR, WEAKEN_DETOUR, PROJECT_DETOUR)
 
@@ -180,7 +212,7 @@ def pointer_reduction(
         raise StructureError("pointer reduction changes the conclusion")
     if not assumptions(target) <= assumptions(source):
         raise StructureError("pointer reduction introduces assumptions")
-    return Reduction(name, lambda d: d == source, lambda d: target)
+    return Reduction(name, lambda d: target if d == source else None)
 
 
 def constant_reduction(
@@ -200,16 +232,14 @@ def constant_reduction(
         )
     want = tuple(premises)
 
-    def applies(d: ArgumentStructure) -> bool:
-        if d.formula != concl or len(d.children) != len(want):
-            return False
-        if root_discharges(d):
-            return False
-        return all(
-            conclusion(sub) == f for sub, f in zip(sub_structures(d), want)
-        )
+    def rewrite(d: ArgumentStructure) -> ArgumentStructure | None:
+        if d.formula != concl or len(d.children) != len(want) or _binds(d):
+            return None
+        if any(c.formula != f for c, f in zip(d.children, want)):
+            return None
+        return target
 
-    return Reduction(name, applies, lambda d: target)
+    return Reduction(name, rewrite)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +274,13 @@ def _rewrites_of(
     found = memo.get(node)
     if found is not None:
         return found
-    # grafting at the root only checks that the rewrite keeps the conclusion
-    found = [
-        ((), red.name, _graft(node, (), red.rewrite(node)))
-        for red in reductions
-        if red.applies(node)
-    ]
+    found = []
+    for red in reductions:
+        new = red.rewrite(node)
+        if new is not None:
+            # grafting at the root only checks that the reduct keeps the
+            # conclusion
+            found.append(((), red.name, _graft(node, (), new)))
     kids = node.children
     for i, child in enumerate(kids):
         for pos, name, new in _rewrites_of(child, reductions, memo):

@@ -16,6 +16,7 @@ from oracles import (
     ref_standard,
     ref_variant,
 )
+from prooflab import atomic_system
 from prooflab.atomic_system import (
     Base,
     atoms_of_base,
@@ -29,6 +30,7 @@ from prooflab.base_semantics import (
     SearchBounds,
     SemanticsKind,
     Sequent,
+    BaseContext,
     base_completeness_witness,
     export_principle_holds,
     format_sequent,
@@ -265,6 +267,20 @@ def test_context_lives_exactly_as_long_as_its_base():
     del b, twin, ctx
     gc.collect()
     assert gone() is None
+
+
+def test_building_a_context_does_not_revalidate_its_base(monkeypatch):
+    b = parse_base_text("p.\n(p => q)")
+    calls = []
+
+    def counting(rules):
+        calls.append(rules)
+        return check_consistency(rules)
+
+    monkeypatch.setattr(atomic_system, "check_consistency", counting)
+    ctx = BaseContext(b)
+    assert ctx.atom_witness("q") is not None
+    assert calls == []
 
 
 def test_evaluation_is_stable_under_memoization():

@@ -601,3 +601,40 @@ def test_unknown_justification_kind(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EX_DATA
     assert "unknown justification kind" in err
+
+
+# argument files of the wrong shape: a key missing or a value of the wrong type
+MALFORMED_ARGUMENTS = {
+    "root-without-formula": {"structure": {"root": {}}},
+    "structure-not-an-object": {"structure": 5},
+    "list": [1, 2],
+    "discharge-without-path": {
+        "structure": {
+            "root": structure_to_obj(assumption(p))["root"],
+            "discharge": [{"kind": "assume", "target": []}],
+        }
+    },
+    "constant-without-premises": {
+        "structure": structure_to_obj(DETOUR),
+        "justifications": [
+            {
+                "kind": "constant",
+                "conclusion": "p",
+                "target": structure_to_obj(axiom_leaf(p)),
+            }
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "obj", MALFORMED_ARGUMENTS.values(), ids=list(MALFORMED_ARGUMENTS)
+)
+def test_malformed_argument_is_a_data_error(tmp_path, capsys, obj):
+    path = write_json(tmp_path / "arg.json", obj)
+    code = main(["check_valid", "--argument", path])
+    err = capsys.readouterr().err
+    assert code == EX_DATA
+    # one line, no traceback
+    assert err.startswith(f"prooflab: malformed argument file {path}: ")
+    assert err.count("\n") == 1

@@ -150,6 +150,52 @@ def test_weaken_detour_vacuous():
     assert match_impl_intro(step.result)
 
 
+def _discharged_at_root(d, *leaves):
+    """d with the given leaves discharged at its root as well."""
+    return bind(d, tuple((AssumptionDischarge(leaf=at), ()) for at in leaves))
+
+
+def test_each_detour_rewrites_exactly_its_own_redex():
+    case1 = impl_elim(assumption(Impl(p, r)), assumption(p))
+    case2 = impl_elim(assumption(Impl(q, r)), assumption(q))
+    conj = and_elim(and_intro(assumption(p), assumption(q)), 1)
+    conj2 = and_elim(and_intro(assumption(p), assumption(q)), 2)
+    disj = or_elim(or_intro_right(assumption(q), p), case1, case2)
+    body = and_intro(assumption(p), assumption(s))
+    imp = impl_elim(impl_intro(body, p), axiom_leaf(p))
+    weak = weaken(impl_intro(assumption(q), p), r)
+    project = or_project(or_intro_left(assumption(p), q))
+    redexes = [
+        (CONJ_DETOUR, conj, assumption(p)),
+        (CONJ_DETOUR, conj2, assumption(q)),
+        (DISJ_DETOUR, disj, case2),
+        (IMP_DETOUR, imp, and_intro(axiom_leaf(p), assumption(s))),
+        (WEAKEN_DETOUR, weak, Node(Impl(Conj(p, r), q), (assumption(q),))),
+        (PROJECT_DETOUR, project, assumption(p)),
+    ]
+    for red, redex, reduct in redexes:
+        for other in STD:
+            assert other.rewrite(redex) == (reduct if other is red else None)
+    stuck = [
+        # eliminations over a bare assumption
+        and_elim(assumption(Conj(p, q)), 1),
+        or_elim(assumption(Disj(p, q)), case1, case2),
+        impl_elim(assumption(Impl(p, q)), assumption(p)),
+        weaken(assumption(Impl(p, q)), r),
+        or_project(assumption(Disj(p, q))),
+        # the left disjunct out of a right introduction
+        or_project(or_intro_right(assumption(q), p)),
+        # each redex above, with a leaf discharged at the elimination too
+        _discharged_at_root(conj, (0, 1)),
+        _discharged_at_root(disj, (0, 0)),
+        _discharged_at_root(imp, (0, 0, 1)),
+        _discharged_at_root(weak, (0, 0)),
+        _discharged_at_root(project, (0, 0)),
+    ]
+    for d in stuck:
+        assert [red.rewrite(d) for red in STD] == [None] * 5
+
+
 # ---------------------------------------------------------------------------
 # positions and discharges across them
 
@@ -377,8 +423,7 @@ def test_detour_chain_search(depth):
 def test_pointer_reduction_exact_match():
     source = and_elim(and_intro(assumption(p), assumption(q)), 1)
     red = pointer_reduction(source, assumption(p), name="shortcut")
-    assert red.applies(source)
-    assert not red.applies(and_elim(and_intro(assumption(p), assumption(r)), 1))
+    assert red.rewrite(and_elim(and_intro(assumption(p), assumption(r)), 1)) is None
     assert red.rewrite(source) == assumption(p)
 
 
@@ -393,21 +438,20 @@ def test_pointer_reduction_guards():
 def test_constant_reduction_matches_instances():
     red = constant_reduction([p], q, axiom_leaf(q), name="kappa")
     schema = structure_of_inference(Inference(subs=(assumption(p),), conclusion=q))
-    assert red.applies(schema)
+    assert red.rewrite(schema) == axiom_leaf(q)
     instance = structure_of_inference(
         Inference(subs=(and_elim(assumption(Conj(p, r)), 1),), conclusion=q)
     )
-    assert red.applies(instance)
     assert red.rewrite(instance) == axiom_leaf(q)
     wrong_arity = structure_of_inference(
         Inference(subs=(assumption(p), assumption(p)), conclusion=q)
     )
-    assert not red.applies(wrong_arity)
+    assert red.rewrite(wrong_arity) is None
     discharging = bind(
         Node(formula=q, children=(leaf(p),)),
         ((AssumptionDischarge(leaf=(0,)), ()),),
     )
-    assert not red.applies(discharging)
+    assert red.rewrite(discharging) is None
 
 
 def test_constant_reduction_needs_closed_target():
@@ -555,10 +599,10 @@ def reference_rewrites(d, reductions):
     the reductions in the given order at each, each rewrite grafted into
     the whole structure."""
     return [
-        (path, red.name, _graft(d, path, red.rewrite(sub)))
+        (path, red.name, _graft(d, path, new))
         for path, sub in iter_nodes(d)
         for red in reductions
-        if red.applies(sub)
+        if (new := red.rewrite(sub)) is not None
     ]
 
 
