@@ -12,14 +12,18 @@ rules of level at most k - 2.
 ``bot`` is an ordinary atom here: deriving it is not special, except that a
 Base refuses construction when its rules derive bot outright.
 
-Derivability is decided by saturating the finite family of reachable rule
-contexts (the closure of the initial rule supply under adding discharged
-sets): every rule is numbered once, a context is a bitmask over those
-numbers, every (context, rule) application is grounded once, and facts
+Derivability is decided goal first, as in tabled resolution: every rule is
+numbered once, a context is a bitmask over those numbers, and a worklist of
+goals (context, atom), seeded with every atom in the supply's context,
+grounds only the rules of a goal's context that conclude its atom.  Each
+premise asks for a fact in the context its discharged rules extend to, so a
+context is opened only when some goal asks for a fact in it.  Facts then
 propagate through per-application counters of unmet premises, as in
 linear-time Horn satisfiability.  A positive answer carries a derivation
 tree that an independent checker (check_derivation) replays against the
-rule supply; the tree does not depend on the hash seed.
+rule supply.  Each fact is justified by the first application that
+completes, in the order goals were asked, so the tree does not depend on
+the hash seed.
 
 Concrete rule syntax, one rule per line in base files:
 
@@ -239,7 +243,7 @@ class DerivationNode:
 
 
 class _Saturation:
-    """Fixpoint of 'atom a is derivable in context R' over reachable contexts.
+    """Fixpoint of 'atom a is derivable in context R' over the facts asked.
 
     A context is the supply plus some of the rules that premises discharge.
     Built in three steps:
@@ -248,18 +252,25 @@ class _Saturation:
        and every rule nested in a discharged set.  A context is then an int
        bitmask over those numbers, and a premise's target context is the
        current one OR'd with the premise's discharged-rule mask.
-    2. Ground every (context, rule) application once, breadth first from
-       the supply's context: each premise resolves its target context (new
-       targets join the queue) and the application watches the fact
-       (target context, premise atom).  A rule whose conclusion an axiom
-       of the context already gives is skipped (axioms sort first among
-       the rules concluding an atom), together with its premises.
+    2. Ground applications from a worklist of goals, as tabled resolution
+       does (Tamaki & Sato 1986; Chen & Warren 1996).  The worklist starts
+       with every atom in the supply's context.  A goal (context c, atom a)
+       grounds the rules of c that conclude a, in rule-number order, and
+       stops at the first axiom (axioms sort first among the rules
+       concluding an atom).  Each premise (b, discharged mask) of those
+       rules asks for the fact (c | mask, b), which joins the worklist the
+       first time it is asked.  A context is opened only when some goal
+       asks for a fact in it.
     3. Propagate with counters, as in linear-time Horn satisfiability
        (Dowling & Gallier 1984): each application counts its unmet
        premises; a newly recorded fact decrements the applications that
        watch it, and one whose count reaches zero records its conclusion.
 
-    Each justification references only facts recorded before it, so witness
+    A fact never asked can feed only applications never asked, so the asked
+    facts propagate exactly as in the saturation of every reachable context.
+    Each fact is justified by the first of its applications that completes,
+    applications being numbered in the order goals were asked; each
+    justification references only facts recorded before it, so witness
     extraction is well-founded even through cyclic rule supplies.  Every
     order followed comes from the rule numbering, never from iterating a
     set, so the witness does not depend on the hash seed.  Only the fact
@@ -281,74 +292,77 @@ class _Saturation:
         order = sorted(seen, key=lambda r: r._key)
         index = {r: i for i, r in enumerate(order)}
         atoms: dict[str, int] = {}
-        # per rule number: (conclusion, ((premise atom, discharged mask), ...)),
-        # atoms as numbers too
+        # per rule number: ((premise atom, discharged mask), ...), atoms as
+        # numbers too; concluding[a] is the mask of the rules concluding a
         shapes = []
-        for r in order:
+        concluding: dict[int, int] = {}
+        for i, r in enumerate(order):
             prems = []
             for p in r.premises:
                 dmask = 0
                 for s in p.discharged:
                     dmask |= 1 << index[s]
                 prems.append((atoms.setdefault(p.conclusion, len(atoms)), dmask))
-            shapes.append((atoms.setdefault(r.conclusion, len(atoms)), tuple(prems)))
+            shapes.append(tuple(prems))
+            head = atoms.setdefault(r.conclusion, len(atoms))
+            concluding[head] = concluding.get(head, 0) | 1 << i
+        n = len(atoms)
         initial = 0
         for r in supply:
             initial |= 1 << index[r]
-        n = len(atoms)
-        unset = [None] * n
 
         # a fact (context c, atom a) is the number c * n + a.  Application k
-        # is rule app_rule[k] in the context of fact app_head[k], its
-        # conclusion there, with counts[k] premises unmet; watchers[f] lists
-        # the applications waiting on fact f (once per premise), just[f] the
-        # one that recorded it, and queue the recorded facts in order.
+        # is rule app_rule[k] concluding fact app_head[k], with counts[k]
+        # premises unmet.  goals lists the facts asked, in the order asked;
+        # watchers[f] lists the applications waiting on asked fact f (once
+        # per premise), just[f] the one that recorded it, and queue the
+        # recorded facts in order.
         ids = {initial: 0}
         masks = [initial]
-        watchers: list[list[int]] = [[] for _ in range(n)]
-        just: list[int | None] = unset[:]
+        goals = list(range(n))
+        watchers: dict[int, list[int]] = {f: [] for f in goals}
+        just: dict[int, int] = {}
         app_rule: list[int] = []
         app_head: list[int] = []
         counts: list[int] = []
         queue: list[int] = []
         steps = 0
-        for c, m in enumerate(masks):  # masks grows as targets are found
-            here = c * n
-            rest = m
+        for f in goals:  # goals grows as premises ask for new facts
+            c, a = divmod(f, n)
+            m = masks[c]
+            rest = m & concluding.get(a, 0)
             while rest:
                 low = rest & -rest
                 rest ^= low
                 i = low.bit_length() - 1
-                head, prems = shapes[i]
-                head += here
-                if just[head] is not None:
-                    # an axiom here already concludes it (axioms sort first)
-                    continue
+                prems = shapes[i]
                 k = len(counts)
                 app_rule.append(i)
-                app_head.append(head)
+                app_head.append(f)
                 counts.append(len(prems))
                 if not prems:
-                    just[head] = k
-                    queue.append(head)
-                    continue
+                    # an axiom: the later rules concluding a add nothing
+                    just[f] = k
+                    queue.append(f)
+                    break
                 steps += len(prems)
                 if steps > max_steps:
                     raise ResourceLimitExceeded(
                         f"saturation exceeded {max_steps} steps"
                     )
-                for a, dmask in prems:
+                for b, dmask in prems:
                     tm = m | dmask
-                    if tm == m:
-                        watchers[here + a].append(k)
-                        continue
                     t = ids.get(tm)
                     if t is None:
                         t = ids[tm] = len(masks)
                         masks.append(tm)
-                        watchers.extend([] for _ in range(n))
-                        just.extend(unset)
-                    watchers[t * n + a].append(k)
+                    g = t * n + b
+                    waiting = watchers.get(g)
+                    if waiting is None:
+                        watchers[g] = [k]
+                        goals.append(g)
+                    else:
+                        waiting.append(k)
 
         for f in queue:  # queue grows as facts are recorded
             waiting = watchers[f]
@@ -360,7 +374,7 @@ class _Saturation:
                 counts[k] = left
                 if not left:
                     head = app_head[k]
-                    if just[head] is None:
+                    if head not in just:
                         just[head] = k
                         queue.append(head)
 
@@ -372,7 +386,7 @@ class _Saturation:
             c, a = divmod(f, n)
             m = masks[c]
             i = app_rule[just[f]]
-            targets = tuple(ids[m | dmask] for _, dmask in shapes[i][1])
+            targets = tuple(ids[m | dmask] for _, dmask in shapes[i])
             self.facts[c][names[a]] = (order[i], targets)
 
     def derivable(self, goal: str) -> bool:
@@ -412,8 +426,8 @@ def derive(
     The base may also be given as its rule set.  A YES carries a derivation
     tree; replay it with check_derivation against the base's rules | assumed.
     Budget exhaustion raises ResourceLimitExceeded rather than answering NO;
-    a step is one grounded premise (a premise of a rule in a reachable
-    context) or one counter decrement (a recorded fact passed on to one
+    a step is one grounded premise (a premise of an application some goal
+    asked for) or one counter decrement (a recorded fact passed on to one
     application watching it).
     """
     rules = base.rules if isinstance(base, Base) else base

@@ -573,7 +573,8 @@ def main(argv: list[str] | None = None) -> int:
         InconsistentBaseError,
         StructureError,
         json.JSONDecodeError,
-        FileNotFoundError,
+        UnicodeDecodeError,
+        OSError,
     ) as exc:
         print(f"prooflab: {exc}", file=sys.stderr)
         return EX_DATA

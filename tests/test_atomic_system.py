@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -233,6 +238,28 @@ def test_derivable_atoms_match_naive_fixpoint(rs):
         assert check_derivation(res.tree, rs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(rules(max_level=4), min_size=0, max_size=4),
+    st.lists(st.sets(st.sampled_from(["p", "q", "r"])), min_size=1, max_size=3),
+)
+def test_base_under_assumed_axioms_matches_naive_fixpoint(rs, assumed_sets):
+    # one consistent base under several assumed-axiom sets, as the
+    # benchmark's saturation tiers query it
+    rs = frozenset(rs)
+    if not check_consistency(rs):
+        return
+    b = Base(rules=rs)
+    for names in assumed_sets:
+        extra = frozenset(axiom(a) for a in names)
+        got = derivable_atoms(b, assumed=extra)
+        assert got == naive_derivable(rs | extra)
+        for a in got:
+            res = derive(b, assumed=extra, goal=a)
+            assert res.derivable
+            assert check_derivation(res.tree, rs | extra)
+
+
 def discharge_fan(k: int) -> str:
     """a0 plus k rules ([x_i => y] => z): 2^k reachable contexts."""
     return "a0.\n" + "\n".join(f"([x{i} => y] => z)" for i in range(k))
@@ -242,20 +269,81 @@ def test_step_budget_raises_rather_than_answering_no():
     b = base(discharge_fan(6) + "\n(x3 => y)")
     for goal in ("z", "y"):
         with pytest.raises(ResourceLimitExceeded):
-            derive(b, goal=goal, max_steps=20)
+            derive(b, goal=goal, max_steps=10)
     assert derive(b, goal="z").derivable
     assert not derive(b, goal="y").derivable
 
 
 def test_consistency_needs_no_saturation_without_a_bot_rule():
-    # no rule concludes bot, so building the base does not saturate its
-    # 2^16 contexts (about a million steps)
+    # no rule concludes bot, so building the base saturates nothing; and
+    # deriving z opens only the 16 contexts its goals ask for, not all 2^16
     b = base(discharge_fan(16))
     assert len(b.rules) == 17
+    assert not derive(b, goal="z", max_steps=1_000).derivable
     with pytest.raises(ResourceLimitExceeded):
-        derive(b, goal="z", max_steps=10_000)
+        derive(b, goal="z", max_steps=10)
     # bot concluded only by a discharged rule: still consistent
     assert check_consistency(base("([(p => bot) => bot] => q)\np.").rules)
+
+
+def test_fan_with_a_bot_rule_builds_at_once():
+    # building the base asks for bot, hence for z: the 16 contexts z's
+    # premises open, where the whole closure has 2^16
+    start = time.perf_counter()
+    b = base(discharge_fan(16) + "\n(z => bot)")
+    assert time.perf_counter() - start < 1.0
+    assert derivable_atoms(b) == {"a0"}
+
+
+def test_fan_of_twenty_answers_within_the_default_budget():
+    assert not derive(base(discharge_fan(20)), goal="z").derivable
+    b = base(discharge_fan(20) + "\n(x7 => y)")
+    res = derive(b, goal="z")
+    assert res.derivable and check_derivation(res.tree, b.rules)
+
+
+# discharges open several contexts, and justifications tie: two for r in
+# the supply's context, two for s under the discharge of a, two for t
+TIED_SUPPLY = """p.
+q.
+(p => r)
+(q => r)
+(r => s)
+(a => s)
+(b => s)
+([a => s] => t)
+([b => s] => t)
+([(p => u) => u] => v)
+"""
+
+PRINT_TREES = f"""
+from prooflab.atomic_system import derivable_atoms, derive, format_rule, parse_base_text
+
+def show(node, depth):
+    print("  " * depth + node.conclusion + " by " + format_rule(node.rule))
+    for child in node.children:
+        show(child, depth + 1)
+
+b = parse_base_text({TIED_SUPPLY!r})
+for a in sorted(derivable_atoms(b)):
+    show(derive(b, goal=a).tree, 0)
+"""
+
+
+def test_trees_independent_of_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        proc = subprocess.run(
+            [sys.executable, "-c", PRINT_TREES],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    roots = [line.split()[0] for line in outs.pop().splitlines() if line[0] != " "]
+    assert roots == ["p", "q", "r", "s", "t", "v"]
 
 
 # ---------------------------------------------------------------------------

@@ -638,3 +638,30 @@ def test_malformed_argument_is_a_data_error(tmp_path, capsys, obj):
     # one line, no traceback
     assert err.startswith(f"prooflab: malformed argument file {path}: ")
     assert err.count("\n") == 1
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe{}")
+    return str(path)
+
+
+# files that cannot be read as UTF-8 text: bytes that do not decode, a directory
+UNREADABLE_INPUTS = {
+    "argument-not-utf8": lambda d: ["check_valid", "--argument", _not_utf8(d)],
+    "argument-directory": lambda d: ["check_valid", "--argument", str(d)],
+    "base-not-utf8": lambda d: ["eval", "--base", _not_utf8(d), "--sequent", "|- p"],
+    "base-directory": lambda d: ["eval", "--base", str(d), "--sequent", "|- p"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", UNREADABLE_INPUTS.values(), ids=list(UNREADABLE_INPUTS)
+)
+def test_unreadable_input_is_a_data_error(tmp_path, capsys, argv):
+    code = main(argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == EX_DATA
+    # one line, no traceback
+    assert err.startswith("prooflab: ")
+    assert err.count("\n") == 1
