@@ -104,6 +104,8 @@ __all__ = [
 
 Path = tuple[int, ...]
 
+_CLOSED: frozenset = frozenset()
+
 
 class StructureError(ValueError):
     pass
@@ -128,9 +130,14 @@ class Node:
     a non-axiomatic leaf, an assumed axiom at an axiomatic one and an
     assumed application of rule at an inner node.  free is derived: bit i
     is set when some node of the subtree is discharged i + 1 levels above
-    this one.  The hash is computed once, beside free, from the children's
-    cached hashes, so a lookup never walks the tree.  A node is also the
-    structure rooted at it, discharges reaching above it left open."""
+    this one.  open, derived too, summarizes the subtree's non-axiomatic
+    leaves that the subtree itself does not discharge, as (formula,
+    distance) pairs: distance 0 for a leaf nothing discharges, otherwise
+    how many levels above this node the leaf's binder sits.  The hash is
+    computed once, beside them, from the children's cached hashes, so
+    neither a lookup nor a question about assumptions walks the tree.  A
+    node is also the structure rooted at it, discharges reaching above it
+    left open."""
 
     formula: Formula
     children: tuple["Node", ...] = ()
@@ -138,15 +145,31 @@ class Node:
     bound: int = 0
     rule: AtomicRule | None = None
     free: int = field(default=0, init=False, repr=False, compare=False)
+    open: frozenset[tuple[Formula, int]] = field(
+        default=_CLOSED, init=False, repr=False, compare=False
+    )
     _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.axiomatic and self.children:
             raise StructureError("axiomatic mark on an inner node")
         free = 1 << self.bound - 1 if self.bound else 0
+        opened = (
+            _CLOSED
+            if self.children or self.axiomatic
+            else frozenset(((self.formula, self.bound),))
+        )
         for child in self.children:
             free |= child.free >> 1
+            sub = child.open
+            if sub and child.free:
+                # one level up: a leaf bound one level above the child is
+                # discharged here
+                sub = frozenset((f, d - 1 if d else 0) for f, d in sub if d != 1)
+            if sub:
+                opened = opened | sub if opened else sub
         object.__setattr__(self, "free", free)
+        object.__setattr__(self, "open", opened)
         object.__setattr__(
             self,
             "_hash",
@@ -389,11 +412,13 @@ def assumption_paths(struct: ArgumentStructure) -> dict[Path, Formula]:
 
 
 def assumptions(struct: ArgumentStructure) -> frozenset[Formula]:
-    return frozenset(assumption_paths(struct).values())
+    """The labels of the undischarged non-axiomatic leaves, read off the
+    root's summary: whatever it lists, the structure leaves open."""
+    return frozenset(f for f, _ in struct.open)
 
 
 def is_closed(struct: ArgumentStructure) -> bool:
-    return not assumption_paths(struct)
+    return not struct.open
 
 
 def _binds(struct: ArgumentStructure) -> bool:
@@ -442,14 +467,12 @@ def instantiate(
     struct: ArgumentStructure, sigma: Mapping[Formula, ArgumentStructure]
 ) -> ArgumentStructure:
     """Replace every assumption leaf by the structure its label maps to."""
-    targets = assumption_paths(struct)
-    missing = sorted(
-        format_formula(f) for f in set(targets.values()) - set(sigma.keys())
-    )
+    targets = assumptions(struct)
+    missing = sorted(format_formula(f) for f in targets - set(sigma.keys()))
     if missing:
         raise StructureError(f"instantiation misses assumptions: {missing}")
     for f, sub in sigma.items():
-        if f in targets.values() and conclusion(sub) != f:
+        if f in targets and conclusion(sub) != f:
             raise StructureError(
                 f"instance for {format_formula(f)} concludes "
                 f"{format_formula(conclusion(sub))}"
@@ -458,7 +481,8 @@ def instantiate(
     def fill(node: Node, depth: int) -> Node:
         if _is_open(node, depth):
             return _moved(sigma[node.formula], depth)
-        if not node.children:
+        if not node.children or all(d and d <= depth for _, d in node.open):
+            # no leaf of the subtree is open in the structure
             return node
         return _with_children(node, tuple(fill(c, depth + 1) for c in node.children))
 

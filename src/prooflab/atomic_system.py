@@ -403,7 +403,11 @@ class _Saturation:
         return extract(0, goal)
 
 
-@lru_cache(maxsize=16384)
+# A few recent saturations, for repeated derive() calls on one supply (one
+# per goal atom of the same base under the same assumed rules).  A base's
+# own saturation lives in its evaluation context (base_semantics), so this
+# cache need not hold every base's for as long as it lives.
+@lru_cache(maxsize=256)
 def _saturate(supply: frozenset, max_steps: int = DEFAULT_MAX_STEPS) -> _Saturation:
     return _Saturation(supply, max_steps)
 
@@ -428,7 +432,8 @@ def derive(
     Budget exhaustion raises ResourceLimitExceeded rather than answering NO;
     a step is one grounded premise (a premise of an application some goal
     asked for) or one counter decrement (a recorded fact passed on to one
-    application watching it).
+    application watching it).  The 256 most recent saturations are kept,
+    so asking for each atom of one supply in turn saturates it once.
     """
     rules = base.rules if isinstance(base, Base) else base
     supply = rules | frozenset(assumed)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from prooflab.arguments import ArgumentStructure, derivation_to_structure
 from prooflab.atomic_system import (
@@ -43,9 +43,8 @@ from prooflab.atomic_system import (
     Base,
     atoms_of_base,
     axiom,
+    _saturate,
     check_consistency,
-    derivable_atoms,
-    derive,
     format_rule,
     star_translate,
 )
@@ -162,28 +161,33 @@ def _notes(kind: SemanticsKind) -> tuple[str, ...]:
 
 
 class BaseContext:
-    """What evaluation over one base needs, computed once for that base.
+    """Everything derived from one base, computed once for that base.
 
-    It holds the base's derivable atoms, the atoms it mentions (the
-    variant's universe starts from them) and at most one atomic witness
-    argument per atom, built on first request.  It also decides truth:
-    with a nonempty premise set read materially, both relations collapse
-    to the classical valuation that makes exactly the derivable atoms true.
-    For the variant's disjunction clause this is because the universe
-    always holds a fresh atom, which the base never derives, so the clause
-    fails exactly when both disjuncts fail.  Truth values are memoized per
-    formula.  Get the context of a base from base_context().
+    It owns the saturation of the base's own rules, and from it the
+    derivable atoms and at most one atomic witness argument per atom,
+    built on first request.  It holds the atoms the base mentions (the
+    variant's universe starts from them).  It also decides truth: with a
+    nonempty premise set read materially, both relations collapse to the
+    classical valuation that makes exactly the derivable atoms true.  For
+    the variant's disjunction clause this is because the universe always
+    holds a fresh atom, which the base never derives, so the clause fails
+    exactly when both disjuncts fail.  Truth values are memoized per
+    formula.  validity is the validity layer's state for the base (its
+    witness arguments, their verdicts and its suite provider), made by that
+    layer on first use.  Nothing here references the base itself: the
+    context is a value of the weak mapping keyed by the base, and a
+    reference to that key would keep both alive for good.  Get the context
+    of a base from base_context().
     """
 
     def __init__(self, base: Base) -> None:
-        self.derivable = derivable_atoms(base)
-        self.atoms = atoms_of_base(base)
-        # the rules, not the base itself: the context is a value of the weak
-        # mapping keyed by the base, and a reference to that key would keep
-        # both alive for good
         self._rules = base.rules
+        self._saturation = _saturate(base.rules)
+        self.derivable = frozenset(self._saturation.facts[0])
+        self.atoms = atoms_of_base(base)
         self._truth: dict[Formula, bool] = {}
         self._witnesses: dict[str, ArgumentStructure | None] = {}
+        self.validity: Any = None
 
     def holds(self, f: Formula) -> bool:
         """Does the closed formula f hold over the base?"""
@@ -211,10 +215,9 @@ class BaseContext:
         """The base's derivation of the atom as an argument structure, or
         None when the atom is not derivable."""
         if name not in self._witnesses:
-            res = derive(self._rules, frozenset(), name)
             self._witnesses[name] = (
-                derivation_to_structure(res.tree, self._rules)
-                if res.derivable
+                derivation_to_structure(self._saturation.tree(name), self._rules)
+                if name in self.derivable
                 else None
             )
         return self._witnesses[name]
@@ -339,6 +342,12 @@ def models(
 
 @dataclass(frozen=True)
 class SearchBounds:
+    """Caps on the bases search_counterexample tries: at most max_atoms of
+    the sequent's atoms, at most max_rules rules.  max_level is accepted
+    and reported but never read: the search tries axiom-only bases, which
+    are exhaustive at any bounds (see search_counterexample), so no level
+    cap can change an answer."""
+
     max_atoms: int = 3
     max_rules: int = 4
     max_level: int = 2

@@ -50,9 +50,9 @@ from prooflab.base_semantics import (
 )
 from prooflab.reductions import (
     Reduction,
-    _rewrites_of,
     constant_reduction,
     pointer_reduction,
+    reduce_step,
     search_reduct,
     standard_reductions,
 )
@@ -284,18 +284,16 @@ def _cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
     # no target: rewrite to a normal form, tracing the steps
     current = arg.structure
     steps = []
-    # the steps share one memo: a step leaves most subtrees as they were
-    memo: dict = {}
     while True:
-        found = _rewrites_of(current, reds, memo)
-        if not found or len(steps) >= cfg.budget:
+        step = reduce_step(current, reds)
+        if step is None or len(steps) >= cfg.budget:
             break
-        pos, rule, current = found[0]
-        steps.append({"position": list(pos), "rule": rule})
+        current = step.result
+        steps.append({"position": list(step.position), "rule": step.rule})
     payload = {
         "steps": steps,
         "normal_form": structure_to_obj(current),
-        "stuck": not found,
+        "stuck": step is None,
     }
     lines = []
     for k, step in enumerate(steps, 1):
@@ -550,7 +548,11 @@ def build_parser() -> _Parser:
         "--bounds",
         type=_bounds,
         default="3,4,2",
-        help="atoms,rules,level caps for the searched bases",
+        help=(
+            "atoms,rules,level caps for the searched bases; the search tries "
+            "axiom-only bases, which are exhaustive, so the level cap cannot "
+            "change an answer"
+        ),
     )
     sp.set_defaults(func=_cmd_search)
 

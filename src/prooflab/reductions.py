@@ -26,7 +26,9 @@ One breadth-first walk, Reachable, enumerates the reduction closure up to a
 budget on distinct structures and records the step that first reached each
 one; the structures it finds share most of their subtrees, and each distinct
 subtree's rewrites are computed once per walk.  search_reduct and the
-validity checker both stop it at the first structure they want.
+validity checker both stop it at the first structure they want.  A single
+step (reduce_step) searches the same order and stops at the first rewrite
+that applies.
 """
 
 from __future__ import annotations
@@ -290,12 +292,32 @@ def _rewrites_of(
     return found
 
 
+def _first_rewrite(
+    node: Node, reductions: Sequence[Reduction]
+) -> tuple[Path, str, Node] | None:
+    """The first of _rewrites_of's list, found without building the rest:
+    the node's own rewrites, reductions in the given order, then each
+    child's in turn, stopping at the first that applies."""
+    for red in reductions:
+        new = red.rewrite(node)
+        if new is not None:
+            return (), red.name, _graft(node, (), new)
+    kids = node.children
+    for i, child in enumerate(kids):
+        found = _first_rewrite(child, reductions)
+        if found is not None:
+            pos, name, new = found
+            rebuilt = _with_children(node, kids[:i] + (new,) + kids[i + 1 :])
+            return (i, *pos), name, rebuilt
+    return None
+
+
 def reduce_step(
     struct: ArgumentStructure, reductions: Sequence[Reduction]
 ) -> ReductionStep | None:
     """The first applicable rewrite, outermost-first and leftmost."""
-    found = _rewrites_of(struct, reductions, {})
-    return ReductionStep(*found[0]) if found else None
+    found = _first_rewrite(struct, reductions)
+    return ReductionStep(*found) if found else None
 
 
 def successors(

@@ -24,9 +24,14 @@ and then synthesizes and rechecks a concrete witness argument, so a
 positive answer always comes with an argument in hand.  The base's
 evaluation context (base_semantics.base_context) answers the clause-defined
 relation by its classical valuation and supplies the atomic derivations the
-witness and the closing instances are built from, one per atom for as long
-as the base lives.  Compound witnesses and verdicts are built afresh on
-every call.
+witnesses are built from, one per atom.  The same context keeps this
+layer's state for the base, for as long as the base lives: one closed
+witness argument per formula, so the same justification objects come back
+on every call; the verdict of each witness argument per budget, used
+wherever that exact argument is checked again (as a closing instance, and
+as models_alpha's argument for a sequent without premises); and the suite
+provider built on those witnesses.  Nothing is kept per sequent, and the
+checks of sub-arguments under a parent's justifications are made afresh.
 """
 
 from __future__ import annotations
@@ -296,12 +301,10 @@ def _check_open(
         for f, closing in sigma.items():
             if f not in open_forms:
                 continue
-            v = _check_closed(
-                Argument(closing.structure, closing.justifications),
-                base,
-                provider,
-                budget,
-            )
+            if isinstance(provider, _Witnesses):
+                v = provider.verdict(closing, base, budget)
+            else:
+                v = _check_closed(closing, base, provider, budget)
             if v.status is Status.INVALID:
                 notes.append(
                     f"closing instance {k} skipped: its argument for "
@@ -362,57 +365,89 @@ def _check_open(
 # witnesses and the consequence evaluator
 
 
-def _closed_witness(ctx: BaseContext, f: Formula, justs: list[Reduction]) -> ArgumentStructure:
-    """A canonical closed argument for a formula that holds over the base;
-    justifications collected along the way end up in justs."""
-    if isinstance(f, Atom):
-        witness = ctx.atom_witness(f.name)
-        if witness is None:
-            raise StructureError(
-                f"no derivation of {f.name} although it was claimed to hold"
+class _Witnesses:
+    """The validity layer's state for one base, kept in the base's context:
+    one closed witness argument per formula that holds, each built once, so
+    the same justification objects come back every time; the verdict of
+    each witness argument, per budget, checked once; and, by calling it,
+    the suite provider that closes open arguments with those witnesses.  It
+    references the context, never the base."""
+
+    def __init__(self, ctx: BaseContext) -> None:
+        self.ctx = ctx
+        self.args: dict[Formula, Argument] = {}
+        self.verdicts: dict[tuple[Argument, int], ValidityVerdict] = {}
+
+    def witness(self, f: Formula) -> Argument:
+        """A canonical closed argument for a formula that holds over the
+        base, with the justifications it needs."""
+        arg = self.args.get(f)
+        if arg is None:
+            arg = self.args[f] = self._build(f)
+        return arg
+
+    def _build(self, f: Formula) -> Argument:
+        ctx = self.ctx
+        if isinstance(f, Atom):
+            witness = ctx.atom_witness(f.name)
+            if witness is None:
+                raise StructureError(
+                    f"no derivation of {f.name} although it was claimed to hold"
+                )
+            return Argument(witness)
+        if isinstance(f, Absurdity):
+            raise StructureError("absurdity cannot hold over a consistent base")
+        if isinstance(f, Conj):
+            left, right = self.witness(f.left), self.witness(f.right)
+            return Argument(
+                and_intro(left.structure, right.structure),
+                left.justifications + right.justifications,
             )
-        return witness
-    if isinstance(f, Absurdity):
-        raise StructureError("absurdity cannot hold over a consistent base")
-    if isinstance(f, Conj):
-        return and_intro(
-            _closed_witness(ctx, f.left, justs),
-            _closed_witness(ctx, f.right, justs),
-        )
-    if isinstance(f, Disj):
-        if ctx.holds(f.left):
-            return or_intro_left(_closed_witness(ctx, f.left, justs), f.right)
-        return or_intro_right(_closed_witness(ctx, f.right, justs), f.left)
-    if isinstance(f, Impl):
-        stub = structure_of_inference(
-            Inference(subs=(assumption(f.left),), conclusion=f.right)
-        )
-        if ctx.holds(f.left):
-            target = _closed_witness(ctx, f.right, justs)
-            justs.append(
-                constant_reduction(
+        if isinstance(f, Disj):
+            if ctx.holds(f.left):
+                sub = self.witness(f.left)
+                return Argument(or_intro_left(sub.structure, f.right), sub.justifications)
+            sub = self.witness(f.right)
+            return Argument(or_intro_right(sub.structure, f.left), sub.justifications)
+        if isinstance(f, Impl):
+            stub = structure_of_inference(
+                Inference(subs=(assumption(f.left),), conclusion=f.right)
+            )
+            justs: tuple[Reduction, ...] = ()
+            if ctx.holds(f.left):
+                target = self.witness(f.right)
+                close = constant_reduction(
                     [f.left],
                     f.right,
-                    target,
+                    target.structure,
                     name=f"close[{format_formula(f)}]",
                 )
-            )
-        return impl_intro(stub, f.left)
-    raise StructureError(f"no witness for {format_formula(f)}")
+                justs = target.justifications + (close,)
+            return Argument(impl_intro(stub, f.left), justs)
+        raise StructureError(f"no witness for {format_formula(f)}")
 
+    def verdict(
+        self, arg: Argument, base: Base, budget: int
+    ) -> ValidityVerdict:
+        """check_valid of an argument with this provider, remembered when
+        the argument is one of the witnesses over this base."""
+        if self.args.get(conclusion(arg.structure)) is not arg or (
+            base_context(base) is not self.ctx
+        ):
+            return check_valid(arg, base, suite_provider=self, budget=budget)
+        key = (arg, budget)
+        got = self.verdicts.get(key)
+        if got is None:
+            got = check_valid(arg, base, suite_provider=self, budget=budget)
+            self.verdicts[key] = got
+        return got
 
-def semantic_suite_provider(base: Base) -> SuiteProvider:
-    """Closes open arguments with witnesses read off the semantics: one
-    instance mapping each assumption to a canonical argument for it, or a
-    vacuous suite when some assumption has no closed valid argument."""
-    return _suite_provider(base_context(base))
-
-
-def _suite_provider(ctx: BaseContext) -> SuiteProvider:
-    def provide(struct: ArgumentStructure) -> Suite:
+    def __call__(self, struct: ArgumentStructure) -> Suite:
+        """One instance mapping each assumption to its witness, or a
+        vacuous suite when some assumption has no closed valid argument."""
         sigma: list[tuple[Formula, Argument]] = []
         for f in sorted(assumptions(struct), key=format_formula):
-            if not ctx.holds(f):
+            if not self.ctx.holds(f):
                 return Suite(
                     instances=(),
                     vacuous_reason=(
@@ -420,12 +455,22 @@ def _suite_provider(ctx: BaseContext) -> SuiteProvider:
                         "over this base"
                     ),
                 )
-            justs: list[Reduction] = []
-            witness = _closed_witness(ctx, f, justs)
-            sigma.append((f, Argument(witness, tuple(justs))))
+            sigma.append((f, self.witness(f)))
         return Suite(instances=(Instantiation(assignment=tuple(sigma)),))
 
-    return provide
+
+def _witnesses(ctx: BaseContext) -> _Witnesses:
+    if ctx.validity is None:
+        ctx.validity = _Witnesses(ctx)
+    return ctx.validity
+
+
+def semantic_suite_provider(base: Base) -> SuiteProvider:
+    """Closes open arguments with witnesses read off the semantics: one
+    instance mapping each assumption to a canonical argument for it, or a
+    vacuous suite when some assumption has no closed valid argument.  The
+    same provider comes back for as long as the base lives."""
+    return _witnesses(base_context(base))
 
 
 def synthesize_witness(
@@ -434,11 +479,10 @@ def synthesize_witness(
     """An argument for the sequent read off the semantics, assuming the
     underlying consequence holds.  With strict=True only the standard
     reductions may be used, and synthesis refuses where that is not enough."""
-    return _synthesize(base_context(base), sequent, strict)
+    return _synthesize(_witnesses(base_context(base)), sequent, strict)
 
 
-def _synthesize(ctx: BaseContext, sequent: Sequent, strict: bool) -> Argument:
-    justs: list[Reduction] = []
+def _synthesize(state: _Witnesses, sequent: Sequent, strict: bool) -> Argument:
     if sequent.premises:
         prems = sorted(sequent.premises, key=format_formula)
         struct = structure_of_inference(
@@ -447,33 +491,24 @@ def _synthesize(ctx: BaseContext, sequent: Sequent, strict: bool) -> Argument:
                 conclusion=sequent.conclusion,
             )
         )
-        if all(map(ctx.holds, prems)):
-            if strict:
-                raise StructureError(
-                    "a one-step argument from live premises needs a "
-                    "justification beyond the standard reductions"
-                )
-            target = _closed_witness(ctx, sequent.conclusion, justs)
-            justs.append(
-                constant_reduction(
-                    prems,
-                    sequent.conclusion,
-                    target,
-                    name="close[premises]",
-                )
-            )
-        return Argument(struct, tuple(justs))
-    if strict:
-        probe: list[Reduction] = []
-        struct = _closed_witness(ctx, sequent.conclusion, probe)
-        if probe:
+        if not all(map(state.ctx.holds, prems)):
+            return Argument(struct)
+        if strict:
             raise StructureError(
-                "the witness needs justifications beyond the standard "
-                "reductions"
+                "a one-step argument from live premises needs a "
+                "justification beyond the standard reductions"
             )
-        return Argument(struct, ())
-    struct = _closed_witness(ctx, sequent.conclusion, justs)
-    return Argument(struct, tuple(justs))
+        target = state.witness(sequent.conclusion)
+        close = constant_reduction(
+            prems, sequent.conclusion, target.structure, name="close[premises]"
+        )
+        return Argument(struct, target.justifications + (close,))
+    arg = state.witness(sequent.conclusion)
+    if strict and arg.justifications:
+        raise StructureError(
+            "the witness needs justifications beyond the standard reductions"
+        )
+    return arg
 
 
 @dataclass(frozen=True)
@@ -496,8 +531,8 @@ def models_alpha(
     answer is then backed by a synthesized argument that is rechecked.
     The base's evaluation context answers the consequence and serves the
     witness and the closing suite."""
-    ctx = base_context(base)
-    if not ctx.entails(sequent.premises, sequent.conclusion):
+    state = _witnesses(base_context(base))
+    if not state.ctx.entails(sequent.premises, sequent.conclusion):
         return AlphaResult(
             verdict=ValidityVerdict(
                 Status.INVALID,
@@ -508,16 +543,14 @@ def models_alpha(
             holds=False,
         )
     try:
-        arg = _synthesize(ctx, sequent, strict)
+        arg = _synthesize(state, sequent, strict)
     except StructureError as exc:
         return AlphaResult(
             verdict=ValidityVerdict(Status.INCONCLUSIVE, str(exc)),
             witness=None,
             holds=None,
         )
-    verdict = check_valid(
-        arg, base, suite_provider=_suite_provider(ctx), budget=budget
-    )
+    verdict = state.verdict(arg, base, budget)
     holds = {
         Status.VALID: True,
         Status.INVALID: False,

@@ -16,7 +16,7 @@ from oracles import (
     ref_standard,
     ref_variant,
 )
-from prooflab import atomic_system
+from prooflab import atomic_system, base_semantics
 from prooflab.atomic_system import (
     Base,
     atoms_of_base,
@@ -281,6 +281,21 @@ def test_building_a_context_does_not_revalidate_its_base(monkeypatch):
     ctx = BaseContext(b)
     assert ctx.atom_witness("q") is not None
     assert calls == []
+
+
+def test_context_answers_from_its_own_saturation(monkeypatch):
+    b = parse_base_text("own_p.\n(own_p => own_q)\n([own_r => own_s] => own_t)")
+    ctx = base_context(b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("went back to the saturation cache")
+
+    monkeypatch.setattr(atomic_system, "_saturate", refuse)
+    monkeypatch.setattr(base_semantics, "_saturate", refuse)
+    assert ctx.derivable == {"own_p", "own_q"}
+    assert ctx.atom_witness("own_q") is not None
+    assert ctx.atom_witness("own_t") is None
+    assert models_alpha(b, seq("|- own_p & (own_s -> own_q)")).holds
 
 
 def test_evaluation_is_stable_under_memoization():

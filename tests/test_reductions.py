@@ -15,6 +15,7 @@ from prooflab.arguments import (
     and_elim,
     and_intro,
     assumption,
+    assumption_paths,
     assumptions,
     axiom_leaf,
     bind,
@@ -46,6 +47,7 @@ from prooflab.reductions import (
     WEAKEN_DETOUR,
     Reachable,
     ReductionStep,
+    _first_rewrite,
     _rewrites_of,
     constant_reduction,
     extract,
@@ -714,3 +716,111 @@ def test_hash_of_equal_values_built_apart_agrees(f, d):
         assert rebuilt == e and hash(rebuilt) == hash(e)
         assert {rebuilt: True}[e]
         _node_hash_is_the_field_tuple_hash(e)
+
+
+# ---------------------------------------------------------------------------
+# open-assumption summaries against a walk over the whole tree
+
+
+def walked_assumptions(d):
+    """assumptions() as it was before nodes carried a summary: a walk over
+    every node of the structure."""
+    return frozenset(assumption_paths(d).values())
+
+
+def walked_is_closed(d):
+    return not assumption_paths(d)
+
+
+def walked_open(d):
+    """The summary a node should carry, read off a walk: each
+    non-axiomatic leaf the structure does not discharge, with how far
+    above the root its binder sits (0 when nothing discharges it)."""
+    return {
+        (node.formula, node.bound - len(path) if node.bound else 0)
+        for path, node in iter_nodes(d)
+        if not (node.children or node.axiomatic or 0 < node.bound <= len(path))
+    }
+
+
+def assert_summaries_match_walk(d):
+    # every subtree, the sub-structures included: a subtree's leaves bound
+    # above its root are open in it
+    for _, node in iter_nodes(d):
+        assert node.open == walked_open(node)
+        assert assumptions(node) == walked_assumptions(node)
+        assert is_closed(node) == walked_is_closed(node)
+
+
+def test_summary_counts_a_binder_above_the_root_as_open():
+    d = impl_intro(and_intro(assumption(p), assumption(q)), p)
+    body = d.children[0]
+    assert body.children[0].open == {(p, 2)}
+    assert body.open == {(p, 1), (q, 0)}
+    assert d.open == {(q, 0)}
+    assert assumptions(body) == {p, q} and assumptions(d) == {q}
+    closed = impl_intro(impl_intro(and_intro(assumption(p), assumption(q)), q), p)
+    assert is_closed(closed) and closed.children[0].open == {(p, 1)}
+    assert axiom_leaf(p).open == frozenset()
+
+
+def stand_ins(f, extra):
+    """Structures concluding f for an instance: open, closed by an axiom
+    leaf, and with a binder-free detour around f's own assumption."""
+    c0 = Atom("c0")
+    return st.sampled_from(
+        [
+            assumption(f),
+            axiom_leaf(f),
+            and_elim(assumption(Conj(f, c0)), 1),
+            and_elim(and_intro(assumption(f), extra), 1),
+        ]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(structures(), detours()), st.data())
+def test_summaries_match_the_walk(d, data):
+    assert_summaries_match_walk(d)
+    for step in successors(d, STD):
+        assert_summaries_match_walk(step.result)
+    extra = data.draw(structures())
+    sigma = {
+        f: data.draw(stand_ins(f, extra))
+        for f in sorted(walked_assumptions(d), key=format_formula)
+    }
+    inst = instantiate(d, sigma)
+    assert_summaries_match_walk(inst)
+    assert assumptions(inst) == frozenset().union(
+        *(walked_assumptions(sub) for sub in sigma.values())
+    )
+
+
+# ---------------------------------------------------------------------------
+# the first rewrite, found without listing the rest
+
+
+def assert_first_rewrite_is_the_listed_first(d, reductions):
+    found = _rewrites_of(d, reductions, {})
+    assert _first_rewrite(d, reductions) == (found[0] if found else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(structures(), detours()), st.permutations(STD))
+def test_first_rewrite_is_the_listed_first(d, reductions):
+    assert_first_rewrite_is_the_listed_first(d, reductions)
+    for step in successors(d, reductions):
+        assert_first_rewrite_is_the_listed_first(step.result, reductions)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_first_rewrite_on_detour_chains(depth):
+    # every structure on the way to normal form, as reduce takes it
+    d, rules = detour_chain(depth)
+    taken = []
+    while (step := reduce_step(d, STD)) is not None:
+        assert_first_rewrite_is_the_listed_first(d, STD)
+        taken.append(step.rule)
+        d = step.result
+    assert d == CHAIN_INNER and taken == rules
+    assert _first_rewrite(d, STD) is None and not _rewrites_of(d, STD, {})

@@ -1,10 +1,16 @@
 """Tests for argument validity over a base and the argument-backed
 consequence evaluator."""
 
+import gc
+import random
+import re
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prooflab import base_semantics, validity
 from prooflab.arguments import (
     StructureError,
     Inference,
@@ -20,11 +26,15 @@ from prooflab.arguments import (
     or_intro_left,
     or_intro_right,
     structure_of_inference,
+    structure_to_obj,
     weaken,
 )
-from prooflab.atomic_system import Base, derive, parse_base_text
+from prooflab.atomic_system import Base, derive, format_rule, parse_base_text, parse_rule
 from prooflab.base_semantics import (
     SemanticsKind,
+    Sequent,
+    base_context,
+    format_sequent,
     models,
     parse_sequent,
 )
@@ -413,3 +423,79 @@ def test_alpha_matches_clause_semantics(base_text, seq_text):
     seq = parse_sequent(seq_text)
     want = models(SemanticsKind.STANDARD, base, seq, trace=False).holds
     assert models_alpha(base, seq).holds is want
+
+
+# ---------------------------------------------------------------------------
+# the witnesses and verdicts a base's context keeps
+
+
+def _renamed(text):
+    # atoms no other test uses: contexts are keyed by the base's value, and
+    # the family's own bases stay alive, with warm contexts, for the whole
+    # test run
+    return re.sub(r"\b([pq])\b", r"memo_\1", text)
+
+
+def _alpha_rows(base, seqs):
+    rows = []
+    for seq in seqs:
+        res = models_alpha(base, seq)
+        w = res.witness
+        rows.append(
+            (
+                res.verdict.status,
+                res.verdict.reason,
+                res.verdict.notes,
+                None if w is None else structure_to_obj(w.structure),
+                None if w is None else [j.name for j in w.justifications],
+            )
+        )
+    return rows
+
+
+def test_context_memo_changes_nothing_and_leaks_nothing():
+    rng = random.Random(20261018)
+    pool = sequent_pool()
+    for family_base in rng.sample(base_family(), 12):
+        rules = [_renamed(format_rule(r)) for r in sorted(family_base.rules, key=str)]
+        seqs = [
+            parse_sequent(_renamed(format_sequent(seq)))
+            for seq in rng.sample(pool, 15)
+        ]
+        base = Base(frozenset(map(parse_rule, rules)))
+        assert base not in base_semantics._CONTEXTS
+        cold = _alpha_rows(base, seqs)
+        ctx = weakref.ref(base_context(base))
+        assert semantic_suite_provider(base) is semantic_suite_provider(base)
+        order = rng.sample(range(len(seqs)), len(seqs))
+        warm = _alpha_rows(base, [seqs[i] for i in order])
+        assert [cold[i] for i in order] == warm
+        gone = weakref.ref(base)
+        del base
+        gc.collect()
+        assert gone() is None and ctx() is None
+        rebuilt = Base(frozenset(map(parse_rule, rules)))
+        assert rebuilt not in base_semantics._CONTEXTS
+        assert _alpha_rows(rebuilt, seqs) == cold
+        assert base_context(rebuilt) is not None
+
+
+def test_witness_verdict_is_checked_once_per_budget(monkeypatch):
+    base = parse_base_text("memo_r.\n(memo_r => memo_s)\n")
+    seq = Sequent(frozenset(), parse_formula("memo_r -> memo_s"))
+    first = models_alpha(base, seq)
+    assert first.verdict.status is Status.VALID
+    calls = []
+    real = validity._check_closed
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(validity, "_check_closed", counting)
+    again = models_alpha(base, seq)
+    assert again.witness is first.witness and again.verdict == first.verdict
+    assert calls == []
+    # another budget is another verdict
+    assert models_alpha(base, seq, budget=50).verdict.status is Status.VALID
+    assert calls
