@@ -528,13 +528,9 @@ class Inference:
     conclusion: Formula
 
 
-def structure_of_inference(inf: Inference, axiomatic: bool = False) -> ArgumentStructure:
+def structure_of_inference(inf: Inference) -> ArgumentStructure:
     """The structure an inference is uniquely associated to."""
-    return Node(
-        formula=inf.conclusion,
-        children=tuple(inf.subs),
-        axiomatic=axiomatic and not inf.subs,
-    )
+    return Node(formula=inf.conclusion, children=tuple(inf.subs))
 
 
 def and_intro(left: ArgumentStructure, right: ArgumentStructure) -> ArgumentStructure:
@@ -726,13 +722,13 @@ def derivation_to_structure(
     return build(tree, 0, {})
 
 
-def is_atomic_derivation(
-    struct: ArgumentStructure, base: Base | frozenset[AtomicRule]
-) -> bool:
+def is_atomic_derivation(struct: ArgumentStructure, base: Base) -> bool:
     """Replay a structure as a derivation over the base: every label atomic,
     every leaf an available axiom, every step an available rule, where
     availability flows from the base and from discharged rule premises."""
-    base_rules = base.rules if isinstance(base, Base) else base
+    # the nested functions below form a cycle: they keep the rules, never
+    # the base, which would otherwise outlive its callers until a collection
+    base_rules = base.rules
 
     # env maps each assumed rule to the depths of the nodes on the way down
     # that made it available

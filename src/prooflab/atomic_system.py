@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from prooflab.syntax import Absurdity, Atom, BOT, Conj, Formula, Impl
+from prooflab.syntax import BOT, Atom, Conj, Formula, Impl, _ATOM_RE, _Scanner, _SyntaxError
 
 __all__ = [
     "Premise",
@@ -71,8 +71,6 @@ __all__ = [
     "format_rule",
     "format_base",
 ]
-
-_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 DEFAULT_MAX_STEPS = 1_000_000
 
@@ -193,7 +191,6 @@ class Base:
     """A finite, consistent set of atomic rules."""
 
     rules: frozenset[AtomicRule] = field(default_factory=frozenset)
-    name: str | None = field(default=None, compare=False)
     # computed once, the value the generated hash gives: bases key the
     # per-base evaluation contexts
     _hash: int = field(init=False, repr=False, compare=False)
@@ -212,11 +209,7 @@ class Base:
     def __reduce__(self):
         # rebuilt through __init__: a pickled hash would be stale in a
         # process with another hash seed
-        return (Base, (self.rules, self.name))
-
-    @classmethod
-    def of(cls, *rules: AtomicRule, name: str | None = None) -> "Base":
-        return cls(rules=frozenset(rules), name=name)
+        return (Base, (self.rules,))
 
     def __str__(self) -> str:
         return format_base(self)
@@ -408,7 +401,7 @@ class _Saturation:
 # own saturation lives in its evaluation context (base_semantics), so this
 # cache need not hold every base's for as long as it lives.
 @lru_cache(maxsize=256)
-def _saturate(supply: frozenset, max_steps: int = DEFAULT_MAX_STEPS) -> _Saturation:
+def _saturate(supply: frozenset, max_steps: int, /) -> _Saturation:
     return _Saturation(supply, max_steps)
 
 
@@ -419,7 +412,7 @@ class DeriveResult:
 
 
 def derive(
-    base: Base | frozenset[AtomicRule],
+    base: Base,
     assumed: Iterable[AtomicRule] = (),
     goal: str = "bot",
     *,
@@ -427,17 +420,15 @@ def derive(
 ) -> DeriveResult:
     """Decide whether goal is derivable from base plus assumed rules.
 
-    The base may also be given as its rule set.  A YES carries a derivation
-    tree; replay it with check_derivation against the base's rules | assumed.
-    Budget exhaustion raises ResourceLimitExceeded rather than answering NO;
-    a step is one grounded premise (a premise of an application some goal
-    asked for) or one counter decrement (a recorded fact passed on to one
-    application watching it).  The 256 most recent saturations are kept,
-    so asking for each atom of one supply in turn saturates it once.
+    A YES carries a derivation tree; replay it with check_derivation
+    against the base's rules | assumed.  Budget exhaustion raises
+    ResourceLimitExceeded rather than answering NO; a step is one grounded
+    premise (a premise of an application some goal asked for) or one
+    counter decrement (a recorded fact passed on to one application
+    watching it).  The 256 most recent saturations are kept, so asking for
+    each atom of one supply in turn saturates it once.
     """
-    rules = base.rules if isinstance(base, Base) else base
-    supply = rules | frozenset(assumed)
-    sat = _saturate(supply, max_steps)
+    sat = _saturate(base.rules | frozenset(assumed), max_steps)
     if not sat.derivable(goal):
         return DeriveResult(derivable=False, tree=None)
     return DeriveResult(derivable=True, tree=sat.tree(goal))
@@ -446,7 +437,7 @@ def derive(
 def derivable_atoms(base: Base, assumed: Iterable[AtomicRule] = ()) -> frozenset[str]:
     """Every atom (bot included) derivable from base plus assumed rules."""
     supply = base.rules | frozenset(assumed)
-    return frozenset(_saturate(supply).facts[0])
+    return frozenset(_saturate(supply, DEFAULT_MAX_STEPS).facts[0])
 
 
 def check_consistency(rules: Iterable[AtomicRule]) -> bool:
@@ -459,7 +450,7 @@ def check_consistency(rules: Iterable[AtomicRule]) -> bool:
     supply = frozenset(rules)
     if all(r.conclusion != "bot" for r in supply):
         return True
-    return not _saturate(supply).derivable("bot")
+    return not _saturate(supply, DEFAULT_MAX_STEPS).derivable("bot")
 
 
 class DerivationCheckError(ValueError):
@@ -514,52 +505,17 @@ def star_translate(r: AtomicRule) -> Formula:
 # concrete syntax
 
 
-class RuleSyntaxError(ValueError):
-    def __init__(self, message: str, text: str, pos: int) -> None:
-        super().__init__(f"{message} at position {pos}: {text!r}")
-        self.text = text
-        self.pos = pos
+class RuleSyntaxError(_SyntaxError):
+    """Raised on malformed rule text; carries the offending position."""
 
 
 _RULE_TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow>=>)|(?P<lpar>\()|(?P<rpar>\))|(?P<lbr>\[)|(?P<rbr>\])"
-    r"|(?P<comma>,)|(?P<dot>\.)|(?P<word>[A-Za-z_][A-Za-z0-9_']*))"
+    rf"|(?P<comma>,)|(?P<dot>\.)|(?P<word>{_ATOM_RE.pattern}))"
 )
 
 
-class _RuleParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _RULE_TOKEN_RE.match(text, pos)
-            if m is None or m.lastgroup is None:
-                rest = text[pos:].lstrip()
-                if not rest:
-                    break
-                raise RuleSyntaxError(
-                    f"unexpected character {rest[0]!r}", text, len(text) - len(rest)
-                )
-            self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-            pos = m.end()
-        self.tokens.append(("end", "", len(text)))
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> str:
-        tok = self.take()
-        if tok[0] != kind:
-            raise RuleSyntaxError(f"expected {what}", self.text, tok[2])
-        return tok[1]
-
+class _RuleParser(_Scanner):
     def rule(self) -> AtomicRule:
         kind, value, pos = self.peek()
         if kind == "word":
@@ -575,7 +531,7 @@ class _RuleParser:
             conclusion = self.expect("word", "an atom")
             self.expect("rpar", "')'")
             return AtomicRule(premises=tuple(premises), conclusion=conclusion)
-        raise RuleSyntaxError("expected a rule", self.text, pos)
+        raise self.error("expected a rule", self.text, pos)
 
     def premise(self) -> Premise:
         kind, value, pos = self.peek()
@@ -594,31 +550,35 @@ class _RuleParser:
             conclusion = self.expect("word", "an atom")
             self.expect("rbr", "']'")
             return premise(conclusion, discharged)
-        raise RuleSyntaxError("expected a premise", self.text, pos)
+        raise self.error("expected a premise", self.text, pos)
 
 
 def parse_rule(text: str) -> AtomicRule:
-    parser = _RuleParser(text)
+    parser = _RuleParser(text, _RULE_TOKEN_RE, RuleSyntaxError)
     r = parser.rule()
     if parser.peek()[0] == "dot":
         parser.take()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise RuleSyntaxError("trailing input", text, pos)
+    parser.end()
     return r
 
 
-def parse_base_text(text: str, name: str | None = None) -> Base:
+def parse_base_text(text: str) -> Base:
+    """The base of a file's text, one rule per line.  A syntax error names
+    its line and quotes it whole, with the position in that line."""
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         try:
             rules.append(parse_rule(line))
         except RuleSyntaxError as e:
-            raise RuleSyntaxError(f"line {lineno}: {e.args[0]}", raw, e.pos) from None
-    return Base(rules=frozenset(rules), name=name)
+            indent = len(code) - len(code.lstrip())
+            raise RuleSyntaxError(
+                f"line {lineno}: {e.message}", raw, indent + e.pos
+            ) from None
+    return Base(rules=frozenset(rules))
 
 
 def format_rule(r: AtomicRule) -> str:

@@ -39,12 +39,13 @@ from typing import Any, Iterable, Iterator
 
 from prooflab.arguments import ArgumentStructure, derivation_to_structure
 from prooflab.atomic_system import (
+    DEFAULT_MAX_STEPS,
     AtomicRule,
     Base,
+    InconsistentBaseError,
     atoms_of_base,
     axiom,
     _saturate,
-    check_consistency,
     format_rule,
     star_translate,
 )
@@ -182,7 +183,7 @@ class BaseContext:
 
     def __init__(self, base: Base) -> None:
         self._rules = base.rules
-        self._saturation = _saturate(base.rules)
+        self._saturation = _saturate(base.rules, DEFAULT_MAX_STEPS)
         self.derivable = frozenset(self._saturation.facts[0])
         self.atoms = atoms_of_base(base)
         self._truth: dict[Formula, bool] = {}
@@ -423,11 +424,11 @@ def models_monotone_bounded(
     extra = tuple(sorted(frozenset(universe) - base.rules, key=format_rule))
     checked = 0
     for subset in _subsets(extra):
-        rules = base.rules | frozenset(subset)
-        if not check_consistency(rules):
+        try:
+            ext = Base(rules=base.rules | frozenset(subset))
+        except InconsistentBaseError:
             continue
         checked += 1
-        ext = Base(rules=rules)
         if not models(kind, ext, sequent, trace=False).holds:
             return MonotoneResult(holds=False, failing_extension=ext, checked=checked)
     return MonotoneResult(holds=True, failing_extension=None, checked=checked)

@@ -19,9 +19,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
+from prooflab import reductions
 from prooflab.arguments import (
     StructureError,
     conclusion,
@@ -73,7 +73,7 @@ EX_USAGE = 64
 EX_DATA = 65
 EX_INTERNAL = 70
 
-DEFAULT_BUDGET = int(os.environ.get("PROOFLAB_BUDGET", "10000"))
+DEFAULT_BUDGET = int(os.environ.get("PROOFLAB_BUDGET", reductions.DEFAULT_BUDGET))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,22 +82,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunConfig:
-    budget: int = DEFAULT_BUDGET
-    fmt: str = "text"
-    output: str | None = None
-
-    def emit(self, text_report: str, payload: dict) -> None:
-        if self.fmt == "json":
-            body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        else:
-            body = text_report if text_report.endswith("\n") else text_report + "\n"
-        if self.output:
-            with open(self.output, "w", encoding="utf-8") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
+def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
+    """The report: the payload as JSON under --format json, else the text;
+    into the --output file when one is given, else to stdout."""
+    if args.fmt == "json":
+        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    else:
+        body = text if text.endswith("\n") else text + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(body)
+    else:
+        sys.stdout.write(body)
 
 
 def _load_base(args: argparse.Namespace) -> Base:
@@ -174,13 +170,11 @@ def _status_exit(status: Status) -> int:
 # commands
 
 
-def _cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_eval(args: argparse.Namespace) -> int:
     base = _load_base(args)
     sequent = parse_sequent(args.sequent)
     if args.semantics == "alpha":
-        res = models_alpha(
-            base, sequent, budget=cfg.budget, strict=args.strict
-        )
+        res = models_alpha(base, sequent, budget=args.budget, strict=args.strict)
         payload = {
             "base": format_base(base).splitlines(),
             "sequent": format_sequent(sequent),
@@ -204,7 +198,7 @@ def _cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
             lines.extend(
                 "  " + ln for ln in pretty(res.witness.structure).splitlines()
             )
-        cfg.emit("\n".join(lines), payload)
+        _emit(args, "\n".join(lines), payload)
         return _status_exit(res.verdict.status)
     res = models(SemanticsKind(args.semantics), base, sequent)
     payload = {
@@ -227,17 +221,15 @@ def _cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         lines.append("trace:")
         for clause, prem, formula, value in res.trace.entries:
             lines.append(f"  [{clause}] {prem} :: {formula} -> {value}")
-    cfg.emit("\n".join(lines), payload)
+    _emit(args, "\n".join(lines), payload)
     return EX_OK if res.holds else EX_FAILS
 
 
-def _cmd_check_valid(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_check_valid(args: argparse.Namespace) -> int:
     base = _load_base(args)
     arg = _load_argument(args.argument)
     provider = semantic_suite_provider(base)
-    verdict = check_valid(
-        arg, base, suite_provider=provider, budget=cfg.budget
-    )
+    verdict = check_valid(arg, base, suite_provider=provider, budget=args.budget)
     payload = {
         "base": format_base(base).splitlines(),
         "conclusion": format_formula(conclusion(arg.structure)),
@@ -253,16 +245,16 @@ def _cmd_check_valid(args: argparse.Namespace, cfg: RunConfig) -> int:
         f"reason:     {verdict.reason}",
     ]
     lines.extend(f"note:       {n}" for n in verdict.notes)
-    cfg.emit("\n".join(lines), payload)
+    _emit(args, "\n".join(lines), payload)
     return _status_exit(verdict.status)
 
 
-def _cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_reduce(args: argparse.Namespace) -> int:
     arg = _load_argument(args.argument)
     reds = arg.reductions()
     if args.target:
         target = _load_argument(args.target).structure
-        out = search_reduct(arg.structure, target, reds, budget=cfg.budget)
+        out = search_reduct(arg.structure, target, reds, budget=args.budget)
         payload = {
             "status": out.status,
             "visited": out.visited,
@@ -277,7 +269,7 @@ def _cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
             lines.append(f"note:    {out.note}")
         for pos, name in out.path or ():
             lines.append(f"  at {list(pos)}: {name}")
-        cfg.emit("\n".join(lines), payload)
+        _emit(args, "\n".join(lines), payload)
         return {"yes": EX_OK, "no": EX_FAILS, "inconclusive": EX_INCONCLUSIVE}[
             out.status
         ]
@@ -286,7 +278,7 @@ def _cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
     steps = []
     while True:
         step = reduce_step(current, reds)
-        if step is None or len(steps) >= cfg.budget:
+        if step is None or len(steps) >= args.budget:
             break
         current = step.result
         steps.append({"position": list(step.position), "rule": step.rule})
@@ -300,7 +292,7 @@ def _cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
         lines.append(f"step {k}: {step['rule']} at {step['position']}")
     lines.append("result:")
     lines.extend("  " + ln for ln in pretty(current).splitlines())
-    cfg.emit("\n".join(lines), payload)
+    _emit(args, "\n".join(lines), payload)
     return EX_OK
 
 
@@ -316,7 +308,7 @@ def _bounds(text: str) -> SearchBounds:
     )
 
 
-def _cmd_search(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_search(args: argparse.Namespace) -> int:
     sequent = parse_sequent(args.sequent)
     bounds = args.bounds
     res = search_counterexample(SemanticsKind(args.semantics), sequent, bounds)
@@ -344,11 +336,11 @@ def _cmd_search(args: argparse.Namespace, cfg: RunConfig) -> int:
         lines.append("no refuting base within bounds")
     if res.note:
         lines.append(f"note: {res.note}")
-    cfg.emit("\n".join(lines), payload)
+    _emit(args, "\n".join(lines), payload)
     return EX_OK if res.counterexample is not None else EX_FAILS
 
 
-def _suite_report(cfg: RunConfig) -> dict:
+def _suite_report(budget: int) -> dict:
     report: dict = {}
 
     base_empty = Base(frozenset())
@@ -419,13 +411,13 @@ def _suite_report(cfg: RunConfig) -> dict:
             parse_sequent(t)
             for t in ("|- p", "|- q", "|- p | ~p", "q |- p", "p |- q")
         ],
-        budget=cfg.budget,
+        budget=budget,
     )
     return report
 
 
-def _cmd_suite(args: argparse.Namespace, cfg: RunConfig) -> int:
-    report = _suite_report(cfg)
+def _cmd_suite(args: argparse.Namespace) -> int:
+    report = _suite_report(args.budget)
     lines = []
     nm = report["non_monotonicity"]
     lines.append("non-monotonicity")
@@ -462,7 +454,7 @@ def _cmd_suite(args: argparse.Namespace, cfg: RunConfig) -> int:
             f"  {row['sequent']}: sandqvist={row['sandqvist']} "
             f"alpha={row['alpha']} agree={row['agree']}"
         )
-    cfg.emit("\n".join(lines), report)
+    _emit(args, "\n".join(lines), report)
     return EX_OK
 
 
@@ -566,9 +558,8 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(budget=args.budget, fmt=args.fmt, output=args.output)
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (
         FormulaSyntaxError,
         RuleSyntaxError,

@@ -129,45 +129,43 @@ def is_neg(f: Formula) -> bool:
     return isinstance(f, Impl) and f.right == BOT
 
 
-class FormulaSyntaxError(ValueError):
-    """Raised on malformed formula text; carries the offending position."""
+class _SyntaxError(ValueError):
+    """A message about a position in a line; the two syntax errors share it."""
 
     def __init__(self, message: str, text: str, pos: int) -> None:
         super().__init__(f"{message} at position {pos}: {text!r}")
+        self.message = message
         self.text = text
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<amp>&)|(?P<bar>\|)|(?P<tilde>~)"
-    r"|(?P<lpar>\()|(?P<rpar>\))|(?P<word>[A-Za-z_][A-Za-z0-9_']*))"
-)
+class FormulaSyntaxError(_SyntaxError):
+    """Raised on malformed formula text; carries the offending position."""
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.lastgroup is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise FormulaSyntaxError(
-                f"unexpected character {stripped[0]!r}", text, len(text) - len(stripped)
-            )
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+class _Scanner:
+    """The tokens of one line, read left to right: (kind, value, position)
+    for each match of the token pattern, named by its group, then
+    ("end", "", len(text)).  A parser subclasses it and raises the given
+    error class."""
 
-
-class _Parser:
-    """Recursive descent with precedence ~ > & > | > -> and right-assoc ->."""
-
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, token_re: re.Pattern, error: type) -> None:
         self.text = text
-        self.tokens = _tokenize(text)
+        self.error = error
+        self.tokens: list[tuple[str, str, int]] = []
+        pos = 0
+        while pos < len(text):
+            m = token_re.match(text, pos)
+            if m is None:
+                rest = text[pos:].lstrip()
+                if not rest:
+                    break
+                raise error(
+                    f"unexpected character {rest[0]!r}", text, len(text) - len(rest)
+                )
+            self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+            pos = m.end()
+        self.tokens.append(("end", "", len(text)))
         self.i = 0
 
     def peek(self) -> tuple[str, str, int]:
@@ -178,10 +176,26 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> None:
+    def expect(self, kind: str, what: str) -> str:
         tok = self.take()
         if tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {what}", self.text, tok[2])
+            raise self.error(f"expected {what}", self.text, tok[2])
+        return tok[1]
+
+    def end(self) -> None:
+        kind, _, pos = self.peek()
+        if kind != "end":
+            raise self.error("trailing input", self.text, pos)
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<arrow>->)|(?P<amp>&)|(?P<bar>\|)|(?P<tilde>~)"
+    rf"|(?P<lpar>\()|(?P<rpar>\))|(?P<word>{_ATOM_RE.pattern}))"
+)
+
+
+class _Parser(_Scanner):
+    """Recursive descent with precedence ~ > & > | > -> and right-assoc ->."""
 
     def implication(self) -> Formula:
         left = self.disjunction()
@@ -217,15 +231,13 @@ class _Parser:
             f = self.implication()
             self.expect("rpar", "')'")
             return f
-        raise FormulaSyntaxError("expected a formula", self.text, pos)
+        raise self.error("expected a formula", self.text, pos)
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(text)
+    parser = _Parser(text, _TOKEN_RE, FormulaSyntaxError)
     f = parser.implication()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise FormulaSyntaxError("trailing input", text, pos)
+    parser.end()
     return f
 
 

@@ -135,7 +135,6 @@ class Instantiation:
     assumption, plus any justifications those arguments bring along."""
 
     assignment: tuple[tuple[Formula, "Argument"], ...]
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -345,8 +344,6 @@ def _check_open(
                 Status.INCONCLUSIVE,
                 f"closing instance {k} could not be settled: " + verdict.reason,
             )
-        if inst.note:
-            notes.append(inst.note)
     if effective == 0:
         return ValidityVerdict(
             Status.INCONCLUSIVE,

@@ -225,6 +225,65 @@ def test_rule_discharge_shape_checks():
         )
 
 
+def _over(child: Node) -> Node:
+    return Node(formula=r, children=(child,))
+
+
+PQ_STEP = and_intro(axiom_leaf(p), axiom_leaf(q))
+
+# discharge entries structure_from_obj must refuse: (root, entry, message)
+BAD_DISCHARGES = {
+    "target-not-a-node": (
+        _over(leaf(p)),
+        {"kind": "assume", "path": [0], "target": [5]},
+        "discharge target (5,) is not a node",
+    ),
+    "axiom-at-an-assumption-leaf": (
+        _over(leaf(p)),
+        {"kind": "axiom", "path": [0], "target": []},
+        "axiom discharge at (0,) needs an axiomatic leaf",
+    ),
+    "axiom-with-a-compound-label": (
+        _over(leaf(Conj(p, q), axiomatic=True)),
+        {"kind": "axiom", "path": [0], "target": []},
+        "axiom discharge at (0,) needs an atomic label",
+    ),
+    "rule-at-a-compound-node": (
+        _over(PQ_STEP),
+        {"kind": "rule", "path": [0], "target": [], "rule": "(p, q => r)"},
+        "rule discharge at (0,) needs an atomic node",
+    ),
+    "rule-over-compound-children": (
+        _over(Node(formula=q, children=(PQ_STEP,))),
+        {"kind": "rule", "path": [0], "target": [], "rule": "(p => q)"},
+        "rule discharge at (0,) needs atomic children",
+    ),
+    "rule-premises-not-the-children": (
+        _over(Node(formula=q, children=(leaf(p, axiomatic=True),))),
+        {"kind": "rule", "path": [0], "target": [], "rule": "(s => q)"},
+        "rule discharge at (0,): premises ['s'] vs children ['p']",
+    ),
+    "unknown-kind": (
+        _over(leaf(p)),
+        {"kind": "magic", "path": [0], "target": []},
+        "unknown discharge kind: 'magic'",
+    ),
+}
+
+
+def bad_discharge_obj(root: Node, entry: dict) -> dict:
+    return {"root": structure_to_obj(root)["root"], "discharge": [entry]}
+
+
+@pytest.mark.parametrize(
+    "root, entry, message", BAD_DISCHARGES.values(), ids=list(BAD_DISCHARGES)
+)
+def test_structure_from_obj_refuses_bad_discharges(root, entry, message):
+    with pytest.raises(StructureError) as info:
+        structure_from_obj(bad_discharge_obj(root, entry))
+    assert str(info.value) == message
+
+
 def test_assumption_may_not_land_on_rule_discharge_anchor():
     # an assumption leaf discharged at the parent node of a discharged edge
     # set is ruled out, and likewise at that edge set's target

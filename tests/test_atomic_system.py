@@ -34,8 +34,9 @@ from prooflab.atomic_system import (
     rule_to_premise,
     star_translate,
     RuleSyntaxError,
+    _saturate,
 )
-from prooflab.syntax import parse_formula
+from prooflab.syntax import FormulaSyntaxError, parse_formula
 
 
 def rule(text: str) -> AtomicRule:
@@ -330,6 +331,18 @@ for a in sorted(derivable_atoms(b)):
 """
 
 
+def test_one_supply_saturates_once():
+    # derivable_atoms and derive ask for one saturation of one supply; atoms
+    # no other test uses, so the supply is not cached already
+    b = base("sat_once_a.\n(sat_once_a => sat_once_b)")
+    before = _saturate.cache_info()
+    assert derivable_atoms(b) == {"sat_once_a", "sat_once_b"}
+    assert derive(b, (), "sat_once_b").derivable
+    after = _saturate.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 1
+
+
 def test_trees_independent_of_hash_seed():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     outs = set()
@@ -406,6 +419,27 @@ def test_rule_syntax_errors():
     for t in ["", "(p =>)", "(=> q)", "[p => q]", "(p => q", "(p q => r)", "p q"]:
         with pytest.raises(RuleSyntaxError):
             parse_rule(t)
+
+
+def test_base_file_syntax_error_names_its_line_once():
+    text = "p.\n  (p => q  # a comment\n"
+    with pytest.raises(RuleSyntaxError) as info:
+        parse_base_text(text)
+    raw = text.splitlines()[1]
+    assert str(info.value) == f"line 2: expected ')' at position 9: {raw!r}"
+    assert info.value.message == "line 2: expected ')'"
+    assert info.value.text == raw
+    # the position indexes the line as written, comment and indent included
+    assert info.value.pos == 9 and raw[:9] == "  (p => q"
+
+
+def test_rule_and_formula_errors_are_distinct_classes():
+    assert not issubclass(RuleSyntaxError, FormulaSyntaxError)
+    assert not issubclass(FormulaSyntaxError, RuleSyntaxError)
+    with pytest.raises(RuleSyntaxError) as info:
+        parse_rule("(p => q")
+    assert str(info.value) == "expected ')' at position 7: '(p => q'"
+    assert (info.value.message, info.value.pos) == ("expected ')'", 7)
 
 
 def test_atoms_and_subrules():

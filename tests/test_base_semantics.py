@@ -23,6 +23,7 @@ from prooflab.atomic_system import (
     axiom,
     check_consistency,
     parse_base_text,
+    parse_rule,
 )
 from prooflab.base_semantics import (
     EvalResult,
@@ -346,6 +347,15 @@ def test_monotone_bounded_accepts_stable_consequence():
     )
     assert res.holds
     assert res.checked == 4
+
+
+def test_monotone_bounded_skips_inconsistent_extensions():
+    # every extension holding (p => bot) derives bot from p, so only the
+    # base itself and the one adding q are checked
+    universe = {parse_rule("(p => bot)"), axiom("q")}
+    res = models_monotone_bounded(STD, parse_base_text("p."), seq("|- p"), universe)
+    assert res.holds
+    assert res.checked == 2
 
 
 # ---------------------------------------------------------------------------

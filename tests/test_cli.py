@@ -34,6 +34,7 @@ from prooflab.cli import (
     main,
 )
 from prooflab.syntax import Atom
+from test_arguments import BAD_DISCHARGES, bad_discharge_obj
 from test_reductions import CHAIN_INNER, CHAIN_VISITED, detour_chain
 
 p, q = Atom("p"), Atom("q")
@@ -571,6 +572,28 @@ def test_inconsistent_base_is_rejected(capsys):
     err = capsys.readouterr().err
     assert code == EX_DATA
     assert "bot" in err
+
+
+def test_base_file_syntax_error_names_its_line_once(tmp_path, capsys):
+    path = tmp_path / "base.txt"
+    path.write_text("p.\n  (p => q  # a comment\n", encoding="utf-8")
+    code = main(["eval", "--base", str(path), "--sequent", "|- p"])
+    err = capsys.readouterr().err
+    assert code == EX_DATA
+    assert err == (
+        "prooflab: line 2: expected ')' at position 9: '  (p => q  # a comment'\n"
+    )
+
+
+def test_bad_discharge_is_a_data_error(tmp_path, capsys):
+    root, entry, message = BAD_DISCHARGES["rule-premises-not-the-children"]
+    obj = {"structure": bad_discharge_obj(root, entry)}
+    path = write_json(tmp_path / "arg.json", obj)
+    code = main(["check_valid", "--argument", path])
+    err = capsys.readouterr().err
+    assert code == EX_DATA
+    # one line, no traceback
+    assert err == f"prooflab: {message}\n"
 
 
 def test_missing_argument_file(capsys):

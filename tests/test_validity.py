@@ -178,6 +178,84 @@ def test_vacuous_suite_validates():
     assert "no way of closing" in verdict.reason
 
 
+def _suite(*assignments):
+    return Suite(instances=tuple(Instantiation(assignment=a) for a in assignments))
+
+
+P_DETOUR = and_elim(and_intro(axiom_leaf(p), axiom_leaf(q)), 0)
+
+# verdicts no other test reaches: (argument, base, check_valid keywords,
+# status, reason fragment)
+SUITE_VERDICTS = {
+    "instance-misses-an-assumption": (
+        Argument(assumption(p)),
+        B_P,
+        dict(suite=_suite(())),
+        Status.INCONCLUSIVE,
+        "closing instance 0 misses assumptions ['p']",
+    ),
+    "instance-supplies-an-open-argument": (
+        Argument(assumption(p)),
+        B_P,
+        dict(suite=_suite(((p, Argument(assumption(p))),))),
+        Status.INCONCLUSIVE,
+        "closing instance 0 supplies open arguments",
+    ),
+    # the argument for q is invalid over B_P, and it is not looked at
+    "assignment-for-a-formula-not-open": (
+        Argument(assumption(p)),
+        B_P,
+        dict(
+            suite=_suite(
+                ((p, Argument(axiom_leaf(p))), (q, Argument(axiom_leaf(q))))
+            )
+        ),
+        Status.VALID,
+        "all 1 usable closing instances yield valid closed arguments",
+    ),
+    "closing-argument-unsettled": (
+        Argument(assumption(p)),
+        B_PQ,
+        dict(suite=_suite(((p, Argument(P_DETOUR)),)), budget=1),
+        Status.INCONCLUSIVE,
+        "closing instance 0: validity of the argument for p could not be settled",
+    ),
+    "closed-instance-unsettled": (
+        Argument(and_elim(and_intro(assumption(p), axiom_leaf(q)), 0)),
+        B_PQ,
+        dict(suite=_suite(((p, Argument(axiom_leaf(p))),)), budget=1),
+        Status.INCONCLUSIVE,
+        "closing instance 0 could not be settled: ",
+    ),
+    "empty-suite-without-a-vacuous-reason": (
+        Argument(assumption(p)),
+        B_P,
+        dict(suite=Suite()),
+        Status.INCONCLUSIVE,
+        "checked against an empty set of closing instances",
+    ),
+    # closed, canonical, and its sub-argument is open with nothing to close it
+    "sub-argument-unsettled": (
+        Argument(impl_intro(assumption(p), p)),
+        B_EMPTY,
+        {},
+        Status.INCONCLUSIVE,
+        "a sub-argument could not be settled",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "arg, base, kw, status, fragment",
+    SUITE_VERDICTS.values(),
+    ids=list(SUITE_VERDICTS),
+)
+def test_suite_verdicts(arg, base, kw, status, fragment):
+    verdict = check_valid(arg, base, **kw)
+    assert verdict.status is status
+    assert fragment in verdict.reason
+
+
 def test_provider_closes_with_semantic_witnesses():
     provider = semantic_suite_provider(B_CHAIN)
     verdict = check_valid(
