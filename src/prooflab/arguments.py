@@ -691,103 +691,121 @@ def derivation_to_structure(
     """Encode a derivation tree: applications of base rules are plain steps,
     applications of assumed rules are discharged at the node that made them
     available (edge sets for proper rules, axiom leaves for axioms)."""
-    base_rules = base.rules if isinstance(base, Base) else base
+    return _encode(tree, base.rules if isinstance(base, Base) else base, 0, {})
 
-    def build(node: DerivationNode, depth: int, env: dict[AtomicRule, int]) -> Node:
-        formula: Formula = BOT if node.conclusion == "bot" else Atom(node.conclusion)
-        bound = 0
-        if node.rule not in base_rules:
-            if node.rule not in env:
-                what = "rule" if node.rule.premises else "axiom"
-                raise StructureError(
-                    f"{what} {format_rule(node.rule)} is neither in the "
-                    "base nor assumed anywhere below"
-                )
-            bound = depth - env[node.rule]
-        if not node.rule.premises:
-            return Node(formula=formula, axiomatic=True, bound=bound)
-        children = []
-        for prem, child in zip(node.rule.premises, node.children):
-            inner = dict(env)
-            for s in prem.discharged:
-                inner[s] = depth
-            children.append(build(child, depth + 1, inner))
-        return Node(
-            formula=formula,
-            children=tuple(children),
-            bound=bound,
-            rule=node.rule if bound else None,
-        )
 
-    return build(tree, 0, {})
+# The recursions below are module functions passed the base's rules, not
+# closures over them: a nested recursive function references itself through
+# its closure cell, and every call would leave a cycle for the collector.
+
+
+def _encode(
+    node: DerivationNode,
+    base_rules: frozenset[AtomicRule],
+    depth: int,
+    env: dict[AtomicRule, int],
+) -> Node:
+    formula: Formula = BOT if node.conclusion == "bot" else Atom(node.conclusion)
+    bound = 0
+    if node.rule not in base_rules:
+        if node.rule not in env:
+            what = "rule" if node.rule.premises else "axiom"
+            raise StructureError(
+                f"{what} {format_rule(node.rule)} is neither in the "
+                "base nor assumed anywhere below"
+            )
+        bound = depth - env[node.rule]
+    if not node.rule.premises:
+        return Node(formula=formula, axiomatic=True, bound=bound)
+    children = []
+    for prem, child in zip(node.rule.premises, node.children):
+        inner = dict(env)
+        for s in prem.discharged:
+            inner[s] = depth
+        children.append(_encode(child, base_rules, depth + 1, inner))
+    return Node(
+        formula=formula,
+        children=tuple(children),
+        bound=bound,
+        rule=node.rule if bound else None,
+    )
 
 
 def is_atomic_derivation(struct: ArgumentStructure, base: Base) -> bool:
     """Replay a structure as a derivation over the base: every label atomic,
     every leaf an available axiom, every step an available rule, where
     availability flows from the base and from discharged rule premises."""
-    # the nested functions below form a cycle: they keep the rules, never
-    # the base, which would otherwise outlive its callers until a collection
-    base_rules = base.rules
+    return _replays(struct, base.rules, 0, {})
 
-    # env maps each assumed rule to the depths of the nodes on the way down
-    # that made it available
-    def ok(node: Node, depth: int, env: dict[AtomicRule, set[int]]) -> bool:
-        if not _atomic_formula(node.formula):
-            return False
-        name = _atom_name(node.formula)
-        assumed = 0 < node.bound <= depth
-        if not node.children:
-            if not node.axiomatic:
-                return False
-            ax = axiom(name)
-            if assumed:
-                return ax in env and depth - node.bound in env[ax]
-            return ax in base_rules
-        if assumed:
-            if node.rule not in env or depth - node.bound not in env[node.rule]:
-                return False
-            candidates = [node.rule]
-        else:
-            candidates = [
-                r
-                for r in base_rules
-                if r.conclusion == name and len(r.premises) == len(node.children)
-            ]
-        for rule in candidates:
-            if rule.conclusion != name or len(rule.premises) != len(node.children):
-                continue
-            if _match_children(node, depth, rule, env):
-                return True
+
+def _replays(
+    node: Node,
+    base_rules: frozenset[AtomicRule],
+    depth: int,
+    env: dict[AtomicRule, set[int]],
+) -> bool:
+    """The replay of the subtree at node, depth levels down; env maps each
+    assumed rule to the depths of the nodes on the way down that made it
+    available."""
+    if not _atomic_formula(node.formula):
         return False
-
-    def _match_children(
-        node: Node, depth: int, rule: AtomicRule, env: dict[AtomicRule, set[int]]
-    ) -> bool:
-        # assign premises to children by conclusion name, backtracking over
-        # ties because different premises may open different rule sets
-        order = list(range(len(rule.premises)))
-
-        def assign(i: int, used: set[int]) -> bool:
-            if i == len(node.children):
-                return True
-            child = node.children[i]
-            if not _atomic_formula(child.formula):
-                return False
-            cname = _atom_name(child.formula)
-            for j in order:
-                if j in used or rule.premises[j].conclusion != cname:
-                    continue
-                inner = {r: set(depths) for r, depths in env.items()}
-                for s in rule.premises[j].discharged:
-                    inner.setdefault(s, set()).add(depth)
-                if ok(child, depth + 1, inner) and assign(i + 1, used | {j}):
-                    return True
+    name = _atom_name(node.formula)
+    assumed = 0 < node.bound <= depth
+    if not node.children:
+        if not node.axiomatic:
             return False
+        ax = axiom(name)
+        if assumed:
+            return ax in env and depth - node.bound in env[ax]
+        return ax in base_rules
+    if assumed:
+        if node.rule not in env or depth - node.bound not in env[node.rule]:
+            return False
+        candidates = [node.rule]
+    else:
+        candidates = [
+            r
+            for r in base_rules
+            if r.conclusion == name and len(r.premises) == len(node.children)
+        ]
+    for rule in candidates:
+        if rule.conclusion != name or len(rule.premises) != len(node.children):
+            continue
+        if _assign(node, base_rules, depth, rule, env, 0, frozenset()):
+            return True
+    return False
 
-        return assign(0, set())
 
-    return ok(struct, 0, {})
+def _assign(
+    node: Node,
+    base_rules: frozenset[AtomicRule],
+    depth: int,
+    rule: AtomicRule,
+    env: dict[AtomicRule, set[int]],
+    i: int,
+    used: frozenset[int],
+) -> bool:
+    """Whether the rule's premises not in used can be assigned to node's
+    children from the i-th on, by conclusion name, each child replaying;
+    backtracks over ties, because different premises may open different
+    rule sets."""
+    if i == len(node.children):
+        return True
+    child = node.children[i]
+    if not _atomic_formula(child.formula):
+        return False
+    cname = _atom_name(child.formula)
+    for j, prem in enumerate(rule.premises):
+        if j in used or prem.conclusion != cname:
+            continue
+        inner = {r: set(depths) for r, depths in env.items()}
+        for s in prem.discharged:
+            inner.setdefault(s, set()).add(depth)
+        if _replays(child, base_rules, depth + 1, inner) and _assign(
+            node, base_rules, depth, rule, env, i + 1, used | {j}
+        ):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,9 @@ from prooflab.base_semantics import (
 from prooflab.reductions import (
     Reduction,
     constant_reduction,
+    normalize,
     pointer_reduction,
-    reduce_step,
+    search_normal_form,
     search_reduct,
     standard_reductions,
 )
@@ -254,7 +255,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     reds = arg.reductions()
     if args.target:
         target = _load_argument(args.target).structure
-        out = search_reduct(arg.structure, target, reds, budget=args.budget)
+        out = search_normal_form(
+            arg.structure, target, reds, args.budget
+        ) or search_reduct(arg.structure, target, reds, budget=args.budget)
         payload = {
             "status": out.status,
             "visited": out.visited,
@@ -274,18 +277,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             out.status
         ]
     # no target: rewrite to a normal form, tracing the steps
-    current = arg.structure
-    steps = []
-    while True:
-        step = reduce_step(current, reds)
-        if step is None or len(steps) >= args.budget:
-            break
-        current = step.result
-        steps.append({"position": list(step.position), "rule": step.rule})
+    current, path, normal = normalize(arg.structure, reds, args.budget)
+    steps = [{"position": list(pos), "rule": name} for pos, name in path]
     payload = {
         "steps": steps,
         "normal_form": structure_to_obj(current),
-        "stuck": step is None,
+        "stuck": normal,
     }
     lines = []
     for k, step in enumerate(steps, 1):
@@ -486,8 +483,10 @@ def build_parser() -> _Parser:
             type=int,
             default=DEFAULT_BUDGET,
             help=(
-                "bound on the distinct structures a reduction search explores"
-                " (on the rewrite steps, for reduce without --target)"
+                "bound on the distinct structures a reduction search explores,"
+                " or on the structures of the one path it follows where the"
+                " standard reductions alone decide it by normal form (on the"
+                " rewrite steps, for reduce without --target)"
             ),
         )
         sp.add_argument(

@@ -25,10 +25,24 @@ rewrites from its own and its children's, memoized per distinct subtree.
 One breadth-first walk, Reachable, enumerates the reduction closure up to a
 budget on distinct structures and records the step that first reached each
 one; the structures it finds share most of their subtrees, and each distinct
-subtree's rewrites are computed once per walk.  search_reduct and the
-validity checker both stop it at the first structure they want.  A single
-step (reduce_step) searches the same order and stops at the first rewrite
-that applies.
+subtree's rewrites are computed once per walk.  search_reduct stops it at the
+first structure it wants, and the validity checker's search for a canonical
+reduct walks it too.  A single step (reduce_step) searches the same order
+and stops at the first rewrite that applies.
+
+One more walk, normalize, follows a single path instead: it takes the
+leftmost-outermost rewrite until no redex is left.  The detour conversions
+normalize (Prawitz 1965); with the two derived steps the standard set is
+taken to terminate and be locally confluent too, which the tests check
+against the breadth-first walk on every closure they generate.  Then each
+structure has exactly one normal form (Newman 1942): under the standard set
+alone "some reduct is a normal X" is "the normal form is X".
+search_normal_form answers search_reduct's question that way for a goal only
+a normal structure can meet (a derivation in a base, a target without a
+redex), in as many structures as the path holds instead of the whole
+closure; where a justification adds a reduction, which may overlap a
+standard redex, or the path would hold more structures than the budget, it
+leaves the question to search_reduct.
 """
 
 from __future__ import annotations
@@ -73,6 +87,8 @@ __all__ = [
     "SearchOutcome",
     "search_reduct",
     "Reachable",
+    "normalize",
+    "search_normal_form",
 ]
 
 
@@ -411,3 +427,49 @@ def search_reduct(
         return SearchOutcome("no", None, None, len(walk.parents))
     note = f"budget of {budget} distinct structures exhausted"
     return SearchOutcome("inconclusive", None, None, len(walk.parents), note)
+
+
+def normalize(
+    start: ArgumentStructure, reductions: Sequence[Reduction], max_steps: int
+) -> tuple[ArgumentStructure, tuple[tuple[Path, str], ...], bool]:
+    """Rewrite leftmost-outermost, one redex at a time, until no redex is
+    left or max_steps steps are taken: the structure it stopped at, the
+    (position, rule name) steps that led there, and whether it stopped
+    because no redex was left."""
+    cur, path = start, []
+    while (found := _first_rewrite(cur, reductions)) is not None:
+        if len(path) >= max_steps:
+            return cur, tuple(path), False
+        pos, name, cur = found
+        path.append((pos, name))
+    return cur, tuple(path), True
+
+
+def search_normal_form(
+    start: ArgumentStructure,
+    goal: ArgumentStructure | Callable[[ArgumentStructure], bool],
+    reductions: Sequence[Reduction],
+    budget: int = DEFAULT_BUDGET,
+) -> SearchOutcome | None:
+    """search_reduct's answer read off the normal form, or None where that
+    reading does not hold and search_reduct has to walk the closure.  The
+    goal is a structure without a redex, or a predicate the caller vouches
+    only normal structures satisfy; the reductions must be exactly the
+    standard set, whose normal forms are unique.  It answers when the
+    leftmost-outermost path to the normal form holds at most budget
+    structures: "yes" with that path when the normal form is the goal, else
+    "no"; visited counts the structures on the path."""
+    if set(reductions) != set(_STANDARD):
+        return None
+    if callable(goal):
+        pred = goal
+    elif _first_rewrite(goal, reductions) is None:
+        pred = lambda d: d == goal
+    else:
+        return None
+    end, path, normal = normalize(start, reductions, budget - 1)
+    if not normal:
+        return None
+    if pred(end):
+        return SearchOutcome("yes", path, end, len(path) + 1)
+    return SearchOutcome("no", None, None, len(path) + 1)

@@ -32,6 +32,7 @@ __all__ = [
     "neg",
     "is_neg",
     "FormulaSyntaxError",
+    "MAX_NESTING",
     "parse_formula",
     "format_formula",
     "substitute",
@@ -194,49 +195,87 @@ _TOKEN_RE = re.compile(
 )
 
 
+# The deepest a formula text may nest: each parenthesis pair, negation and
+# connective is a level.  Parsing, evaluating under each relation, building
+# and checking witness arguments, and printing all recurse once per level,
+# several frames each, so at this depth all three relations answer well
+# inside Python's default recursion limit; deeper text is a syntax error.
+MAX_NESTING = 100
+
+
 class _Parser(_Scanner):
-    """Recursive descent with precedence ~ > & > | > -> and right-assoc ->."""
+    """Recursive descent with precedence ~ > & > | > -> and right-assoc ->.
+    Each method returns a formula with its nesting, the height of its parse
+    tree, where a parenthesized formula sits a level above what it encloses.
+    A text nested deeper than MAX_NESTING fails at the operator that makes
+    the level too many, or, on the way down, at the '(', '~' or '->' that
+    opens it, before the recursion goes any deeper."""
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "arrow":
-            self.take()
-            return Impl(left, self.implication())
-        return left
+    opened = 0  # the "(", "~" and "->" levels open around the current token
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
+    def _level(self, height: int, pos: int) -> int:
+        if height > MAX_NESTING:
+            raise self.error(
+                f"formula nested deeper than {MAX_NESTING} levels", self.text, pos
+            )
+        return height
+
+    def _inside(
+        self, parse: Callable[[], tuple[Formula, int]], pos: int
+    ) -> tuple[Formula, int]:
+        """parse, one level further down."""
+        self.opened += 1
+        self._level(self.opened, pos)
+        got = parse()
+        self.opened -= 1
+        return got
+
+    def implication(self) -> tuple[Formula, int]:
+        left, h = self.disjunction()
+        if self.peek()[0] != "arrow":
+            return left, h
+        pos = self.take()[2]
+        right, k = self._inside(self.implication, pos)
+        return Impl(left, right), self._level(max(h, k) + 1, pos)
+
+    def disjunction(self) -> tuple[Formula, int]:
+        f, h = self.conjunction()
         while self.peek()[0] == "bar":
-            self.take()
-            f = Disj(f, self.conjunction())
-        return f
+            pos = self.take()[2]
+            g, k = self.conjunction()
+            f, h = Disj(f, g), self._level(max(h, k) + 1, pos)
+        return f, h
 
-    def conjunction(self) -> Formula:
-        f = self.unary()
+    def conjunction(self) -> tuple[Formula, int]:
+        f, h = self.unary()
         while self.peek()[0] == "amp":
-            self.take()
-            f = Conj(f, self.unary())
-        return f
+            pos = self.take()[2]
+            g, k = self.unary()
+            f, h = Conj(f, g), self._level(max(h, k) + 1, pos)
+        return f, h
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         kind, value, pos = self.peek()
         if kind == "tilde":
             self.take()
-            return neg(self.unary())
+            f, h = self._inside(self.unary, pos)
+            return neg(f), self._level(h + 1, pos)
         if kind == "word":
             self.take()
-            return BOT if value == "bot" else Atom(value)
+            return (BOT if value == "bot" else Atom(value)), 0
         if kind == "lpar":
             self.take()
-            f = self.implication()
+            f, h = self._inside(self.implication, pos)
             self.expect("rpar", "')'")
-            return f
+            return f, self._level(h + 1, pos)
         raise self.error("expected a formula", self.text, pos)
 
 
 def parse_formula(text: str) -> Formula:
+    """The formula a text denotes; FormulaSyntaxError if it is malformed or
+    nested deeper than MAX_NESTING."""
     parser = _Parser(text, _TOKEN_RE, FormulaSyntaxError)
-    f = parser.implication()
+    f, _ = parser.implication()
     parser.end()
     return f
 

@@ -72,6 +72,7 @@ from prooflab.reductions import (
     Reachable,
     Reduction,
     constant_reduction,
+    search_normal_form,
     search_reduct,
     standard_reductions,
 )
@@ -184,9 +185,13 @@ def _check_closed(
     reds = arg.reductions()
     goal = conclusion(struct)
     if isinstance(goal, (Atom, Absurdity)):
-        out = search_reduct(
-            struct, lambda d: is_atomic_derivation(d, base), reds, budget=budget
-        )
+        # a derivation in the base has no connective, so no redex: under the
+        # standard reductions alone, the normal form settles the search
+        def pred(d: ArgumentStructure) -> bool:
+            return is_atomic_derivation(d, base)
+
+        routed = search_normal_form(struct, pred, reds, budget)
+        out = routed or search_reduct(struct, pred, reds, budget=budget)
         if out.status == "yes":
             return ValidityVerdict(
                 Status.VALID,
@@ -194,10 +199,18 @@ def _check_closed(
                 f" ({len(out.path)} steps)",
             )
         if out.status == "no":
+            if routed:
+                why = (
+                    "the only normal form in its reduction closure, reached in "
+                    f"{out.visited - 1} steps, is not one"
+                )
+            else:
+                why = (
+                    f"the whole reduction closure ({out.visited} structures) "
+                    "was enumerated"
+                )
             return ValidityVerdict(
-                Status.INVALID,
-                "no reduct is a derivation in the base; the whole reduction "
-                f"closure ({out.visited} structures) was enumerated",
+                Status.INVALID, "no reduct is a derivation in the base; " + why
             )
         return ValidityVerdict(Status.INCONCLUSIVE, out.note)
 

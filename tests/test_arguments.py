@@ -1,6 +1,7 @@
 """Tests for argument structures, discharge validation, and the
 derivation encoding."""
 
+import gc
 import json
 import os
 import subprocess
@@ -543,6 +544,24 @@ def test_atomic_replay_matches_engine_on_sample_bases():
             for a in atoms_of_base(base)
             if derive(base, frozenset(), a).derivable
         }
+
+
+def test_replay_and_encoding_leave_no_cycles():
+    # whatever a cycle references lives until the next collection
+    base = parse_base_text("([(p => q) => t] => u)\np.\n(q => t)\n")
+    tree = derive(base, frozenset(), "u").tree
+    d = derivation_to_structure(tree, base)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            assert is_atomic_derivation(d, base)
+        assert gc.collect() == 0
+        for _ in range(1000):
+            derivation_to_structure(tree, base)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,10 @@ from prooflab.cli import (
     build_parser,
     main,
 )
-from prooflab.syntax import Atom
+from prooflab.syntax import MAX_NESTING, Atom
 from test_arguments import BAD_DISCHARGES, bad_discharge_obj
-from test_reductions import CHAIN_INNER, CHAIN_VISITED, detour_chain
+from test_reductions import CHAIN_INNER, detour_chain
+from test_syntax import NESTED
 
 p, q = Atom("p"), Atom("q")
 
@@ -320,7 +321,8 @@ def test_reduce_detour_chain(tmp_path, capsys, depth):
     assert code == EX_OK
     assert json.loads(capsys.readouterr().out) == {
         "status": "yes",
-        "visited": CHAIN_VISITED[depth - 1],
+        # the structures on the one path to the normal form
+        "visited": depth + 1,
         "note": "",
         "path": [{"position": [], "rule": name} for name in rules],
     }
@@ -329,6 +331,52 @@ def test_reduce_detour_chain(tmp_path, capsys, depth):
     lines = [f"step {k}: {name} at []" for k, name in enumerate(rules, 1)]
     lines += ["result:"] + ["  " + ln for ln in pretty(CHAIN_INNER).splitlines()]
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_cut_budget_falls_back_to_the_full_search(tmp_path, capsys):
+    # the depth-3 chain normalizes in three steps, a path of four
+    # structures; its closure holds eight
+    d, rules = detour_chain(3)
+    path = argument_file(tmp_path, d)
+    target = write_json(tmp_path / "t.json", structure_to_obj(CHAIN_INNER))
+    check = ["check_valid", "--rule", "q.", "--rule", "(q => p)", "--argument", path]
+    reduce = ["reduce", "--argument", path, "--target", target]
+    # a budget of three: the breadth-first search's answer, unchanged
+    assert main([*check, "--budget", "3"]) == EX_INCONCLUSIVE
+    assert capsys.readouterr().out == (
+        "conclusion: p\nclosed:     yes\nstatus:     inconclusive\n"
+        "reason:     budget of 3 distinct structures exhausted\n"
+    )
+    assert main([*reduce, "--budget", "3"]) == EX_INCONCLUSIVE
+    assert capsys.readouterr().out == (
+        "status:  inconclusive\nvisited: 3\n"
+        "note:    budget of 3 distinct structures exhausted\n"
+    )
+    # a budget of four holds the path: the normal form settles both
+    assert main([*check, "--budget", "4"]) == EX_OK
+    assert capsys.readouterr().out == (
+        "conclusion: p\nclosed:     yes\nstatus:     valid\n"
+        "reason:     reduces to a derivation of p in the base (3 steps)\n"
+    )
+    assert main([*reduce, "--budget", "4"]) == EX_OK
+    assert capsys.readouterr().out == "status:  yes\nvisited: 4\n" + "".join(
+        f"  at []: {name}\n" for name in rules
+    )
+
+
+def test_invalid_reason_names_the_normal_form(tmp_path, capsys):
+    d = and_elim(and_intro(axiom_leaf(q), axiom_leaf(p)), 1)
+    path = argument_file(tmp_path, d)
+    assert main(["check_valid", "--rule", "p.", "--argument", path]) == EX_FAILS
+    assert capsys.readouterr().out == (
+        "conclusion: q\nclosed:     yes\nstatus:     invalid\n"
+        "reason:     no reduct is a derivation in the base; the only normal "
+        "form in its reduction closure, reached in 1 steps, is not one\n"
+    )
+    # under a budget the path does not fit, the full search's answer
+    argv = ["check_valid", "--rule", "p.", "--argument", path, "--budget", "1"]
+    assert main(argv) == EX_INCONCLUSIVE
+    assert "budget of 1 distinct structures exhausted" in capsys.readouterr().out
 
 
 def test_reduce_under_binder(tmp_path, capsys):
@@ -554,6 +602,23 @@ def test_bad_sequent_text(capsys):
 def test_bad_rule_text(capsys):
     code = main(["eval", "--rule", "((", "--sequent", "|- p"])
     assert code == EX_DATA
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["(", "~", "->"])
+def test_nesting_at_the_limit_and_above(kind, capsys):
+    at, above = NESTED[kind](MAX_NESTING), NESTED[kind](MAX_NESTING + 1)
+    for semantics in ("standard", "sandqvist", "alpha"):
+        for rules in ([], ["--rule", "p."]):
+            for sequent in (f"|- {at}", f"{at} |- q", f"p |- {at}"):
+                argv = ["eval", *rules, "--sequent", sequent, "--semantics", semantics]
+                assert main(argv) in (EX_OK, EX_FAILS)
+                assert main([*argv, "--trace"]) in (EX_OK, EX_FAILS)
+        argv = ["eval", "--sequent", f"|- {above}", "--semantics", semantics]
+        assert main(argv) == EX_DATA
+        assert "nested deeper than" in capsys.readouterr().err
+    # the old probes, far above the limit
+    assert main(["eval", "--sequent", "|- " + NESTED[kind](1200)]) == EX_DATA
     capsys.readouterr()
 
 

@@ -3,7 +3,7 @@ reachability search.  Expected results of rewrites are built by hand with
 the structure builders, never by running the rewrite itself."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prooflab.arguments import (
@@ -24,6 +24,7 @@ from prooflab.arguments import (
     impl_elim,
     impl_intro,
     instantiate,
+    is_atomic_derivation,
     is_closed,
     iter_nodes,
     leaf,
@@ -51,8 +52,10 @@ from prooflab.reductions import (
     _rewrites_of,
     constant_reduction,
     extract,
+    normalize,
     pointer_reduction,
     reduce_step,
+    search_normal_form,
     search_reduct,
     standard_reductions,
     successors,
@@ -544,9 +547,10 @@ def test_weaken_detour_preserves_interface(body, a, c):
     assert match_impl_intro(step.result)
 
 
-def detours():
-    """structures() with detours of every kind built around its members and
-    ->-intro binders around those, so redexes sit under discharges."""
+def detours(leaves=None):
+    """structures() (or the given leaves) with detours of every kind built
+    around its members and ->-intro binders around those, so redexes sit
+    under discharges."""
 
     def extend(children):
         return st.one_of(
@@ -568,7 +572,18 @@ def detours():
             ),
         )
 
-    return st.recursive(structures(), extend, max_leaves=6)
+    return st.recursive(
+        structures() if leaves is None else leaves, extend, max_leaves=6
+    )
+
+
+def derivation_detours():
+    """detours() around a derivation in CHAIN_BASE, its axiom leaf, an axiom
+    leaf it lacks and an assumption: most are closed, and some reduce to a
+    derivation in the base."""
+    return detours(
+        st.sampled_from([CHAIN_INNER, axiom_leaf(q), axiom_leaf(p), assumption(p)])
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -824,3 +839,95 @@ def test_first_rewrite_on_detour_chains(depth):
         d = step.result
     assert d == CHAIN_INNER and taken == rules
     assert _first_rewrite(d, STD) is None and not _rewrites_of(d, STD, {})
+
+
+# ---------------------------------------------------------------------------
+# normal forms: one leftmost-outermost path against the whole closure
+#
+# search_reduct's breadth-first walk is the reference: under the five
+# standard reductions every closure has exactly one normal form, normalize
+# reaches it, and search_normal_form answers as the full search does.
+
+
+def assert_paths_replay(d, path, end):
+    by_name = {red.name: red for red in STD}
+    for pos, name in path:
+        d = {step.position: step.result for step in successors(d, [by_name[name]])}[pos]
+    assert d == end
+
+
+def complete_closure(d):
+    """Every structure d reduces to, or None if the default budget cuts the
+    enumeration short."""
+    walk = Reachable(d, STD)
+    found = list(walk)
+    return found if walk.complete else None
+
+
+def assert_normal_form_route_agrees(d, closure):
+    normal = [e for e in closure if _first_rewrite(e, STD) is None]
+    assert len(normal) == 1
+    (nf,) = normal
+    end, path, done = normalize(d, STD, len(closure))
+    assert done and end == nf
+    assert_paths_replay(d, path, end)
+
+    def pred(e):
+        return is_atomic_derivation(e, CHAIN_BASE)
+
+    # the atomic-derivation goal, and every normal target, reachable or not
+    for goal in (pred, nf, assumption(s), axiom_leaf(q)):
+        ref = search_reduct(d, goal, STD)
+        got = search_normal_form(d, goal, STD)
+        assert got is not None and got.status == ref.status
+        assert got.visited == len(path) + 1
+        if got.status == "yes":
+            assert got.witness == nf and got.path == path
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(structures(), detours(), derivation_detours()))
+def test_normal_form_route_agrees_with_the_full_search(d):
+    closure = complete_closure(d)
+    assume(closure is not None)
+    assert_normal_form_route_agrees(d, closure)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_normal_form_route_on_detour_chains(depth):
+    d, rules = detour_chain(depth)
+    assert_normal_form_route_agrees(d, complete_closure(d))
+    out = search_normal_form(d, CHAIN_INNER, STD)
+    assert out.status == "yes" and out.visited == depth + 1
+    assert out.path == tuple(((), name) for name in rules)
+
+
+def test_normalize_stops_at_the_step_bound():
+    d, rules = detour_chain(3)
+    end, path, done = normalize(d, STD, 2)
+    assert not done and len(path) == 2
+    assert end == reduce_step(reduce_step(d, STD).result, STD).result
+    end, path, done = normalize(d, STD, 3)
+    assert done and end == CHAIN_INNER and len(path) == 3
+    assert normalize(CHAIN_INNER, STD, 0) == (CHAIN_INNER, (), True)
+
+
+def test_normal_form_route_declines():
+    d, _ = detour_chain(3)
+    # a path of four structures: a budget of three leaves it to search_reduct
+    assert search_normal_form(d, CHAIN_INNER, STD, budget=3) is None
+    assert search_normal_form(d, CHAIN_INNER, STD, budget=4).status == "yes"
+    # a target that holds a redex
+    assert search_normal_form(d, detour_chain(1)[0], STD) is None
+    assert search_normal_form(d, CHAIN_INNER, STD[::-1]).status == "yes"
+    # a constant reduction that overlaps the conj-detour: the standard
+    # normal form p* is no derivation in the base, but another reduct is
+    e = and_elim(and_intro(axiom_leaf(p), axiom_leaf(q)), 1)
+    kappa = constant_reduction([Conj(p, q)], p, CHAIN_INNER)
+
+    def pred(x):
+        return is_atomic_derivation(x, CHAIN_BASE)
+
+    assert search_normal_form(e, pred, STD).status == "no"
+    assert search_normal_form(e, pred, STD + (kappa,)) is None
+    assert search_reduct(e, pred, STD + (kappa,)).status == "yes"

@@ -13,6 +13,7 @@ from prooflab.syntax import (
     Disj,
     FormulaSyntaxError,
     Impl,
+    MAX_NESTING,
     atoms_of,
     depth,
     format_formula,
@@ -143,3 +144,34 @@ def test_substitution_composition(f, g, h):
 @given(formulas())
 def test_identity_substitution(f):
     assert substitute(f, {}) == f
+
+
+# texts nested n levels deep, one construct repeated
+NESTED = {
+    "(": lambda n: "(" * n + "p" + ")" * n,
+    "~": lambda n: "~" * n + "p",
+    "->": lambda n: " -> ".join(["p"] * (n + 1)),
+    "&": lambda n: " & ".join(["p"] * (n + 1)),
+    "|": lambda n: " | ".join(["p"] * (n + 1)),
+}
+
+
+@pytest.mark.parametrize("kind", NESTED)
+def test_nesting_limit(kind):
+    parse_formula(NESTED[kind](MAX_NESTING))
+    with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+        parse_formula(NESTED[kind](MAX_NESTING + 1))
+
+
+def test_nesting_counts_every_level():
+    # a parenthesis pair, a negation and a connective each add one
+    half = MAX_NESTING // 2
+    parse_formula("(~" * half + "p" + ")" * half)
+    parse_formula("(p -> " * half + "p" + ")" * half)
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("(p -> " * (half + 1) + "p" + ")" * (half + 1))
+    # a left-nested chain under parentheses
+    inner = "(" + NESTED["&"](MAX_NESTING - 1) + ")"
+    parse_formula(inner)
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula(inner + " -> q")

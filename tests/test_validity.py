@@ -7,7 +7,7 @@ import re
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prooflab import base_semantics, validity
@@ -22,6 +22,7 @@ from prooflab.arguments import (
     conclusion,
     derivation_to_structure,
     impl_intro,
+    is_atomic_derivation,
     is_closed,
     or_intro_left,
     or_intro_right,
@@ -41,6 +42,7 @@ from prooflab.base_semantics import (
 from prooflab.reductions import (
     PROJECT_DETOUR,
     constant_reduction,
+    search_reduct,
     standard_reductions,
 )
 from prooflab.syntax import Atom, Conj, Disj, Impl, parse_formula
@@ -57,6 +59,7 @@ from prooflab.validity import (
     synthesize_witness,
 )
 from test_acceptance import base_family, sequent_pool
+from test_reductions import CHAIN_BASE, derivation_detours
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -89,6 +92,20 @@ def test_underivable_atom_is_invalid():
     verdict = check_valid(Argument(axiom_leaf(q)), B_P)
     assert verdict.status is Status.INVALID
     assert "closure" in verdict.reason
+
+
+@settings(max_examples=120, deadline=None)
+@given(derivation_detours())
+def test_atomic_goal_by_normal_form_matches_the_full_search(d):
+    # without justifications the normal form decides an atomic goal
+    assume(is_closed(d) and isinstance(conclusion(d), Atom))
+    ref = search_reduct(
+        d, lambda e: is_atomic_derivation(e, CHAIN_BASE), standard_reductions()
+    )
+    assume(ref.status != "inconclusive")
+    verdict = check_valid(Argument(d), CHAIN_BASE)
+    want = Status.VALID if ref.status == "yes" else Status.INVALID
+    assert verdict.status is want
 
 
 def test_atomic_budget_exhaustion_is_inconclusive():
