@@ -12,18 +12,20 @@ rules of level at most k - 2.
 ``bot`` is an ordinary atom here: deriving it is not special, except that a
 Base refuses construction when its rules derive bot outright.
 
-Derivability is decided goal first, as in tabled resolution: every rule is
-numbered once, a context is a bitmask over those numbers, and a worklist of
-goals (context, atom), seeded with every atom in the supply's context,
-grounds only the rules of a goal's context that conclude its atom.  Each
-premise asks for a fact in the context its discharged rules extend to, so a
-context is opened only when some goal asks for a fact in it.  Facts then
-propagate through per-application counters of unmet premises, as in
-linear-time Horn satisfiability.  A positive answer carries a derivation
-tree that an independent checker (check_derivation) replays against the
-rule supply.  Each fact is justified by the first application that
-completes, in the order goals were asked, so the tree does not depend on
-the hash seed.
+Derivability is decided goal first, as in tabled resolution: a base's rules,
+with every rule nested in them, are numbered once, and rules assumed on top
+of the base extend that numbering.  A context is a bitmask over those
+numbers, and a worklist of goals (context, atom), seeded with every atom in
+the supply's context, grounds only the rules of a goal's context that
+conclude its atom.  Each premise asks for a fact in the context its
+discharged rules extend to, so a context is opened only when some goal asks
+for a fact in it.  Facts then propagate through per-application counters of
+unmet premises, as in linear-time Horn satisfiability.  A positive answer
+carries a derivation tree that an independent checker (check_derivation)
+replays against the rule supply.  Each fact is justified by the first
+application that completes, in the order goals were asked, so the tree does
+not depend on the hash seed; only the facts the supply's context's trees
+use are kept.
 
 Concrete rule syntax, one rule per line in base files:
 
@@ -40,9 +42,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable
 
-from prooflab.syntax import BOT, Atom, Conj, Formula, Impl, _ATOM_RE, _Scanner, _SyntaxError
+from prooflab.syntax import (
+    BOT,
+    MAX_NESTING,
+    Atom,
+    Conj,
+    Formula,
+    Impl,
+    _ATOM_RE,
+    _Scanner,
+    _SyntaxError,
+)
 
 __all__ = [
     "Premise",
@@ -235,25 +248,110 @@ class DerivationNode:
     children: tuple["DerivationNode", ...]
 
 
+class _Numbering:
+    """A rule set numbered for saturation.
+
+    order lists the rules, the set and every rule nested in a discharged
+    set, by number, and index maps each rule to its number; atoms numbers
+    the atoms in the order the rules first mention them.  shapes[i] is rule
+    i's ((premise atom, discharged mask), ...), concluding[a] the mask of
+    the rules concluding atom a, axioms[a] the bit of a's axiom, and
+    initial the mask of the set itself.
+    """
+
+    __slots__ = ("order", "index", "atoms", "shapes", "concluding", "axioms", "initial")
+
+    def __init__(self, rules: frozenset[AtomicRule]) -> None:
+        self.order: list[AtomicRule] = []
+        self.index: dict[AtomicRule, int] = {}
+        self.atoms: dict[str, int] = {}
+        self.shapes: list[tuple[tuple[int, int], ...]] = []
+        self.concluding: dict[int, int] = {}
+        self.axioms: dict[int, int] = {}
+        self._append(rules)
+        self.initial = self._mask(rules)
+
+    def _mask(self, rules: Iterable[AtomicRule]) -> int:
+        index = self.index
+        m = 0
+        for r in rules:
+            m |= 1 << index[r]
+        return m
+
+    def _append(self, rules: Iterable[AtomicRule]) -> None:
+        """Number the given rules and the rules nested in them that have no
+        number yet, in the order of their keys, after those that have."""
+        index = self.index
+        start = len(index)
+        todo = list(rules)
+        while todo:
+            r = todo.pop()
+            if r not in index:
+                index[r] = -1
+                for p in r.premises:
+                    todo.extend(p.discharged)
+        new = sorted(islice(index, start, None), key=lambda r: r._key)
+        for i, r in enumerate(new, start):
+            index[r] = i
+        self.order += new
+        atoms, concluding = self.atoms, self.concluding
+        for i, r in enumerate(new, start):
+            prems = []
+            for p in r.premises:
+                dmask = 0
+                for s in p.discharged:
+                    dmask |= 1 << index[s]
+                prems.append((atoms.setdefault(p.conclusion, len(atoms)), dmask))
+            self.shapes.append(tuple(prems))
+            head = atoms.setdefault(r.conclusion, len(atoms))
+            concluding[head] = concluding.get(head, 0) | 1 << i
+            if not prems:
+                self.axioms[head] = 1 << i
+
+    def extended(self, extra: frozenset[AtomicRule]) -> _Numbering:
+        """The numbering of this set plus extra: rules numbered here keep
+        their numbers, and the others are numbered after them."""
+        out = _Numbering.__new__(_Numbering)
+        out.order = self.order.copy()
+        out.index = self.index.copy()
+        out.atoms = self.atoms.copy()
+        out.shapes = self.shapes.copy()
+        out.concluding = self.concluding.copy()
+        out.axioms = self.axioms.copy()
+        out._append(extra)
+        out.initial = self.initial | out._mask(extra)
+        return out
+
+
+# The numberings of recent rule sets, keyed by the set, never by a Base: an
+# entry that held a base would keep it, and its evaluation context, alive.
+# A base asked under several assumed sets is numbered once.
+@lru_cache(maxsize=256)
+def _numbering(rules: frozenset, /) -> _Numbering:
+    return _Numbering(rules)
+
+
 class _Saturation:
     """Fixpoint of 'atom a is derivable in context R' over the facts asked.
 
     A context is the supply plus some of the rules that premises discharge.
     Built in three steps:
 
-    1. Number every rule once, in the fixed order of the rule keys: the supply
-       and every rule nested in a discharged set.  A context is then an int
-       bitmask over those numbers, and a premise's target context is the
-       current one OR'd with the premise's discharged-rule mask.
+    1. Number every rule: the supply and every rule nested in a discharged
+       set (_Numbering).  A base's rules are numbered once, in the fixed
+       order of the rule keys, and assumed rules extend that numbering:
+       those it holds already keep their numbers, and the rest follow in
+       key order.  A context is then an int bitmask over those numbers, and
+       a premise's target context is the current one OR'd with the
+       premise's discharged-rule mask.
     2. Ground applications from a worklist of goals, as tabled resolution
        does (Tamaki & Sato 1986; Chen & Warren 1996).  The worklist starts
        with every atom in the supply's context.  A goal (context c, atom a)
-       grounds the rules of c that conclude a, in rule-number order, and
-       stops at the first axiom (axioms sort first among the rules
-       concluding an atom).  Each premise (b, discharged mask) of those
-       rules asks for the fact (c | mask, b), which joins the worklist the
-       first time it is asked.  A context is opened only when some goal
-       asks for a fact in it.
+       whose context holds a's axiom is met by the axiom alone; otherwise
+       it grounds the rules of c that conclude a, in rule-number order.
+       Each premise (b, discharged mask) of those rules asks for the fact
+       (c | mask, b), which joins the worklist the first time it is asked.
+       A context is opened only when some goal asks for a fact in it.
     3. Propagate with counters, as in linear-time Horn satisfiability
        (Dowling & Gallier 1984): each application counts its unmet
        premises; a newly recorded fact decrements the applications that
@@ -267,42 +365,18 @@ class _Saturation:
     extraction is well-founded even through cyclic rule supplies.  Every
     order followed comes from the rule numbering, never from iterating a
     set, so the witness does not depend on the hash seed.  Only the fact
-    tables are kept: facts[c][atom] is (rule, target context of each
-    premise), context 0 being the supply's.
+    tables are kept, and only for the facts of the supply's context and the
+    facts their justifications reach: facts[c][atom] is (rule, target
+    context of each premise), context 0 being the supply's.
     """
 
     __slots__ = ("facts",)
 
-    def __init__(self, supply: frozenset[AtomicRule], max_steps: int) -> None:
-        seen: dict[AtomicRule, None] = {}
-        todo = list(supply)
-        while todo:
-            r = todo.pop()
-            if r not in seen:
-                seen[r] = None
-                for p in r.premises:
-                    todo.extend(p.discharged)
-        order = sorted(seen, key=lambda r: r._key)
-        index = {r: i for i, r in enumerate(order)}
-        atoms: dict[str, int] = {}
-        # per rule number: ((premise atom, discharged mask), ...), atoms as
-        # numbers too; concluding[a] is the mask of the rules concluding a
-        shapes = []
-        concluding: dict[int, int] = {}
-        for i, r in enumerate(order):
-            prems = []
-            for p in r.premises:
-                dmask = 0
-                for s in p.discharged:
-                    dmask |= 1 << index[s]
-                prems.append((atoms.setdefault(p.conclusion, len(atoms)), dmask))
-            shapes.append(tuple(prems))
-            head = atoms.setdefault(r.conclusion, len(atoms))
-            concluding[head] = concluding.get(head, 0) | 1 << i
-        n = len(atoms)
-        initial = 0
-        for r in supply:
-            initial |= 1 << index[r]
+    def __init__(self, numbering: _Numbering, max_steps: int) -> None:
+        shapes, concluding = numbering.shapes, numbering.concluding
+        axioms = numbering.axioms
+        n = len(numbering.atoms)
+        initial = numbering.initial
 
         # a fact (context c, atom a) is the number c * n + a.  Application k
         # is rule app_rule[k] concluding fact app_head[k], with counts[k]
@@ -323,6 +397,15 @@ class _Saturation:
         for f in goals:  # goals grows as premises ask for new facts
             c, a = divmod(f, n)
             m = masks[c]
+            bit = m & axioms.get(a, 0)
+            if bit:
+                # the axiom: the other rules concluding a add nothing
+                just[f] = len(counts)
+                app_rule.append(bit.bit_length() - 1)
+                app_head.append(f)
+                counts.append(0)
+                queue.append(f)
+                continue
             rest = m & concluding.get(a, 0)
             while rest:
                 low = rest & -rest
@@ -333,11 +416,6 @@ class _Saturation:
                 app_rule.append(i)
                 app_head.append(f)
                 counts.append(len(prems))
-                if not prems:
-                    # an axiom: the later rules concluding a add nothing
-                    just[f] = k
-                    queue.append(f)
-                    break
                 steps += len(prems)
                 if steps > max_steps:
                     raise ResourceLimitExceeded(
@@ -371,16 +449,31 @@ class _Saturation:
                         just[head] = k
                         queue.append(head)
 
-        names = list(atoms)
-        self.facts: list[dict[str, tuple[AtomicRule, tuple[int, ...]]]] = [
-            {} for _ in masks
-        ]
-        for f in queue:
-            c, a = divmod(f, n)
-            m = masks[c]
+        # the justifications of the supply's context's facts and of every
+        # fact they reach, then their tables in the order facts were recorded
+        order = numbering.order
+        kept: dict[int, tuple[AtomicRule, tuple[int, ...]]] = {}
+        todo = [f for f in queue if f < n]
+        while todo:
+            f = todo.pop()
+            if f in kept:
+                continue
+            m = masks[f // n]
             i = app_rule[just[f]]
-            targets = tuple(ids[m | dmask] for _, dmask in shapes[i])
-            self.facts[c][names[a]] = (order[i], targets)
+            prems = shapes[i]
+            targets = tuple(ids[m | dmask] for _, dmask in prems)
+            kept[f] = (order[i], targets)
+            todo.extend(t * n + b for (b, _), t in zip(prems, targets))
+        names = list(numbering.atoms)
+        self.facts: dict[int, dict[str, tuple[AtomicRule, tuple[int, ...]]]] = {0: {}}
+        for f in queue:
+            got = kept.get(f)
+            if got is not None:
+                c, a = divmod(f, n)
+                table = self.facts.get(c)
+                if table is None:
+                    table = self.facts[c] = {}
+                table[names[a]] = got
 
     def derivable(self, goal: str) -> bool:
         return goal in self.facts[0]
@@ -397,12 +490,16 @@ class _Saturation:
 
 
 # A few recent saturations, for repeated derive() calls on one supply (one
-# per goal atom of the same base under the same assumed rules).  A base's
-# own saturation lives in its evaluation context (base_semantics), so this
-# cache need not hold every base's for as long as it lives.
+# per goal atom of the same base under the same assumed rules), keyed by
+# the base's rules and the assumed rules it lacks.  A base's own saturation
+# lives in its evaluation context (base_semantics), so this cache need not
+# hold every base's for as long as it lives.
 @lru_cache(maxsize=256)
-def _saturate(supply: frozenset, max_steps: int, /) -> _Saturation:
-    return _Saturation(supply, max_steps)
+def _saturate(rules: frozenset, extra: frozenset, max_steps: int, /) -> _Saturation:
+    numbering = _numbering(rules)
+    if extra:
+        numbering = numbering.extended(extra)
+    return _Saturation(numbering, max_steps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -426,9 +523,11 @@ def derive(
     premise (a premise of an application some goal asked for) or one
     counter decrement (a recorded fact passed on to one application
     watching it).  The 256 most recent saturations are kept, so asking for
-    each atom of one supply in turn saturates it once.
+    each atom of one supply in turn saturates it once, and the numberings
+    of the 256 most recent bases, so one base under several assumed sets
+    is numbered once.
     """
-    sat = _saturate(base.rules | frozenset(assumed), max_steps)
+    sat = _saturate(base.rules, frozenset(assumed) - base.rules, max_steps)
     if not sat.derivable(goal):
         return DeriveResult(derivable=False, tree=None)
     return DeriveResult(derivable=True, tree=sat.tree(goal))
@@ -436,8 +535,8 @@ def derive(
 
 def derivable_atoms(base: Base, assumed: Iterable[AtomicRule] = ()) -> frozenset[str]:
     """Every atom (bot included) derivable from base plus assumed rules."""
-    supply = base.rules | frozenset(assumed)
-    return frozenset(_saturate(supply, DEFAULT_MAX_STEPS).facts[0])
+    extra = frozenset(assumed) - base.rules
+    return frozenset(_saturate(base.rules, extra, DEFAULT_MAX_STEPS).facts[0])
 
 
 def check_consistency(rules: Iterable[AtomicRule]) -> bool:
@@ -450,7 +549,7 @@ def check_consistency(rules: Iterable[AtomicRule]) -> bool:
     supply = frozenset(rules)
     if all(r.conclusion != "bot" for r in supply):
         return True
-    return not _saturate(supply, DEFAULT_MAX_STEPS).derivable("bot")
+    return not _saturate(supply, frozenset(), DEFAULT_MAX_STEPS).derivable("bot")
 
 
 class DerivationCheckError(ValueError):
@@ -516,6 +615,13 @@ _RULE_TOKEN_RE = re.compile(
 
 
 class _RuleParser(_Scanner):
+    """Recursive descent over the rule syntax.  A rule nested in more than
+    MAX_NESTING discharged sets fails at the '[' that opens the set one too
+    many, before the recursion goes any deeper: saturation, the level
+    recurrence and printing all recurse once per discharge."""
+
+    opened = 0  # the discharged sets open around the current token
+
     def rule(self) -> AtomicRule:
         kind, value, pos = self.peek()
         if kind == "word":
@@ -540,12 +646,18 @@ class _RuleParser(_Scanner):
             return premise(value)
         if kind == "lbr":
             self.take()
+            self.opened += 1
+            if self.opened > MAX_NESTING:
+                raise self.error(
+                    f"rule nested deeper than {MAX_NESTING} discharges", self.text, pos
+                )
             discharged: list[AtomicRule] = []
             if self.peek()[0] != "arrow":
                 discharged.append(self.rule())
                 while self.peek()[0] == "comma":
                     self.take()
                     discharged.append(self.rule())
+            self.opened -= 1
             self.expect("arrow", "'=>'")
             conclusion = self.expect("word", "an atom")
             self.expect("rbr", "']'")
@@ -554,6 +666,9 @@ class _RuleParser(_Scanner):
 
 
 def parse_rule(text: str) -> AtomicRule:
+    """The rule a text denotes, an axiom's trailing dot optional;
+    RuleSyntaxError if it is malformed or nested deeper than MAX_NESTING
+    discharges."""
     parser = _RuleParser(text, _RULE_TOKEN_RE, RuleSyntaxError)
     r = parser.rule()
     if parser.peek()[0] == "dot":

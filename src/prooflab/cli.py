@@ -110,9 +110,14 @@ def _load_base(args: argparse.Namespace) -> Base:
 def _load_argument(path: str) -> Argument:
     """The argument in a JSON file: a structure, or an object holding one
     under "structure" and optional "justifications".  A file that does not
-    have that shape is malformed input."""
+    have that shape, or nests too deeply to read, is malformed input."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise StructureError(
+                f"malformed argument file {path}: nested too deeply"
+            ) from None
     try:
         if isinstance(obj, dict) and "structure" in obj:
             struct = structure_from_obj(obj["structure"])
@@ -129,6 +134,10 @@ def _load_argument(path: str) -> Argument:
         ) from None
     except (TypeError, AttributeError, ValueError) as exc:
         raise StructureError(f"malformed argument file {path}: {exc}") from None
+    except RecursionError:
+        raise StructureError(
+            f"malformed argument file {path}: structure nested too deeply"
+        ) from None
 
 
 _BY_NAME = {r.name: r for r in standard_reductions()}

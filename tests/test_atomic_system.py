@@ -34,6 +34,7 @@ from prooflab.atomic_system import (
     rule_to_premise,
     star_translate,
     RuleSyntaxError,
+    _numbering,
     _saturate,
 )
 from prooflab.syntax import FormulaSyntaxError, parse_formula
@@ -357,6 +358,87 @@ def test_trees_independent_of_hash_seed():
     assert len(outs) == 1
     roots = [line.split()[0] for line in outs.pop().splitlines() if line[0] != " "]
     assert roots == ["p", "q", "r", "s", "t", "v"]
+
+
+def tree_lines(node, depth=0):
+    yield "  " * depth + node.conclusion + " by " + format_rule(node.rule)
+    for child in node.children:
+        yield from tree_lines(child, depth + 1)
+
+
+def test_tied_supply_trees_are_pinned():
+    # a base's own trees follow its rule numbering; the first rule in key
+    # order breaks each tie
+    b = base(TIED_SUPPLY)
+    got = [
+        line
+        for a in sorted(derivable_atoms(b))
+        for line in tree_lines(derive(b, goal=a).tree)
+    ]
+    assert got == [
+        "p by p",
+        "q by q",
+        "r by (p => r)",
+        "  p by p",
+        "s by (r => s)",
+        "  r by (p => r)",
+        "    p by p",
+        "t by ([a => s] => t)",
+        "  s by (a => s)",
+        "    a by a",
+        "v by ([(p => u) => u] => v)",
+        "  u by (p => u)",
+        "    p by p",
+    ]
+
+
+def nested_rules(rs):
+    """Every rule nested in a discharged set of the given rules, at any depth."""
+    out, todo = set(), [s for r in rs for p in r.premises for s in p.discharged]
+    while todo:
+        r = todo.pop()
+        if r not in out:
+            out.add(r)
+            todo.extend(s for p in r.premises for s in p.discharged)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rules(max_level=4), min_size=1, max_size=4), st.data())
+def test_base_under_assumed_rules_matches_naive_fixpoint(rs, data):
+    # assumed rules extend the base's numbering: new compound rules, rules
+    # the base holds already and rules nested in its discharged sets
+    rs = frozenset(rs)
+    if not check_consistency(rs):
+        return
+    b = Base(rules=rs)
+    known = sorted(rs | nested_rules(rs), key=lambda r: r._key)
+    for _ in range(data.draw(st.integers(1, 3))):
+        assumed = frozenset(
+            data.draw(st.lists(rules(max_level=3), max_size=2))
+            + data.draw(st.lists(st.sampled_from(known), max_size=2))
+        )
+        got = derivable_atoms(b, assumed)
+        assert got == naive_derivable(rs | assumed)
+        for a in got:
+            res = derive(b, assumed, a)
+            assert res.derivable
+            assert check_derivation(res.tree, rs | assumed)
+
+
+def test_one_base_is_numbered_once_under_several_assumed_sets():
+    # atoms no other test uses, so the base is not numbered already; the
+    # second set assumes a rule nested in the base, the third a new one
+    b = base("n1_a.\n(n1_a, n1_b => n1_c)\n([n1_d => n1_c] => n1_e)")
+    before = _numbering.cache_info()
+    assert derivable_atoms(b) == {"n1_a"}
+    assert derivable_atoms(b, {axiom("n1_b")}) == {"n1_a", "n1_b", "n1_c", "n1_e"}
+    assert derivable_atoms(b, {axiom("n1_d")}) == {"n1_a", "n1_d"}
+    assert derivable_atoms(b, {axiom("n1_b"), rule("(n1_c => n1_f)")}) == {
+        "n1_a", "n1_b", "n1_c", "n1_e", "n1_f"
+    }
+    after = _numbering.cache_info()
+    assert after.misses - before.misses == 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from prooflab import cli
 from prooflab.arguments import (
     and_elim,
     and_intro,
@@ -620,6 +621,51 @@ def test_nesting_at_the_limit_and_above(kind, capsys):
     # the old probes, far above the limit
     assert main(["eval", "--sequent", "|- " + NESTED[kind](1200)]) == EX_DATA
     capsys.readouterr()
+
+
+def discharge_nest(depth: int) -> str:
+    """([... => q] => q) with depth discharged sets, one inside another."""
+    text = "q"
+    for _ in range(depth):
+        text = f"([{text} => q] => q)"
+    return text
+
+
+def test_rule_nesting_at_the_limit_and_above(tmp_path, capsys):
+    at = discharge_nest(MAX_NESTING)
+    for semantics in ("standard", "sandqvist", "alpha"):
+        argv = ["eval", "--rule", at, "--sequent", "|- q", "--semantics", semantics]
+        assert main(argv) == EX_OK
+        assert main([*argv, "--trace"]) == EX_OK
+    capsys.readouterr()
+    for above in (discharge_nest(MAX_NESTING + 1), discharge_nest(200)):
+        assert main(["eval", "--rule", above, "--sequent", "|- q"]) == EX_DATA
+        assert "rule nested deeper than" in capsys.readouterr().err
+    path = tmp_path / "base.rules"
+    path.write_text(f"p.\n{discharge_nest(MAX_NESTING + 1)}\n", encoding="utf-8")
+    assert main(["eval", "--base", str(path), "--sequent", "|- p"]) == EX_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("prooflab: line 2: rule nested deeper than")
+
+
+def test_deeply_nested_argument_json_is_a_data_error(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"a":' * 1100 + "1" + "}" * 1100, encoding="utf-8")
+    assert main(["check_valid", "--argument", str(bad)]) == EX_DATA
+    err = capsys.readouterr().err
+    assert err == f"prooflab: malformed argument file {bad}: nested too deeply\n"
+
+    # JSON shallow enough to read, a structure too deep to build
+    def too_deep(obj):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "structure_from_obj", too_deep)
+    path = argument_file(tmp_path, DETOUR)
+    assert main(["check_valid", "--argument", path]) == EX_DATA
+    err = capsys.readouterr().err
+    assert err == (
+        f"prooflab: malformed argument file {path}: structure nested too deeply\n"
+    )
 
 
 def test_inconsistent_base_is_rejected(capsys):
