@@ -133,22 +133,26 @@ class Node:
     this one.  open, derived too, summarizes the subtree's non-axiomatic
     leaves that the subtree itself does not discharge, as (formula,
     distance) pairs: distance 0 for a leaf nothing discharges, otherwise
-    how many levels above this node the leaf's binder sits.  The hash is
-    computed once, beside them, from the children's cached hashes, so
-    neither a lookup nor a question about assumptions walks the tree.  A
-    node is also the structure rooted at it, discharges reaching above it
-    left open."""
+    how many levels above this node the leaf's binder sits.  height, derived
+    as well, is the number of levels below the node: 0 at a leaf.  The hash
+    is computed once, beside them, from the children's cached hashes, so
+    neither a lookup nor a question about assumptions or height walks the
+    tree.  A node is also the structure rooted at it, discharges reaching
+    above it left open."""
 
     formula: Formula
     children: tuple["Node", ...] = ()
     axiomatic: bool = False
     bound: int = 0
     rule: AtomicRule | None = None
-    free: int = field(default=0, init=False, repr=False, compare=False)
+    # derived, set once by __post_init__: without a default, the generated
+    # __init__ does not set them first
+    free: int = field(init=False, repr=False, compare=False)
     open: frozenset[tuple[Formula, int]] = field(
-        default=_CLOSED, init=False, repr=False, compare=False
+        init=False, repr=False, compare=False
     )
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    height: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.axiomatic and self.children:
@@ -159,8 +163,11 @@ class Node:
             if self.children or self.axiomatic
             else frozenset(((self.formula, self.bound),))
         )
+        height = 0
         for child in self.children:
             free |= child.free >> 1
+            if child.height >= height:
+                height = child.height + 1
             sub = child.open
             if sub and child.free:
                 # one level up: a leaf bound one level above the child is
@@ -170,6 +177,7 @@ class Node:
                 opened = opened | sub if opened else sub
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "open", opened)
+        object.__setattr__(self, "height", height)
         object.__setattr__(
             self,
             "_hash",

@@ -24,8 +24,10 @@ unmet premises, as in linear-time Horn satisfiability.  A positive answer
 carries a derivation tree that an independent checker (check_derivation)
 replays against the rule supply.  Each fact is justified by the first
 application that completes, in the order goals were asked, so the tree does
-not depend on the hash seed; only the facts the supply's context's trees
-use are kept.
+not depend on the hash seed.  A saturation keeps the set of atoms derivable
+in the supply's context and a record of each fact their trees use; the
+first tree asked for builds the nodes of every one of them, once, and the
+trees of one supply share their common subtrees.
 
 Concrete rule syntax, one rule per line in base files:
 
@@ -361,16 +363,21 @@ class _Saturation:
     facts propagate exactly as in the saturation of every reachable context.
     Each fact is justified by the first of its applications that completes,
     applications being numbered in the order goals were asked; each
-    justification references only facts recorded before it, so witness
-    extraction is well-founded even through cyclic rule supplies.  Every
-    order followed comes from the rule numbering, never from iterating a
-    set, so the witness does not depend on the hash seed.  Only the fact
-    tables are kept, and only for the facts of the supply's context and the
-    facts their justifications reach: facts[c][atom] is (rule, target
-    context of each premise), context 0 being the supply's.
+    justification references only facts recorded before it, so the trees
+    can be built in recorded order, each node after its premises' nodes,
+    even through cyclic rule supplies.  Every order followed comes from the
+    rule numbering, never from iterating a set, so the witness does not
+    depend on the hash seed.
+
+    Kept afterwards: atoms, the frozenset of atoms derivable in the
+    supply's context (context 0), and until the first tree() call one
+    record per fact of that context or reached by their justifications,
+    (fact, atom, rule, premise facts), in the order facts were recorded.
+    The first tree() call turns the records into DerivationNodes and keeps
+    context 0's by atom; a saturation asked only for atoms builds none.
     """
 
-    __slots__ = ("facts",)
+    __slots__ = ("atoms", "_n", "_records", "_trees")
 
     def __init__(self, numbering: _Numbering, max_steps: int) -> None:
         shapes, concluding = numbering.shapes, numbering.concluding
@@ -449,9 +456,10 @@ class _Saturation:
                         just[head] = k
                         queue.append(head)
 
-        # the justifications of the supply's context's facts and of every
-        # fact they reach, then their tables in the order facts were recorded
-        order = numbering.order
+        # the facts the justifications of the supply's context's facts reach,
+        # each with its rule and premise facts in the rule's premise order,
+        # then one record per kept fact in the order facts were recorded
+        order, names = numbering.order, list(numbering.atoms)
         kept: dict[int, tuple[AtomicRule, tuple[int, ...]]] = {}
         todo = [f for f in queue if f < n]
         while todo:
@@ -460,33 +468,31 @@ class _Saturation:
                 continue
             m = masks[f // n]
             i = app_rule[just[f]]
-            prems = shapes[i]
-            targets = tuple(ids[m | dmask] for _, dmask in prems)
-            kept[f] = (order[i], targets)
-            todo.extend(t * n + b for (b, _), t in zip(prems, targets))
-        names = list(numbering.atoms)
-        self.facts: dict[int, dict[str, tuple[AtomicRule, tuple[int, ...]]]] = {0: {}}
-        for f in queue:
-            got = kept.get(f)
-            if got is not None:
-                c, a = divmod(f, n)
-                table = self.facts.get(c)
-                if table is None:
-                    table = self.facts[c] = {}
-                table[names[a]] = got
-
-    def derivable(self, goal: str) -> bool:
-        return goal in self.facts[0]
+            premises = tuple(ids[m | dmask] * n + b for b, dmask in shapes[i])
+            kept[f] = (order[i], premises)
+            todo.extend(premises)
+        self.atoms = frozenset(names[f] for f in queue if f < n)
+        self._n = n
+        self._records: list | None = [
+            (f, names[f % n], *kept[f]) for f in queue if f in kept
+        ]
+        self._trees: dict[str, DerivationNode] = {}
 
     def tree(self, goal: str) -> DerivationNode:
-        def extract(c: int, atom: str) -> DerivationNode:
-            rule, targets = self.facts[c][atom]
-            children = tuple(
-                extract(t, p.conclusion) for p, t in zip(rule.premises, targets)
-            )
-            return DerivationNode(conclusion=atom, rule=rule, children=children)
-
-        return extract(0, goal)
+        """The derivation of a derivable atom of the supply's context.  The
+        first call builds every kept fact's node, in recorded order, so each
+        premise's node exists before the nodes that use it; trees of one
+        supply share their common subtrees."""
+        if self._records is not None:
+            n, nodes, trees = self._n, {}, self._trees
+            for f, atom, rule, premises in self._records:
+                node = nodes[f] = DerivationNode(
+                    atom, rule, tuple(nodes[g] for g in premises)
+                )
+                if f < n:
+                    trees[atom] = node
+            self._records = None
+        return self._trees[goal]
 
 
 # A few recent saturations, for repeated derive() calls on one supply (one
@@ -523,20 +529,23 @@ def derive(
     premise (a premise of an application some goal asked for) or one
     counter decrement (a recorded fact passed on to one application
     watching it).  The 256 most recent saturations are kept, so asking for
-    each atom of one supply in turn saturates it once, and the numberings
-    of the 256 most recent bases, so one base under several assumed sets
-    is numbered once.
+    each atom of one supply in turn saturates it once and builds its trees
+    once: a repeated call returns the same tree object, and trees of one
+    supply share their common subtrees.  The numberings of the 256 most
+    recent bases are kept too, so one base under several assumed sets is
+    numbered once.
     """
     sat = _saturate(base.rules, frozenset(assumed) - base.rules, max_steps)
-    if not sat.derivable(goal):
+    if goal not in sat.atoms:
         return DeriveResult(derivable=False, tree=None)
     return DeriveResult(derivable=True, tree=sat.tree(goal))
 
 
 def derivable_atoms(base: Base, assumed: Iterable[AtomicRule] = ()) -> frozenset[str]:
-    """Every atom (bot included) derivable from base plus assumed rules."""
+    """Every atom (bot included) derivable from base plus assumed rules;
+    read off the saturation derive() uses, without building a tree."""
     extra = frozenset(assumed) - base.rules
-    return frozenset(_saturate(base.rules, extra, DEFAULT_MAX_STEPS).facts[0])
+    return _saturate(base.rules, extra, DEFAULT_MAX_STEPS).atoms
 
 
 def check_consistency(rules: Iterable[AtomicRule]) -> bool:
@@ -549,7 +558,7 @@ def check_consistency(rules: Iterable[AtomicRule]) -> bool:
     supply = frozenset(rules)
     if all(r.conclusion != "bot" for r in supply):
         return True
-    return not _saturate(supply, frozenset(), DEFAULT_MAX_STEPS).derivable("bot")
+    return "bot" not in _saturate(supply, frozenset(), DEFAULT_MAX_STEPS).atoms
 
 
 class DerivationCheckError(ValueError):

@@ -184,7 +184,7 @@ class BaseContext:
     def __init__(self, base: Base) -> None:
         self._rules = base.rules
         self._saturation = _saturate(base.rules, frozenset(), DEFAULT_MAX_STEPS)
-        self.derivable = frozenset(self._saturation.facts[0])
+        self.derivable = self._saturation.atoms
         self.atoms = atoms_of_base(base)
         self._truth: dict[Formula, bool] = {}
         self._witnesses: dict[str, ArgumentStructure | None] = {}

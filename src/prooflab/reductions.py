@@ -23,12 +23,13 @@ relative, whether a reduction applies to a subtree and what it rewrites to
 depend only on that subtree's value: one helper computes a node's one-step
 rewrites from its own and its children's, memoized per distinct subtree.
 One breadth-first walk, Reachable, enumerates the reduction closure up to a
-budget on distinct structures and records the step that first reached each
-one; the structures it finds share most of their subtrees, and each distinct
-subtree's rewrites are computed once per walk.  search_reduct stops it at the
-first structure it wants, and the validity checker's search for a canonical
-reduct walks it too.  A single step (reduce_step) searches the same order
-and stops at the first rewrite that applies.
+budget on distinct structures and a height budget, and records the step
+that first reached each one; the structures it finds share most of their
+subtrees, and each distinct subtree's rewrites are computed once per walk.
+search_reduct stops it at the first structure it wants, and the validity
+checker's search for a canonical reduct walks it too.  A single step
+(reduce_step) searches the same order and stops at the first rewrite that
+applies.
 
 One more walk, normalize, follows a single path instead: it takes the
 leftmost-outermost rewrite until no redex is left.  The detour conversions
@@ -68,7 +69,7 @@ from prooflab.arguments import (
     match_impl_intro,
     match_or_intro,
 )
-from prooflab.syntax import Conj, Disj, Formula, Impl, format_formula
+from prooflab.syntax import MAX_NESTING, Conj, Disj, Formula, Impl, format_formula
 
 __all__ = [
     "Reduction",
@@ -354,6 +355,7 @@ class SearchOutcome:
 
 
 DEFAULT_BUDGET = 10_000
+_HEIGHT_BUDGET = f"height budget of {MAX_NESTING} levels"
 
 
 class Reachable:
@@ -362,10 +364,16 @@ class Reachable:
     distinct structures; a caller may stop at the first structure it wants
     without computing the rest.  parents maps each structure found to the
     step that first reached it, (previous structure, position, rule name),
-    or None for the start, and path reads the steps back.  complete turns
-    False when the budget cuts the enumeration short.  Each distinct subtree's
-    one-step rewrites are computed once per walk, in a memo made when the
-    walk first expands a structure and dropped when it ends."""
+    or None for the start, and path reads the steps back.  exhausted names
+    each budget that cut the enumeration short, and complete is True when
+    none did: the budget on distinct structures, which ends the walk, or
+    the height budget, MAX_NESTING levels, past which a reduct is neither
+    yielded nor expanded.  So a closure whose reducts grow a level with
+    every step, as under a constant reduction whose target holds its own
+    inference, stops well before the recursive walkers over structures
+    reach Python's recursion limit.  Each distinct subtree's one-step rewrites are
+    computed once per walk, in a memo made when the walk first expands a
+    structure and dropped when it ends."""
 
     def __init__(
         self,
@@ -376,7 +384,7 @@ class Reachable:
         self.start = start
         self.reductions = reductions
         self.budget = budget
-        self.complete = True
+        self.exhausted: list[str] = []
         self.parents: dict[
             ArgumentStructure, tuple[ArgumentStructure, Path, str] | None
         ] = {}
@@ -389,14 +397,24 @@ class Reachable:
         while queue:
             cur = queue.popleft()
             for pos, name, new in _rewrites_of(cur, self.reductions, memo):
+                if new.height > MAX_NESTING:
+                    if _HEIGHT_BUDGET not in self.exhausted:
+                        self.exhausted.append(_HEIGHT_BUDGET)
+                    continue
                 if new in parents:
                     continue
                 if len(parents) >= self.budget:
-                    self.complete = False
+                    self.exhausted.append(
+                        f"budget of {self.budget} distinct structures"
+                    )
                     return
                 parents[new] = (cur, pos, name)
                 queue.append(new)
                 yield new
+
+    @property
+    def complete(self) -> bool:
+        return not self.exhausted
 
     def path(self, struct: ArgumentStructure) -> tuple[tuple[Path, str], ...]:
         """The (position, rule name) steps from the start to a structure
@@ -425,7 +443,7 @@ def search_reduct(
             return SearchOutcome("yes", walk.path(cur), cur, len(walk.parents))
     if walk.complete:
         return SearchOutcome("no", None, None, len(walk.parents))
-    note = f"budget of {budget} distinct structures exhausted"
+    note = "; ".join(f"{b} exhausted" for b in walk.exhausted)
     return SearchOutcome("inconclusive", None, None, len(walk.parents), note)
 
 

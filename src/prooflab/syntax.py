@@ -200,6 +200,8 @@ _TOKEN_RE = re.compile(
 # and checking witness arguments, and printing all recurse once per level,
 # several frames each, so at this depth all three relations answer well
 # inside Python's default recursion limit; deeper text is a syntax error.
+# The same limit bounds formula objects (formula_from_obj), the discharge
+# nesting of rules, and the height of a reduct the reduction walk keeps.
 MAX_NESTING = 100
 
 
@@ -385,7 +387,11 @@ def formula_to_obj(f: Formula) -> object:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def formula_from_obj(obj: object) -> Formula:
+def formula_from_obj(obj: object, _opened: int = 0) -> Formula:
+    """The formula formula_to_obj gave obj for; ValueError if obj is
+    malformed or nests connectives deeper than MAX_NESTING, which fails at
+    the connective one too many, before the recursion goes any deeper.
+    _opened counts the connectives above obj."""
     if not isinstance(obj, dict) or "op" not in obj:
         raise ValueError(f"not a formula object: {obj!r}")
     op = obj["op"]
@@ -394,5 +400,10 @@ def formula_from_obj(obj: object) -> Formula:
     if op == "bot":
         return BOT
     if op in _OPS:
-        return _OPS[op](formula_from_obj(obj["left"]), formula_from_obj(obj["right"]))
+        if _opened >= MAX_NESTING:
+            raise ValueError(f"formula nested deeper than {MAX_NESTING} levels")
+        return _OPS[op](
+            formula_from_obj(obj["left"], _opened + 1),
+            formula_from_obj(obj["right"], _opened + 1),
+        )
     raise ValueError(f"unknown formula op: {op!r}")

@@ -252,8 +252,7 @@ def _check_closed(
             notes=tuple(notes[:4]),
         )
     why = []
-    if not walk.complete:
-        why.append(f"reduction budget of {budget} distinct structures exhausted")
+    why.extend(f"reduction {b} exhausted" for b in walk.exhausted)
     if saw_inconclusive:
         why.append("a sub-argument could not be settled")
     return ValidityVerdict(Status.INCONCLUSIVE, "; ".join(why), notes=tuple(notes[:4]))

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import enum_derivable, enum_derivable_atoms, naive_derivable
+from prooflab import atomic_system
 from prooflab.atomic_system import (
     AtomicRule,
     Base,
     DerivationCheckError,
+    DerivationNode,
     InconsistentBaseError,
     ResourceLimitExceeded,
     atoms_of_base,
@@ -390,6 +392,44 @@ def test_tied_supply_trees_are_pinned():
         "  u by (p => u)",
         "    p by p",
     ]
+
+
+def test_repeated_derive_returns_the_same_tree():
+    # atoms no other test uses, so the supply is not cached already
+    b = base("rep_a.\n(rep_a => rep_b)\n(rep_b => rep_c)")
+    c = derive(b, goal="rep_c").tree
+    assert derive(b, goal="rep_c").tree is c
+    assert derive(b, goal="rep_b").tree is c.children[0]
+    assert derive(b, goal="rep_a").tree is c.children[0].children[0]
+
+
+def test_tied_supply_trees_share_subtrees():
+    b = base(TIED_SUPPLY)
+    r, s = derive(b, goal="r").tree, derive(b, goal="s").tree
+    assert s.children[0] is r
+    assert r.children[0] is derive(b, goal="p").tree
+
+
+def test_atoms_alone_build_no_tree(monkeypatch):
+    built = []
+
+    def node(*args):
+        built.append(args[0])
+        return DerivationNode(*args)
+
+    monkeypatch.setattr(atomic_system, "DerivationNode", node)
+    # atoms no other test uses; building the base saturates it, since one
+    # rule concludes bot
+    b = base("nb_a.\n(nb_a => nb_b)\n(nb_c => bot)")
+    assert check_consistency(b.rules)
+    assert derivable_atoms(b) == {"nb_a", "nb_b"}
+    assert derivable_atoms(b, {axiom("nb_d")}) == {"nb_a", "nb_b", "nb_d"}
+    assert built == []
+    # the first tree builds the nodes of the supply's context's facts, once
+    assert derive(b, goal="nb_a").derivable
+    assert built == ["nb_a", "nb_b"]
+    assert derive(b, goal="nb_b").tree.children[0] is derive(b, goal="nb_a").tree
+    assert built == ["nb_a", "nb_b"]
 
 
 def nested_rules(rs):

@@ -9,11 +9,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from prooflab import cli
 from prooflab.arguments import (
+    Node,
     and_elim,
     and_intro,
     assumption,
@@ -37,7 +39,7 @@ from prooflab.cli import (
 from prooflab.syntax import MAX_NESTING, Atom
 from test_arguments import BAD_DISCHARGES, bad_discharge_obj
 from test_reductions import CHAIN_INNER, detour_chain
-from test_syntax import NESTED
+from test_syntax import NESTED, nested_obj
 
 p, q = Atom("p"), Atom("q")
 
@@ -666,6 +668,62 @@ def test_deeply_nested_argument_json_is_a_data_error(tmp_path, capsys, monkeypat
     assert err == (
         f"prooflab: malformed argument file {path}: structure nested too deeply\n"
     )
+
+
+@pytest.mark.parametrize("command", ["check_valid", "reduce"])
+def test_argument_formula_nesting_at_the_limit_and_above(command, tmp_path, capsys):
+    # formula objects have the limit formula text has; a formula 450
+    # levels deep, once loaded, would overflow the printer's recursion
+    def structure(formula):
+        return {"root": {"formula": formula, "axiomatic": True}, "discharge": []}
+
+    at = write_json(
+        tmp_path / "at.json", structure(nested_obj("and", MAX_NESTING, "left"))
+    )
+    assert main([command, "--argument", at]) in (EX_OK, EX_FAILS)
+    capsys.readouterr()
+    for depth in (MAX_NESTING + 1, 450):
+        path = write_json(
+            tmp_path / f"d{depth}.json", structure(nested_obj("and", depth, "left"))
+        )
+        assert main([command, "--argument", path]) == EX_DATA
+        err = capsys.readouterr().err
+        assert err == (
+            f"prooflab: malformed argument file {path}: "
+            f"formula nested deeper than {MAX_NESTING} levels\n"
+        )
+    # and in a justification's target
+    deep = structure(nested_obj("imp", MAX_NESTING + 1, "right"))
+    pointer = {"kind": "pointer", "source": structure_to_obj(DETOUR), "target": deep}
+    path = argument_file(tmp_path, DETOUR, justifications=[pointer])
+    assert main([command, "--argument", path]) == EX_DATA
+    assert "formula nested deeper than" in capsys.readouterr().err
+
+
+# q / q*, with a constant reduction whose target, q / (q / q*), holds its own
+# inference: every reduct is a level taller than the one it came from
+GROWING = Node(q, (axiom_leaf(q),))
+GROWING_KAPPA = {
+    "kind": "constant",
+    "premises": ["q"],
+    "conclusion": "q",
+    "target": structure_to_obj(Node(q, (GROWING,))),
+}
+
+
+def test_growing_reducts_exhaust_the_height_budget(tmp_path, capsys):
+    path = argument_file(tmp_path, GROWING, justifications=[GROWING_KAPPA])
+    start = time.perf_counter()
+    code = main(["check_valid", "--argument", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == EX_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert f"reason:     height budget of {MAX_NESTING} levels exhausted\n" in out
+    target = argument_file(tmp_path, axiom_leaf(q), name="target.json")
+    code = main(["reduce", "--argument", path, "--target", target])
+    assert code == EX_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert f"note:    height budget of {MAX_NESTING} levels exhausted" in out
 
 
 def test_inconsistent_base_is_rejected(capsys):

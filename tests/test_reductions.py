@@ -61,6 +61,7 @@ from prooflab.reductions import (
     successors,
 )
 from prooflab.syntax import (
+    MAX_NESTING,
     Atom,
     Conj,
     Disj,
@@ -809,6 +810,43 @@ def test_summaries_match_the_walk(d, data):
     assert assumptions(inst) == frozenset().union(
         *(walked_assumptions(sub) for sub in sigma.values())
     )
+
+
+# ---------------------------------------------------------------------------
+# heights, and the height budget
+
+
+def walked_height(d):
+    return max(len(path) for path, _ in iter_nodes(d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(structures(), detours()))
+def test_height_matches_the_walk(d):
+    for e in [d] + [step.result for step in successors(d, STD)]:
+        for _, node in iter_nodes(e):
+            assert node.height == walked_height(node)
+
+
+def test_height_budget_cuts_a_growing_closure():
+    # q / q* under a constant reduction whose target, q / (q / q*), holds its
+    # own inference: one chain of q's per height, each reduct a level taller
+    start = Node(formula=q, children=(axiom_leaf(q),))
+    grow = constant_reduction([q], q, Node(formula=q, children=(start,)), name="grow")
+    walk = Reachable(start, [grow])
+    assert [e.height for e in walk] == list(range(1, MAX_NESTING + 1))
+    assert walk.exhausted == [f"height budget of {MAX_NESTING} levels"]
+    assert not walk.complete
+    out = search_reduct(start, axiom_leaf(q), [grow])
+    assert out.status == "inconclusive"
+    assert out.note == f"height budget of {MAX_NESTING} levels exhausted"
+    assert out.visited == MAX_NESTING
+    # a budget of exactly the structures found is not exhausted; one less
+    # and it cuts the walk before the height budget does
+    out = search_reduct(start, axiom_leaf(q), [grow], budget=MAX_NESTING)
+    assert out.note == f"height budget of {MAX_NESTING} levels exhausted"
+    out = search_reduct(start, axiom_leaf(q), [grow], budget=MAX_NESTING - 1)
+    assert out.note == f"budget of {MAX_NESTING - 1} distinct structures exhausted"
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,27 @@ def test_nesting_limit(kind):
         parse_formula(NESTED[kind](MAX_NESTING + 1))
 
 
+def nested_obj(op, depth, side):
+    """A formula object with depth op connectives, each nesting on side."""
+    obj = {"op": "atom", "name": "p"}
+    other = "right" if side == "left" else "left"
+    for _ in range(depth):
+        obj = {"op": op, side: obj, other: {"op": "atom", "name": "q"}}
+    return obj
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("op", ["and", "or", "imp"])
+def test_obj_nesting_limit(op, side):
+    # the limit formula text has, counted in connectives and checked on
+    # the way down, so 450 levels fail before the recursion gets deep
+    f = formula_from_obj(nested_obj(op, MAX_NESTING, side))
+    assert formula_to_obj(f) == nested_obj(op, MAX_NESTING, side)
+    for depth in (MAX_NESTING + 1, 450):
+        with pytest.raises(ValueError, match="formula nested deeper than"):
+            formula_from_obj(nested_obj(op, depth, side))
+
+
 def test_nesting_counts_every_level():
     # a parenthesis pair, a negation and a connective each add one
     half = MAX_NESTING // 2
