@@ -53,6 +53,7 @@ from prooflab.syntax import (
     Disj,
     Formula,
     Impl,
+    MAX_NESTING,
     formula_from_obj,
     formula_to_obj,
     format_formula,
@@ -829,10 +830,14 @@ def _node_to_obj(node: Node) -> object:
     return out
 
 
-def _node_from_obj(obj: dict) -> Node:
+def _node_from_obj(obj: dict, depth: int = 0) -> Node:
+    """The node tree of obj, depth levels below the root; a node deeper
+    than MAX_NESTING fails before the recursion goes any deeper."""
+    if depth > MAX_NESTING:
+        raise StructureError(f"structure nested deeper than {MAX_NESTING} levels")
     return Node(
         formula=formula_from_obj(obj["formula"]),
-        children=tuple(_node_from_obj(c) for c in obj.get("children", [])),
+        children=tuple(_node_from_obj(c, depth + 1) for c in obj.get("children", [])),
         axiomatic=bool(obj.get("axiomatic", False)),
     )
 

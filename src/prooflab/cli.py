@@ -53,7 +53,6 @@ from prooflab.reductions import (
     constant_reduction,
     normalize,
     pointer_reduction,
-    search_normal_form,
     search_reduct,
     standard_reductions,
 )
@@ -264,9 +263,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     reds = arg.reductions()
     if args.target:
         target = _load_argument(args.target).structure
-        out = search_normal_form(
-            arg.structure, target, reds, args.budget
-        ) or search_reduct(arg.structure, target, reds, budget=args.budget)
+        out = search_reduct(arg.structure, target, reds, budget=args.budget)
         payload = {
             "status": out.status,
             "visited": out.visited,
@@ -296,10 +293,22 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     lines = []
     for k, step in enumerate(steps, 1):
         lines.append(f"step {k}: {step['rule']} at {step['position']}")
+    if not normal:
+        # normalize stops short at the step budget or at a rewrite that
+        # returns its input
+        if len(path) >= args.budget:
+            note = f"step budget of {args.budget} exhausted before a normal form"
+        else:
+            note = (
+                f"fixed point after step {len(path)}: the next rewrite returns "
+                "the structure unchanged, so this path has no normal form"
+            )
+        payload["note"] = note
+        lines.append(f"note: {note}")
     lines.append("result:")
     lines.extend("  " + ln for ln in pretty(current).splitlines())
     _emit(args, "\n".join(lines), payload)
-    return EX_OK
+    return EX_OK if normal else EX_INCONCLUSIVE
 
 
 def _bounds(text: str) -> SearchBounds:

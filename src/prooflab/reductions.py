@@ -26,10 +26,7 @@ One breadth-first walk, Reachable, enumerates the reduction closure up to a
 budget on distinct structures and a height budget, and records the step
 that first reached each one; the structures it finds share most of their
 subtrees, and each distinct subtree's rewrites are computed once per walk.
-search_reduct stops it at the first structure it wants, and the validity
-checker's search for a canonical reduct walks it too.  A single step
-(reduce_step) searches the same order and stops at the first rewrite that
-applies.
+The validity checker's search for a canonical reduct walks it.
 
 One more walk, normalize, follows a single path instead: it takes the
 leftmost-outermost rewrite until no redex is left.  The detour conversions
@@ -38,12 +35,11 @@ taken to terminate and be locally confluent too, which the tests check
 against the breadth-first walk on every closure they generate.  Then each
 structure has exactly one normal form (Newman 1942): under the standard set
 alone "some reduct is a normal X" is "the normal form is X".
-search_normal_form answers search_reduct's question that way for a goal only
-a normal structure can meet (a derivation in a base, a target without a
-redex), in as many structures as the path holds instead of the whole
-closure; where a justification adds a reduction, which may overlap a
-standard redex, or the path would hold more structures than the budget, it
-leaves the question to search_reduct.
+
+search_reduct asks the one reachability question every caller has and
+chooses the walk itself: the path to the normal form where the standard set
+is the whole set and only a normal structure can be the goal, the
+breadth-first walk anywhere else.
 """
 
 from __future__ import annotations
@@ -64,11 +60,13 @@ from prooflab.arguments import (
     _with_children,
     assumptions,
     conclusion,
+    is_atomic_derivation,
     is_closed,
     match_and_intro,
     match_impl_intro,
     match_or_intro,
 )
+from prooflab.atomic_system import Base
 from prooflab.syntax import MAX_NESTING, Conj, Disj, Formula, Impl, format_formula
 
 __all__ = [
@@ -81,15 +79,10 @@ __all__ = [
     "standard_reductions",
     "pointer_reduction",
     "constant_reduction",
-    "extract",
-    "ReductionStep",
-    "reduce_step",
-    "successors",
     "SearchOutcome",
     "search_reduct",
     "Reachable",
     "normalize",
-    "search_normal_form",
 ]
 
 
@@ -265,19 +258,6 @@ def constant_reduction(
 # applying reductions in place
 
 
-def extract(struct: ArgumentStructure, at: Path) -> ArgumentStructure:
-    """The subtree at a position as a structure of its own; a node
-    discharged above the position is open in it."""
-    return struct.node_at(at)
-
-
-@dataclass(frozen=True)
-class ReductionStep:
-    position: Path
-    rule: str
-    result: ArgumentStructure
-
-
 def _rewrites_of(
     node: Node,
     reductions: Sequence[Reduction],
@@ -329,29 +309,15 @@ def _first_rewrite(
     return None
 
 
-def reduce_step(
-    struct: ArgumentStructure, reductions: Sequence[Reduction]
-) -> ReductionStep | None:
-    """The first applicable rewrite, outermost-first and leftmost."""
-    found = _first_rewrite(struct, reductions)
-    return ReductionStep(*found) if found else None
-
-
-def successors(
-    struct: ArgumentStructure, reductions: Sequence[Reduction]
-) -> list[ReductionStep]:
-    """All one-step rewrites, positions outermost-first and leftmost,
-    reductions in the given order at each."""
-    return [ReductionStep(*step) for step in _rewrites_of(struct, reductions, {})]
-
-
 @dataclass(frozen=True)
 class SearchOutcome:
     status: str  # "yes" | "no" | "inconclusive"
     path: tuple[tuple[Path, str], ...] | None
     witness: ArgumentStructure | None
-    visited: int  # structures the walk found, the start included
+    visited: int  # structures the search found, the start included
     note: str = ""
+    # the answer was read off the normal form, not a walk of the closure
+    by_normal_form: bool = False
 
 
 DEFAULT_BUDGET = 10_000
@@ -428,15 +394,37 @@ class Reachable:
 
 def search_reduct(
     start: ArgumentStructure,
-    goal: ArgumentStructure | Callable[[ArgumentStructure], bool],
+    goal: ArgumentStructure | Base | Callable[[ArgumentStructure], bool],
     reductions: Sequence[Reduction],
     budget: int = DEFAULT_BUDGET,
 ) -> SearchOutcome:
-    """Breadth-first search for a reduct, reflexive and transitive: a fixed
-    structure or anything satisfying a predicate, each structure tested as
-    it is found.  "no" means the whole closure was enumerated; a search the
-    budget cuts short is inconclusive."""
-    pred = goal if callable(goal) else lambda d: d == goal
+    """Search for a reduct, reflexive and transitive: a fixed structure,
+    some derivation in a base, or anything satisfying a predicate.  Under
+    exactly the standard set, a goal only a normal structure meets (a base,
+    whose derivations have no connective, or a structure without a redex)
+    is met by some reduct just when the normal form meets it; when the path
+    there holds at most budget structures, the answer is read off its end,
+    and visited counts the path.  Otherwise the closure is walked breadth
+    first, each structure tested as it is found: "no" means the whole
+    closure was enumerated, and a walk a budget cuts short is inconclusive."""
+    if isinstance(goal, Base):
+        pred = lambda d: is_atomic_derivation(d, goal)
+    elif callable(goal):
+        pred = goal
+    else:
+        pred = lambda d: d == goal
+    if (
+        not callable(goal)
+        and set(reductions) == set(_STANDARD)
+        and (isinstance(goal, Base) or _first_rewrite(goal, reductions) is None)
+    ):
+        end, path, normal = normalize(start, reductions, budget - 1)
+        if normal:
+            if pred(end):
+                return SearchOutcome(
+                    "yes", path, end, len(path) + 1, by_normal_form=True
+                )
+            return SearchOutcome("no", None, None, len(path) + 1, by_normal_form=True)
     walk = Reachable(start, reductions, budget)
     for cur in walk:
         if pred(cur):
@@ -453,41 +441,17 @@ def normalize(
     """Rewrite leftmost-outermost, one redex at a time, until no redex is
     left or max_steps steps are taken: the structure it stopped at, the
     (position, rule name) steps that led there, and whether it stopped
-    because no redex was left."""
+    because no redex was left.  A rewrite that returns its input would be
+    taken forever, so normalize stops there too: no normal form."""
     cur, path = start, []
     while (found := _first_rewrite(cur, reductions)) is not None:
         if len(path) >= max_steps:
             return cur, tuple(path), False
-        pos, name, cur = found
+        pos, name, new = found
+        # the cached hashes first, so a rewrite that changes the structure
+        # costs no comparison of trees
+        if hash(new) == hash(cur) and new == cur:
+            return cur, tuple(path), False
+        cur = new
         path.append((pos, name))
     return cur, tuple(path), True
-
-
-def search_normal_form(
-    start: ArgumentStructure,
-    goal: ArgumentStructure | Callable[[ArgumentStructure], bool],
-    reductions: Sequence[Reduction],
-    budget: int = DEFAULT_BUDGET,
-) -> SearchOutcome | None:
-    """search_reduct's answer read off the normal form, or None where that
-    reading does not hold and search_reduct has to walk the closure.  The
-    goal is a structure without a redex, or a predicate the caller vouches
-    only normal structures satisfy; the reductions must be exactly the
-    standard set, whose normal forms are unique.  It answers when the
-    leftmost-outermost path to the normal form holds at most budget
-    structures: "yes" with that path when the normal form is the goal, else
-    "no"; visited counts the structures on the path."""
-    if set(reductions) != set(_STANDARD):
-        return None
-    if callable(goal):
-        pred = goal
-    elif _first_rewrite(goal, reductions) is None:
-        pred = lambda d: d == goal
-    else:
-        return None
-    end, path, normal = normalize(start, reductions, budget - 1)
-    if not normal:
-        return None
-    if pred(end):
-        return SearchOutcome("yes", path, end, len(path) + 1)
-    return SearchOutcome("no", None, None, len(path) + 1)

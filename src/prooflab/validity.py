@@ -49,7 +49,6 @@ from prooflab.arguments import (
     conclusion,
     impl_intro,
     instantiate,
-    is_atomic_derivation,
     is_canonical,
     is_closed,
     or_intro_left,
@@ -72,7 +71,6 @@ from prooflab.reductions import (
     Reachable,
     Reduction,
     constant_reduction,
-    search_normal_form,
     search_reduct,
     standard_reductions,
 )
@@ -185,13 +183,7 @@ def _check_closed(
     reds = arg.reductions()
     goal = conclusion(struct)
     if isinstance(goal, (Atom, Absurdity)):
-        # a derivation in the base has no connective, so no redex: under the
-        # standard reductions alone, the normal form settles the search
-        def pred(d: ArgumentStructure) -> bool:
-            return is_atomic_derivation(d, base)
-
-        routed = search_normal_form(struct, pred, reds, budget)
-        out = routed or search_reduct(struct, pred, reds, budget=budget)
+        out = search_reduct(struct, base, reds, budget=budget)
         if out.status == "yes":
             return ValidityVerdict(
                 Status.VALID,
@@ -199,7 +191,7 @@ def _check_closed(
                 f" ({len(out.path)} steps)",
             )
         if out.status == "no":
-            if routed:
+            if out.by_normal_form:
                 why = (
                     "the only normal form in its reduction closure, reached in "
                     f"{out.visited - 1} steps, is not one"

@@ -700,6 +700,31 @@ def test_argument_formula_nesting_at_the_limit_and_above(command, tmp_path, caps
     assert "formula nested deeper than" in capsys.readouterr().err
 
 
+def node_chain(height):
+    """q* under height one-premise steps concluding q, as an argument file
+    object."""
+    node = {"formula": {"op": "atom", "name": "q"}, "axiomatic": True}
+    for _ in range(height):
+        node = {"formula": {"op": "atom", "name": "q"}, "children": [node]}
+    return {"root": node, "discharge": []}
+
+
+@pytest.mark.parametrize("command", ["check_valid", "reduce"])
+def test_node_nesting_at_the_limit_and_above(command, tmp_path, capsys):
+    # node chains have the limit formulas have, checked on the way down
+    rules = ["--rule", "q.", "--rule", "(q => q)"] if command == "check_valid" else []
+    argv = [command, *rules]
+    at = write_json(tmp_path / "at.json", node_chain(MAX_NESTING))
+    assert main([*argv, "--argument", at]) == EX_OK
+    capsys.readouterr()
+    for height in (MAX_NESTING + 1, 400):
+        path = write_json(tmp_path / f"h{height}.json", node_chain(height))
+        assert main([*argv, "--argument", path]) == EX_DATA
+        assert capsys.readouterr().err == (
+            f"prooflab: structure nested deeper than {MAX_NESTING} levels\n"
+        )
+
+
 # q / q*, with a constant reduction whose target, q / (q / q*), holds its own
 # inference: every reduct is a level taller than the one it came from
 GROWING = Node(q, (axiom_leaf(q),))
@@ -724,6 +749,43 @@ def test_growing_reducts_exhaust_the_height_budget(tmp_path, capsys):
     assert code == EX_INCONCLUSIVE
     out = capsys.readouterr().out
     assert f"note:    height budget of {MAX_NESTING} levels exhausted" in out
+
+
+def test_reduce_stops_at_a_fixed_point(tmp_path, capsys):
+    # after one step the constant reduction rewrites q / (q / q*) to itself
+    path = argument_file(tmp_path, GROWING, justifications=[GROWING_KAPPA])
+    start = time.perf_counter()
+    code = main(["reduce", "--argument", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == EX_INCONCLUSIVE
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "step 1: constant at []",
+        "note: fixed point after step 1: the next rewrite returns the structure"
+        " unchanged, so this path has no normal form",
+        "result:",
+    ]
+    assert lines[3:] == ["  " + ln for ln in pretty(Node(q, (GROWING,))).splitlines()]
+    code = main(["reduce", "--argument", path, "--format", "json"])
+    assert code == EX_INCONCLUSIVE
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stuck"] is False and len(payload["steps"]) == 1
+    assert payload["note"].startswith("fixed point after step 1")
+
+
+def test_reduce_names_a_spent_step_budget(tmp_path, capsys):
+    d, rules = detour_chain(3)
+    path = argument_file(tmp_path, d)
+    code = main(["reduce", "--argument", path, "--budget", "2", "--format", "json"])
+    assert code == EX_INCONCLUSIVE
+    payload = json.loads(capsys.readouterr().out)
+    assert [s["rule"] for s in payload["steps"]] == rules[:2]
+    assert payload["stuck"] is False
+    assert payload["note"] == "step budget of 2 exhausted before a normal form"
+    # a budget that holds the path: no note, as before
+    code = main(["reduce", "--argument", path, "--budget", "3", "--format", "json"])
+    assert code == EX_OK
+    assert "note" not in json.loads(capsys.readouterr().out)
 
 
 def test_inconsistent_base_is_rejected(capsys):

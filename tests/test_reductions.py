@@ -2,6 +2,8 @@
 reachability search.  Expected results of rewrites are built by hand with
 the structure builders, never by running the rewrite itself."""
 
+from typing import NamedTuple
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -42,23 +44,19 @@ from prooflab.arguments import (
 from prooflab.atomic_system import derive, parse_base_text
 from prooflab.reductions import (
     CONJ_DETOUR,
+    DEFAULT_BUDGET,
     DISJ_DETOUR,
     IMP_DETOUR,
     PROJECT_DETOUR,
     WEAKEN_DETOUR,
     Reachable,
-    ReductionStep,
     _first_rewrite,
     _rewrites_of,
     constant_reduction,
-    extract,
     normalize,
     pointer_reduction,
-    reduce_step,
-    search_normal_form,
     search_reduct,
     standard_reductions,
-    successors,
 )
 from prooflab.syntax import (
     MAX_NESTING,
@@ -77,13 +75,33 @@ p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 STD = standard_reductions()
 
 
+class Step(NamedTuple):
+    """One rewrite: its position, the reduction's name, the whole result."""
+
+    position: tuple
+    rule: str
+    result: Node
+
+
+def first_step(d, reductions):
+    """The rewrite normalize takes first: outermost-first and leftmost."""
+    found = _first_rewrite(d, reductions)
+    return Step(*found) if found else None
+
+
+def all_steps(d, reductions):
+    """Every one-step rewrite, positions outermost-first and leftmost,
+    reductions in the given order at each."""
+    return [Step(*found) for found in _rewrites_of(d, reductions, {})]
+
+
 # ---------------------------------------------------------------------------
 # the five detours, frozen examples
 
 
 def test_conj_detour():
     d = and_elim(and_intro(assumption(p), assumption(q)), 2)
-    step = reduce_step(d, STD)
+    step = first_step(d, STD)
     assert step is not None
     assert step.rule == "conj-detour"
     assert step.position == ()
@@ -95,7 +113,7 @@ def test_imp_detour_duplicates_minor():
     major = impl_intro(body, p)
     minor = and_elim(assumption(Conj(p, r)), 1)
     d = impl_elim(major, minor)
-    step = reduce_step(d, STD)
+    step = first_step(d, STD)
     assert step.rule == "imp-detour"
     assert step.result == and_intro(minor, minor)
     assert assumptions(step.result) <= assumptions(d)
@@ -103,7 +121,7 @@ def test_imp_detour_duplicates_minor():
 
 def test_imp_detour_vacuous():
     d = impl_elim(impl_intro(assumption(q), p), assumption(p))
-    step = reduce_step(d, STD)
+    step = first_step(d, STD)
     assert step.rule == "imp-detour"
     assert step.result == assumption(q)
 
@@ -112,28 +130,28 @@ def test_disj_detour_left_and_right():
     case1 = impl_elim(assumption(Impl(p, r)), assumption(p))
     case2 = impl_elim(assumption(Impl(q, r)), assumption(q))
     d_left = or_elim(or_intro_left(assumption(p), q), case1, case2)
-    step = reduce_step(d_left, STD)
+    step = first_step(d_left, STD)
     assert step.rule == "disj-detour"
     assert step.result == case1
     d_right = or_elim(or_intro_right(assumption(q), p), case1, case2)
-    step2 = reduce_step(d_right, STD)
+    step2 = first_step(d_right, STD)
     assert step2.result == case2
 
 
 def test_project_detour():
     d = or_project(or_intro_left(assumption(p), q))
-    step = reduce_step(d, STD)
+    step = first_step(d, STD)
     assert step.rule == "project-detour"
     assert step.result == assumption(p)
     # projecting the left disjunct out of a right introduction is stuck
     stuck = or_project(or_intro_right(assumption(q), p))
-    assert reduce_step(stuck, STD) is None
+    assert first_step(stuck, STD) is None
 
 
 def test_weaken_detour():
     body = impl_elim(assumption(Impl(p, q)), assumption(p))
     d = weaken(impl_intro(body, p), r)
-    step = reduce_step(d, STD)
+    step = first_step(d, STD)
     assert step.rule == "weaken-detour"
     new_body = impl_elim(
         assumption(Impl(p, q)), and_elim(assumption(Conj(p, r)), 1)
@@ -149,7 +167,7 @@ def test_weaken_detour():
 
 def test_weaken_detour_vacuous():
     d = weaken(impl_intro(assumption(q), p), r)
-    step = reduce_step(d, STD)
+    step = first_step(d, STD)
     assert step.rule == "weaken-detour"
     assert conclusion(step.result) == Impl(Conj(p, r), q)
     assert assumptions(step.result) == {q}
@@ -287,25 +305,25 @@ def test_each_detour_rewrites_exactly_its_own_redex():
     ids=["conj", "imp", "imp-minor", "disj", "disj-premise", "weaken", "project"],
 )
 def test_detour_under_binder_reduces(d, reduct):
-    step = reduce_step(d, STD)
+    step = first_step(d, STD)
     assert step.position == (0,)
     assert step.result == reduct
-    assert [s.result for s in successors(d, STD)] == [reduct]
+    assert [s.result for s in all_steps(d, STD)] == [reduct]
     assert structure_from_obj(structure_to_obj(step.result)) == reduct
 
 
 def test_extract_keeps_local_discharges():
     inner = impl_intro(assumption(p), p)
     d = and_intro(inner, assumption(q))
-    sub = extract(d, (0,))
+    sub = d.node_at((0,))
     assert sub == inner
-    assert extract(d, ()) == d
+    assert d.node_at(()) == d
 
 
 def test_inner_position_reduces():
     redex = and_elim(and_intro(assumption(p), assumption(q)), 1)
     d = and_intro(redex, assumption(r))
-    step = reduce_step(d, STD)
+    step = first_step(d, STD)
     assert step.position == (0,)
     assert step.result == and_intro(assumption(p), assumption(r))
 
@@ -415,8 +433,9 @@ def detour_chain(depth):
 
 @pytest.mark.parametrize("depth", range(1, 9))
 def test_detour_chain_search(depth):
+    # a predicate goal: the breadth-first walk, not the normal-form path
     d, rules = detour_chain(depth)
-    out = search_reduct(d, CHAIN_INNER, STD)
+    out = search_reduct(d, lambda e: e == CHAIN_INNER, STD)
     assert out.status == "yes"
     assert out.visited == CHAIN_VISITED[depth - 1]
     assert out.path == tuple(((), name) for name in rules)
@@ -510,7 +529,7 @@ def minors_for(f):
 def test_imp_detour_preserves_conclusion_and_shrinks_assumptions(body, a, data):
     minor = data.draw(minors_for(a))
     d = impl_elim(impl_intro(body, a), minor)
-    step = reduce_step(d, [IMP_DETOUR])
+    step = first_step(d, [IMP_DETOUR])
     assert step is not None and step.position == ()
     assert conclusion(step.result) == conclusion(d)
     assert assumptions(step.result) <= assumptions(d)
@@ -520,7 +539,7 @@ def test_imp_detour_preserves_conclusion_and_shrinks_assumptions(body, a, data):
 @given(bodies(), bodies(), st.sampled_from([1, 2]))
 def test_conj_detour_yields_the_component(left, right, side):
     d = and_elim(and_intro(left, right), side)
-    step = reduce_step(d, [CONJ_DETOUR])
+    step = first_step(d, [CONJ_DETOUR])
     assert step.result == (left if side == 1 else right)
 
 
@@ -532,8 +551,8 @@ def test_imp_detour_commutes_with_instantiation(body, a):
     sigma = {
         f: and_elim(assumption(Conj(f, c0)), 1) for f in assumptions(d)
     }
-    step_then_inst = instantiate(reduce_step(d, [IMP_DETOUR]).result, sigma)
-    inst_then_step = reduce_step(instantiate(d, sigma), [IMP_DETOUR]).result
+    step_then_inst = instantiate(first_step(d, [IMP_DETOUR]).result, sigma)
+    inst_then_step = first_step(instantiate(d, sigma), [IMP_DETOUR]).result
     assert step_then_inst == inst_then_step
 
 
@@ -541,7 +560,7 @@ def test_imp_detour_commutes_with_instantiation(body, a):
 @given(bodies(), small_formulas(), small_formulas())
 def test_weaken_detour_preserves_interface(body, a, c):
     d = weaken(impl_intro(body, a), c)
-    step = reduce_step(d, [WEAKEN_DETOUR])
+    step = first_step(d, [WEAKEN_DETOUR])
     assert step is not None
     assert conclusion(step.result) == Impl(Conj(a, c), conclusion(body))
     assert assumptions(step.result) <= assumptions(d) | {Conj(a, c)} - {a}
@@ -602,12 +621,12 @@ def test_reachable_yields_each_once_and_its_paths_replay(d, budget):
         for pos, name in walk.path(e):
             results = {
                 step.position: step.result
-                for step in successors(cur, [by_name[name]])
+                for step in all_steps(cur, [by_name[name]])
             }
             cur = results[pos]
         assert cur == e
     # the last structure found is tested even when the budget cuts the walk
-    out = search_reduct(d, found[-1], STD, budget=budget)
+    out = search_reduct(d, lambda e: e == found[-1], STD, budget=budget)
     assert out.status == "yes" and out.witness == found[-1]
     assert out.path == walk.path(found[-1]) and out.visited == len(found)
 
@@ -626,9 +645,9 @@ def reference_rewrites(d, reductions):
 
 def assert_rewrites_match_reference(d, reductions, budget=30):
     want = reference_rewrites(d, reductions)
-    assert successors(d, reductions) == [ReductionStep(*w) for w in want]
-    first = reduce_step(d, reductions)
-    assert first == (ReductionStep(*want[0]) if want else None)
+    assert all_steps(d, reductions) == [Step(*w) for w in want]
+    first = first_step(d, reductions)
+    assert first == (Step(*want[0]) if want else None)
     # one memo shared by every structure of a walk, as Reachable shares it
     memo = {}
     for e in Reachable(d, reductions, budget):
@@ -687,7 +706,7 @@ def binders_match(d):
 @settings(max_examples=150, deadline=None)
 @given(detours())
 def test_successors_keep_conclusion_assumptions_and_serialize(d):
-    for step in successors(d, STD):
+    for step in all_steps(d, STD):
         assert conclusion(step.result) == conclusion(d)
         assert assumptions(step.result) <= assumptions(d)
         assert structure_from_obj(structure_to_obj(step.result)) == step.result
@@ -722,7 +741,7 @@ def test_hash_of_equal_values_built_apart_agrees(f, d):
     def stand_in(g):
         return and_elim(assumption(Conj(g, c0)), 1)
 
-    built = [d] + [step.result for step in successors(d, STD)]
+    built = [d] + [step.result for step in all_steps(d, STD)]
     built.append(instantiate(d, {a: stand_in(a) for a in assumptions(d)}))
     for path, node in iter_nodes(d):
         if not node.free:
@@ -798,7 +817,7 @@ def stand_ins(f, extra):
 @given(st.one_of(structures(), detours()), st.data())
 def test_summaries_match_the_walk(d, data):
     assert_summaries_match_walk(d)
-    for step in successors(d, STD):
+    for step in all_steps(d, STD):
         assert_summaries_match_walk(step.result)
     extra = data.draw(structures())
     sigma = {
@@ -823,7 +842,7 @@ def walked_height(d):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(structures(), detours()))
 def test_height_matches_the_walk(d):
-    for e in [d] + [step.result for step in successors(d, STD)]:
+    for e in [d] + [step.result for step in all_steps(d, STD)]:
         for _, node in iter_nodes(e):
             assert node.height == walked_height(node)
 
@@ -862,7 +881,7 @@ def assert_first_rewrite_is_the_listed_first(d, reductions):
 @given(st.one_of(structures(), detours()), st.permutations(STD))
 def test_first_rewrite_is_the_listed_first(d, reductions):
     assert_first_rewrite_is_the_listed_first(d, reductions)
-    for step in successors(d, reductions):
+    for step in all_steps(d, reductions):
         assert_first_rewrite_is_the_listed_first(step.result, reductions)
 
 
@@ -871,7 +890,7 @@ def test_first_rewrite_on_detour_chains(depth):
     # every structure on the way to normal form, as reduce takes it
     d, rules = detour_chain(depth)
     taken = []
-    while (step := reduce_step(d, STD)) is not None:
+    while (step := first_step(d, STD)) is not None:
         assert_first_rewrite_is_the_listed_first(d, STD)
         taken.append(step.rule)
         d = step.result
@@ -882,15 +901,16 @@ def test_first_rewrite_on_detour_chains(depth):
 # ---------------------------------------------------------------------------
 # normal forms: one leftmost-outermost path against the whole closure
 #
-# search_reduct's breadth-first walk is the reference: under the five
-# standard reductions every closure has exactly one normal form, normalize
-# reaches it, and search_normal_form answers as the full search does.
+# search_reduct's breadth-first walk, which a predicate goal always takes,
+# is the reference: under the five standard reductions every closure has
+# exactly one normal form, normalize reaches it, and search_reduct answers a
+# base or a normal target off it as the full search does.
 
 
 def assert_paths_replay(d, path, end):
     by_name = {red.name: red for red in STD}
     for pos, name in path:
-        d = {step.position: step.result for step in successors(d, [by_name[name]])}[pos]
+        d = {step.position: step.result for step in all_steps(d, [by_name[name]])}[pos]
     assert d == end
 
 
@@ -910,14 +930,17 @@ def assert_normal_form_route_agrees(d, closure):
     assert done and end == nf
     assert_paths_replay(d, path, end)
 
-    def pred(e):
-        return is_atomic_derivation(e, CHAIN_BASE)
+    def walked(goal):
+        if goal is CHAIN_BASE:
+            return lambda e: is_atomic_derivation(e, CHAIN_BASE)
+        return lambda e: e == goal
 
     # the atomic-derivation goal, and every normal target, reachable or not
-    for goal in (pred, nf, assumption(s), axiom_leaf(q)):
-        ref = search_reduct(d, goal, STD)
-        got = search_normal_form(d, goal, STD)
-        assert got is not None and got.status == ref.status
+    for goal in (CHAIN_BASE, nf, assumption(s), axiom_leaf(q)):
+        ref = search_reduct(d, walked(goal), STD)
+        assert not ref.by_normal_form
+        got = search_reduct(d, goal, STD)
+        assert got.by_normal_form and got.status == ref.status
         assert got.visited == len(path) + 1
         if got.status == "yes":
             assert got.witness == nf and got.path == path
@@ -935,7 +958,8 @@ def test_normal_form_route_agrees_with_the_full_search(d):
 def test_normal_form_route_on_detour_chains(depth):
     d, rules = detour_chain(depth)
     assert_normal_form_route_agrees(d, complete_closure(d))
-    out = search_normal_form(d, CHAIN_INNER, STD)
+    out = search_reduct(d, CHAIN_INNER, STD)
+    assert out.by_normal_form
     assert out.status == "yes" and out.visited == depth + 1
     assert out.path == tuple(((), name) for name in rules)
 
@@ -944,7 +968,7 @@ def test_normalize_stops_at_the_step_bound():
     d, rules = detour_chain(3)
     end, path, done = normalize(d, STD, 2)
     assert not done and len(path) == 2
-    assert end == reduce_step(reduce_step(d, STD).result, STD).result
+    assert end == first_step(first_step(d, STD).result, STD).result
     end, path, done = normalize(d, STD, 3)
     assert done and end == CHAIN_INNER and len(path) == 3
     assert normalize(CHAIN_INNER, STD, 0) == (CHAIN_INNER, (), True)
@@ -952,12 +976,14 @@ def test_normalize_stops_at_the_step_bound():
 
 def test_normal_form_route_declines():
     d, _ = detour_chain(3)
-    # a path of four structures: a budget of three leaves it to search_reduct
-    assert search_normal_form(d, CHAIN_INNER, STD, budget=3) is None
-    assert search_normal_form(d, CHAIN_INNER, STD, budget=4).status == "yes"
+    # a path of four structures: a budget of three leaves it to the walk
+    assert not search_reduct(d, CHAIN_INNER, STD, budget=3).by_normal_form
+    out = search_reduct(d, CHAIN_INNER, STD, budget=4)
+    assert out.by_normal_form and out.status == "yes"
     # a target that holds a redex
-    assert search_normal_form(d, detour_chain(1)[0], STD) is None
-    assert search_normal_form(d, CHAIN_INNER, STD[::-1]).status == "yes"
+    assert not search_reduct(d, detour_chain(1)[0], STD).by_normal_form
+    out = search_reduct(d, CHAIN_INNER, STD[::-1])
+    assert out.by_normal_form and out.status == "yes"
     # a constant reduction that overlaps the conj-detour: the standard
     # normal form p* is no derivation in the base, but another reduct is
     e = and_elim(and_intro(axiom_leaf(p), axiom_leaf(q)), 1)
@@ -966,6 +992,45 @@ def test_normal_form_route_declines():
     def pred(x):
         return is_atomic_derivation(x, CHAIN_BASE)
 
-    assert search_normal_form(e, pred, STD).status == "no"
-    assert search_normal_form(e, pred, STD + (kappa,)) is None
+    out = search_reduct(e, CHAIN_BASE, STD)
+    assert out.by_normal_form and out.status == "no"
+    assert not search_reduct(e, CHAIN_BASE, STD + (kappa,)).by_normal_form
     assert search_reduct(e, pred, STD + (kappa,)).status == "yes"
+
+
+# ---------------------------------------------------------------------------
+# the route search_reduct takes for a base goal
+
+
+@settings(max_examples=100, deadline=None)
+@given(derivation_detours(), st.sampled_from([2, 4, DEFAULT_BUDGET]))
+def test_base_goal_answers_as_the_walked_predicate(d, budget):
+    walked = search_reduct(
+        d, lambda e: is_atomic_derivation(e, CHAIN_BASE), STD, budget
+    )
+    out = search_reduct(d, CHAIN_BASE, STD, budget)
+    assert not walked.by_normal_form
+    # read off the normal form exactly when the path there fits the budget
+    end, path, normal = normalize(d, STD, budget - 1)
+    assert out.by_normal_form == normal
+    if not normal:
+        assert out == walked
+        return
+    assert out.visited == len(path) + 1
+    assert out.status == ("yes" if is_atomic_derivation(end, CHAIN_BASE) else "no")
+    if walked.status != "inconclusive":
+        assert out.status == walked.status
+
+
+@settings(max_examples=50, deadline=None)
+@given(detours())
+def test_overlapping_justification_walks_a_base_goal(d):
+    # kappa rewrites the conj-detour's redex too: the standard normal form
+    # p* is no derivation in the base, but kappa's reduct is
+    e = and_elim(and_intro(axiom_leaf(p), d), 1)
+    kappa = constant_reduction([Conj(p, conclusion(d))], p, CHAIN_INNER)
+    out = search_reduct(e, CHAIN_BASE, STD)
+    assert out.by_normal_form and out.status == "no"
+    out = search_reduct(e, CHAIN_BASE, STD + (kappa,))
+    assert not out.by_normal_form
+    assert out.status == "yes" and out.witness == CHAIN_INNER
