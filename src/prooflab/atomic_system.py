@@ -25,9 +25,11 @@ carries a derivation tree that an independent checker (check_derivation)
 replays against the rule supply.  Each fact is justified by the first
 application that completes, in the order goals were asked, so the tree does
 not depend on the hash seed.  A saturation keeps the set of atoms derivable
-in the supply's context and a record of each fact their trees use; the
-first tree asked for builds the nodes of every one of them, once, and the
-trees of one supply share their common subtrees.
+in the supply's context and the tables a tree is read from, and builds no
+tree until one is asked for: a query for atoms alone, or a NO, costs no
+tree work.  The first tree asked for walks the justifications and builds
+the nodes of every tree of that context, once, and the trees of one supply
+share their common subtrees.
 
 Concrete rule syntax, one rule per line in base files:
 
@@ -370,14 +372,15 @@ class _Saturation:
     depend on the hash seed.
 
     Kept afterwards: atoms, the frozenset of atoms derivable in the
-    supply's context (context 0), and until the first tree() call one
-    record per fact of that context or reached by their justifications,
-    (fact, atom, rule, premise facts), in the order facts were recorded.
-    The first tree() call turns the records into DerivationNodes and keeps
-    context 0's by atom; a saturation asked only for atoms builds none.
+    supply's context (context 0), and until the first tree() call the
+    tables a tree is read from: the numbering, each recorded fact's
+    justifying rule, the contexts by number and by mask, and the recorded
+    facts in order.  The first tree() call walks those tables, builds the
+    DerivationNodes, keeps context 0's by atom and drops the tables; a
+    saturation asked only for atoms walks nothing and builds no node.
     """
 
-    __slots__ = ("atoms", "_n", "_records", "_trees")
+    __slots__ = ("atoms", "_tables", "_trees")
 
     def __init__(self, numbering: _Numbering, max_steps: int) -> None:
         shapes, concluding = numbering.shapes, numbering.concluding
@@ -389,8 +392,8 @@ class _Saturation:
         # is rule app_rule[k] concluding fact app_head[k], with counts[k]
         # premises unmet.  goals lists the facts asked, in the order asked;
         # watchers[f] lists the applications waiting on asked fact f (once
-        # per premise), just[f] the one that recorded it, and queue the
-        # recorded facts in order.
+        # per premise), just[f] the rule of the application that recorded
+        # it, and queue the recorded facts in order.
         ids = {initial: 0}
         masks = [initial]
         goals = list(range(n))
@@ -407,10 +410,7 @@ class _Saturation:
             bit = m & axioms.get(a, 0)
             if bit:
                 # the axiom: the other rules concluding a add nothing
-                just[f] = len(counts)
-                app_rule.append(bit.bit_length() - 1)
-                app_head.append(f)
-                counts.append(0)
+                just[f] = bit.bit_length() - 1
                 queue.append(f)
                 continue
             rest = m & concluding.get(a, 0)
@@ -453,45 +453,54 @@ class _Saturation:
                 if not left:
                     head = app_head[k]
                     if head not in just:
-                        just[head] = k
+                        just[head] = app_rule[k]
                         queue.append(head)
 
-        # the facts the justifications of the supply's context's facts reach,
-        # each with its rule and premise facts in the rule's premise order,
-        # then one record per kept fact in the order facts were recorded
-        order, names = numbering.order, list(numbering.atoms)
-        kept: dict[int, tuple[AtomicRule, tuple[int, ...]]] = {}
-        todo = [f for f in queue if f < n]
-        while todo:
-            f = todo.pop()
-            if f in kept:
-                continue
-            m = masks[f // n]
-            i = app_rule[just[f]]
-            premises = tuple(ids[m | dmask] * n + b for b, dmask in shapes[i])
-            kept[f] = (order[i], premises)
-            todo.extend(premises)
+        names = list(numbering.atoms)
         self.atoms = frozenset(names[f] for f in queue if f < n)
-        self._n = n
-        self._records: list | None = [
-            (f, names[f % n], *kept[f]) for f in queue if f in kept
-        ]
+        self._tables: tuple | None = (numbering, just, masks, ids, queue)
         self._trees: dict[str, DerivationNode] = {}
 
     def tree(self, goal: str) -> DerivationNode:
-        """The derivation of a derivable atom of the supply's context.  The
-        first call builds every kept fact's node, in recorded order, so each
-        premise's node exists before the nodes that use it; trees of one
-        supply share their common subtrees."""
-        if self._records is not None:
-            n, nodes, trees = self._n, {}, self._trees
-            for f, atom, rule, premises in self._records:
-                node = nodes[f] = DerivationNode(
-                    atom, rule, tuple(nodes[g] for g in premises)
-                )
-                if f < n:
-                    trees[atom] = node
-            self._records = None
+        """The derivation of a derivable atom of the supply's context.
+
+        The first call walks from the supply's context's facts through
+        their justifications to every fact their trees use, builds those
+        facts' nodes in recorded order, so each premise's node exists
+        before the nodes that use it, and then drops the saturation's
+        tables; later calls look the tree up.  Trees of one supply share
+        their common subtrees.
+        """
+        if self._tables is not None:
+            numbering, just, masks, ids, queue = self._tables
+            order, shapes = numbering.order, numbering.shapes
+            names = list(numbering.atoms)
+            n = len(names)
+            # the kept facts, each with its rule and premise facts in the
+            # rule's premise order
+            kept: dict[int, tuple[AtomicRule, tuple[int, ...]]] = {}
+            todo = [f for f in queue if f < n]
+            while todo:
+                f = todo.pop()
+                if f in kept:
+                    continue
+                m = masks[f // n]
+                i = just[f]
+                premises = tuple(ids[m | dmask] * n + b for b, dmask in shapes[i])
+                kept[f] = (order[i], premises)
+                todo.extend(premises)
+            nodes: dict[int, DerivationNode] = {}
+            trees = self._trees
+            for f in queue:
+                entry = kept.get(f)
+                if entry is not None:
+                    rule, premises = entry
+                    node = nodes[f] = DerivationNode(
+                        names[f % n], rule, tuple(nodes[g] for g in premises)
+                    )
+                    if f < n:
+                        trees[names[f]] = node
+            self._tables = None
         return self._trees[goal]
 
 
@@ -528,12 +537,13 @@ def derive(
     ResourceLimitExceeded rather than answering NO; a step is one grounded
     premise (a premise of an application some goal asked for) or one
     counter decrement (a recorded fact passed on to one application
-    watching it).  The 256 most recent saturations are kept, so asking for
-    each atom of one supply in turn saturates it once and builds its trees
-    once: a repeated call returns the same tree object, and trees of one
-    supply share their common subtrees.  The numberings of the 256 most
-    recent bases are kept too, so one base under several assumed sets is
-    numbered once.
+    watching it).  A NO builds no tree.  The 256 most recent saturations
+    are kept, so asking for each atom of one supply in turn saturates it
+    once, and the first YES builds every tree of the supply, once: a
+    repeated call returns the same tree object, and trees of one supply
+    share their common subtrees.  The numberings of the 256 most recent
+    bases are kept too, so one base under several assumed sets is numbered
+    once.
     """
     sat = _saturate(base.rules, frozenset(assumed) - base.rules, max_steps)
     if goal not in sat.atoms:
@@ -542,8 +552,12 @@ def derive(
 
 
 def derivable_atoms(base: Base, assumed: Iterable[AtomicRule] = ()) -> frozenset[str]:
-    """Every atom (bot included) derivable from base plus assumed rules;
-    read off the saturation derive() uses, without building a tree."""
+    """Every atom (bot included) derivable from base plus assumed rules.
+
+    Read off the saturation derive() uses, which does no tree work for it:
+    the saturation keeps the tables its trees are read from, and a later
+    derive() YES on the same supply builds the trees from them.
+    """
     extra = frozenset(assumed) - base.rules
     return _saturate(base.rules, extra, DEFAULT_MAX_STEPS).atoms
 

@@ -10,7 +10,8 @@ Commands:
 Exit codes: 0 the queried property holds (or the search found a base, or a
 reduct was reached), 1 it definitely does not, 2 the run was inconclusive
 or hit a resource limit, 64 usage error, 65 malformed input, 70 internal
-error.  The default budget comes from PROOFLAB_BUDGET when set.
+error.  The default budget comes from PROOFLAB_BUDGET when set; like
+--budget, it must be an integer of at least 1.
 """
 
 from __future__ import annotations
@@ -73,12 +74,9 @@ EX_USAGE = 64
 EX_DATA = 65
 EX_INTERNAL = 70
 
-DEFAULT_BUDGET = int(os.environ.get("PROOFLAB_BUDGET", reductions.DEFAULT_BUDGET))
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse would exit 2
-        self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -311,6 +309,18 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return EX_OK if normal else EX_INCONCLUSIVE
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}"
+        )
+    return value
+
+
 def _bounds(text: str) -> SearchBounds:
     try:
         max_atoms, max_rules, max_level = (int(part) for part in text.split(","))
@@ -318,6 +328,8 @@ def _bounds(text: str) -> SearchBounds:
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated integers, got {text!r}"
         )
+    if min(max_atoms, max_rules, max_level) < 0:
+        raise argparse.ArgumentTypeError(f"bounds must not be negative, got {text!r}")
     return SearchBounds(
         max_atoms=max_atoms, max_rules=max_rules, max_level=max_level
     )
@@ -480,12 +492,20 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 @lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     """The command-line parser, built once per process: parsing keeps no
-    state in it, and building it costs more than a typical command."""
+    state in it, and building it costs more than a typical command.  The
+    default budget is read from PROOFLAB_BUDGET here; a value that is not
+    an integer of at least 1 is a usage error."""
     parser = _Parser(
         prog="prooflab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    try:
+        default_budget = _budget(
+            os.environ.get("PROOFLAB_BUDGET", str(reductions.DEFAULT_BUDGET))
+        )
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"PROOFLAB_BUDGET: {exc}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp: argparse.ArgumentParser, base: bool = True) -> None:
@@ -498,8 +518,8 @@ def build_parser() -> _Parser:
             )
         sp.add_argument(
             "--budget",
-            type=int,
-            default=DEFAULT_BUDGET,
+            type=_budget,
+            default=default_budget,
             help=(
                 "bound on the distinct structures a reduction search explores,"
                 " or on the structures of the one path it follows where the"

@@ -320,17 +320,44 @@ q.
 ([(p => u) => u] => v)
 """
 
+# assumed on top of TIED_SUPPLY: an axiom that opens a second way to s, and
+# a rule for bot that never applies, so a consistency check saturates
+TIED_ASSUMED = ("a.", "(w => bot)")
+
+# the trees of TIED_SUPPLY, of TIED_SUPPLY under TIED_ASSUMED, and of the
+# base of both; with the argument atoms-first, every saturation is asked for
+# its atoms alone (derivable_atoms, and check_consistency while the base of
+# both is built) before any tree is
 PRINT_TREES = f"""
-from prooflab.atomic_system import derivable_atoms, derive, format_rule, parse_base_text
+import sys
+from prooflab.atomic_system import (
+    Base, derivable_atoms, derive, format_rule, parse_base_text, parse_rule
+)
 
 def show(node, depth):
     print("  " * depth + node.conclusion + " by " + format_rule(node.rule))
     for child in node.children:
         show(child, depth + 1)
 
+def trees(base, assumed=()):
+    for a in "a b p q r s t u v w bot".split():
+        res = derive(base, assumed, a)
+        if res.derivable:
+            show(res.tree, 0)
+
 b = parse_base_text({TIED_SUPPLY!r})
-for a in sorted(derivable_atoms(b)):
-    show(derive(b, goal=a).tree, 0)
+assumed = frozenset(parse_rule(r) for r in {TIED_ASSUMED!r})
+if sys.argv[1:] == ["atoms-first"]:
+    derivable_atoms(b)
+    derivable_atoms(b, assumed)
+    both = Base(b.rules | assumed)
+    trees(b)
+    trees(b, assumed)
+else:
+    trees(b)
+    trees(b, assumed)
+    both = Base(b.rules | assumed)
+trees(both)
 """
 
 
@@ -350,16 +377,17 @@ def test_trees_independent_of_hash_seed():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     outs = set()
     for seed in range(4):
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
-        proc = subprocess.run(
-            [sys.executable, "-c", PRINT_TREES],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.add(proc.stdout)
+        for order in ("trees-first", "atoms-first"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+            proc = subprocess.run(
+                [sys.executable, "-c", PRINT_TREES, order],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
     assert len(outs) == 1
     roots = [line.split()[0] for line in outs.pop().splitlines() if line[0] != " "]
-    assert roots == ["p", "q", "r", "s", "t", "v"]
+    assert roots == ["p", "q", "r", "s", "t", "v"] + ["a", "p", "q", "r", "s", "t", "v"] * 2
 
 
 def tree_lines(node, depth=0):
@@ -370,28 +398,32 @@ def tree_lines(node, depth=0):
 
 def test_tied_supply_trees_are_pinned():
     # a base's own trees follow its rule numbering; the first rule in key
-    # order breaks each tie
+    # order breaks each tie.  Asking the saturations for atoms alone first,
+    # the base's and the ones with an assumed set, changes no tree.
     b = base(TIED_SUPPLY)
-    got = [
-        line
-        for a in sorted(derivable_atoms(b))
-        for line in tree_lines(derive(b, goal=a).tree)
-    ]
-    assert got == [
-        "p by p",
-        "q by q",
-        "r by (p => r)",
-        "  p by p",
-        "s by (r => s)",
-        "  r by (p => r)",
-        "    p by p",
-        "t by ([a => s] => t)",
-        "  s by (a => s)",
-        "    a by a",
-        "v by ([(p => u) => u] => v)",
-        "  u by (p => u)",
-        "    p by p",
-    ]
+    assumed = frozenset(map(rule, TIED_ASSUMED))
+    for atoms_first in (False, True):
+        _saturate.cache_clear()
+        if atoms_first:
+            assert derivable_atoms(b) == {"p", "q", "r", "s", "t", "v"}
+            assert derivable_atoms(b, assumed) == {"a", "p", "q", "r", "s", "t", "v"}
+            assert check_consistency(b.rules | assumed)
+        got = [line for a in "pqrstv" for line in tree_lines(derive(b, goal=a).tree)]
+        assert got == [
+            "p by p",
+            "q by q",
+            "r by (p => r)",
+            "  p by p",
+            "s by (r => s)",
+            "  r by (p => r)",
+            "    p by p",
+            "t by ([a => s] => t)",
+            "  s by (a => s)",
+            "    a by a",
+            "v by ([(p => u) => u] => v)",
+            "  u by (p => u)",
+            "    p by p",
+        ]
 
 
 def test_repeated_derive_returns_the_same_tree():
@@ -421,15 +453,25 @@ def test_atoms_alone_build_no_tree(monkeypatch):
     # atoms no other test uses; building the base saturates it, since one
     # rule concludes bot
     b = base("nb_a.\n(nb_a => nb_b)\n(nb_c => bot)")
+    assumed = {axiom("nb_d"), rule("([nb_b => nb_c] => nb_e)")}
     assert check_consistency(b.rules)
     assert derivable_atoms(b) == {"nb_a", "nb_b"}
-    assert derivable_atoms(b, {axiom("nb_d")}) == {"nb_a", "nb_b", "nb_d"}
+    assert derivable_atoms(b, assumed) == {"nb_a", "nb_b", "nb_d"}
+    assert check_consistency(b.rules | assumed)
+    # a NO reads the atom set alone too
+    assert not derive(b, assumed, "nb_e").derivable
     assert built == []
     # the first tree builds the nodes of the supply's context's facts, once
     assert derive(b, goal="nb_a").derivable
     assert built == ["nb_a", "nb_b"]
     assert derive(b, goal="nb_b").tree.children[0] is derive(b, goal="nb_a").tree
     assert built == ["nb_a", "nb_b"]
+    # the saturation under the assumed set, asked for atoms alone until
+    # now, builds trees that replay
+    for a in ("nb_a", "nb_b", "nb_d"):
+        assert check_derivation(derive(b, assumed, a).tree, b.rules | assumed)
+    # in recorded order: the axioms as their goals are met, then nb_b
+    assert built == ["nb_a", "nb_b", "nb_a", "nb_d", "nb_b"]
 
 
 def nested_rules(rs):

@@ -591,6 +591,86 @@ def test_bad_bounds_text_is_usage_error(capsys):
     assert "comma-separated" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--sequent", "|- p", "--budget", "-3"],
+        ["eval", "--sequent", "|- p", "--budget", "0"],
+        ["reduce", "--argument", "arg.json", "--budget", "many"],
+        ["search", "--sequent", "|- p", "--bounds=2,-1,3"],
+        ["search", "--sequent", "|- p", "--bounds=-2,1,3"],
+    ],
+)
+def test_bad_budget_or_negative_bound_is_one_line_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EX_USAGE
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("prooflab ") and ": error: argument --b" in err
+
+
+def test_zero_bounds_are_accepted(capsys):
+    code = main(["search", "--sequent", "|- p", "--bounds", "0,0,0"])
+    assert code == EX_OK
+    assert "examined: 1 bases" in capsys.readouterr().out
+
+
+@pytest.fixture
+def fresh_parser():
+    # the parser reads PROOFLAB_BUDGET when it is built; build it again for
+    # the test and once more after it, under the restored environment
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("value", ["abc", "", "-5", "0", "2.5"])
+def test_bad_budget_environment_is_one_line_usage_error(
+    value, monkeypatch, fresh_parser, capsys
+):
+    monkeypatch.setenv("PROOFLAB_BUDGET", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--sequent", "|- p"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == EX_USAGE
+    assert out == ""
+    assert err == (
+        "prooflab: error: PROOFLAB_BUDGET: expected an integer of at least 1,"
+        f" got {value!r}\n"
+    )
+
+
+def test_budget_environment_sets_the_default(
+    tmp_path, monkeypatch, fresh_parser, capsys
+):
+    monkeypatch.setenv("PROOFLAB_BUDGET", "1")
+    d = and_elim(and_intro(axiom_leaf(q), axiom_leaf(p)), 1)
+    argv = ["check_valid", "--rule", "p.", "--argument", argument_file(tmp_path, d)]
+    assert main(argv) == EX_INCONCLUSIVE
+    assert "budget of 1 distinct structures exhausted" in capsys.readouterr().out
+    # the flag overrides the environment
+    assert main([*argv, "--budget", "5"]) == EX_FAILS
+    capsys.readouterr()
+
+
+def test_bad_budget_environment_exits_64_in_a_fresh_process():
+    # the environment is read when the parser is built, so importing the
+    # module never fails on it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PROOFLAB_BUDGET="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "prooflab.cli", "eval", "--sequent", "|- p"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EX_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "prooflab: error: PROOFLAB_BUDGET: expected an integer of at least 1, got 'abc'"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # malformed input
 
