@@ -90,7 +90,6 @@ __all__ = [
     "impl_elim",
     "weaken",
     "or_project",
-    "rule_step",
     "match_and_intro",
     "match_or_intro",
     "match_impl_intro",
@@ -628,20 +627,6 @@ def or_project(sub: ArgumentStructure) -> ArgumentStructure:
     if not isinstance(f, Disj):
         raise StructureError("or_project needs a disjunction")
     return structure_of_inference(Inference(subs=(sub,), conclusion=f.left))
-
-
-def rule_step(rule: AtomicRule, subs: Sequence[ArgumentStructure]) -> ArgumentStructure:
-    """One application of an atomic rule, children in premise order."""
-    if len(subs) != len(rule.premises):
-        raise StructureError("premise count mismatch")
-    for p, sub in zip(rule.premises, subs):
-        got = conclusion(sub)
-        if _atom_name(got) != p.conclusion:
-            raise StructureError(
-                f"premise {p.conclusion} proved as {format_formula(got)}"
-            )
-    f: Formula = BOT if rule.conclusion == "bot" else Atom(rule.conclusion)
-    return structure_of_inference(Inference(subs=tuple(subs), conclusion=f))
 
 
 # introduction matchers ------------------------------------------------------

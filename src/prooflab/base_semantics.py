@@ -19,8 +19,9 @@ truth for both relations by one classical valuation: read materially, the
 clauses collapse to it, and the variant's fresh atom, which no base
 derives, makes its disjunction clause collapse too.  models() answers from
 the context; only when a trace is asked for does an Evaluator replay the
-clauses to render the trace's entries.  The context also keeps one
-atomic witness argument per derivable atom, for the validity layer.
+clauses to render the trace's entries.  The validity layer builds its
+atomic witness arguments from the trees of the context's saturation and
+keeps them in the context; this module builds no argument structures.
 
 Also here: counterexample search over bases, a bounded monotone variant of
 the relations, the export-principle harness, and a decision procedure for
@@ -37,7 +38,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Any, Iterable, Iterator
 
-from prooflab.arguments import ArgumentStructure, derivation_to_structure
 from prooflab.atomic_system import (
     DEFAULT_MAX_STEPS,
     AtomicRule,
@@ -164,9 +164,9 @@ def _notes(kind: SemanticsKind) -> tuple[str, ...]:
 class BaseContext:
     """Everything derived from one base, computed once for that base.
 
-    It owns the saturation of the base's own rules, and from it the
-    derivable atoms and at most one atomic witness argument per atom,
-    built on first request.  It holds the atoms the base mentions (the
+    It owns the saturation of the base's own rules (the validity layer
+    reads its atomic witnesses off that saturation's trees) and, from it,
+    the derivable atoms.  It holds the atoms the base mentions (the
     variant's universe starts from them).  It also decides truth: with a
     nonempty premise set read materially, both relations collapse to the
     classical valuation that makes exactly the derivable atoms true.  For
@@ -182,12 +182,11 @@ class BaseContext:
     """
 
     def __init__(self, base: Base) -> None:
-        self._rules = base.rules
-        self._saturation = _saturate(base.rules, frozenset(), DEFAULT_MAX_STEPS)
-        self.derivable = self._saturation.atoms
+        self.rules = base.rules
+        self.saturation = _saturate(base.rules, frozenset(), DEFAULT_MAX_STEPS)
+        self.derivable = self.saturation.atoms
         self.atoms = atoms_of_base(base)
         self._truth: dict[Formula, bool] = {}
-        self._witnesses: dict[str, ArgumentStructure | None] = {}
         self.validity: Any = None
 
     def holds(self, f: Formula) -> bool:
@@ -211,17 +210,6 @@ class BaseContext:
     def entails(self, premises: frozenset[Formula], goal: Formula) -> bool:
         """The premises, read materially, entail the goal."""
         return not all(map(self.holds, premises)) or self.holds(goal)
-
-    def atom_witness(self, name: str) -> ArgumentStructure | None:
-        """The base's derivation of the atom as an argument structure, or
-        None when the atom is not derivable."""
-        if name not in self._witnesses:
-            self._witnesses[name] = (
-                derivation_to_structure(self._saturation.tree(name), self._rules)
-                if name in self.derivable
-                else None
-            )
-        return self._witnesses[name]
 
 
 # one context per live base, dropped with the base; bases are keyed by

@@ -22,11 +22,14 @@ rewritten subtree back into the same tree of nodes.  Because discharges are
 relative, whether a reduction applies to a subtree and what it rewrites to
 depend only on that subtree's value: one helper computes a node's one-step
 rewrites from its own and its children's, memoized per distinct subtree.
-One breadth-first walk, Reachable, enumerates the reduction closure up to a
-budget on distinct structures and a height budget, and records the step
-that first reached each one; the structures it finds share most of their
-subtrees, and each distinct subtree's rewrites are computed once per walk.
-The validity checker's search for a canonical reduct walks it.
+
+The breadth-first walk of search_reduct enumerates the reduction closure
+up to a budget on distinct structures and a height budget, tests each
+structure as it is found, and records the step that first reached each
+one; the structures it finds share most of their subtrees, and each
+distinct subtree's rewrites are computed once per walk.  The validity
+checker's searches, for a derivation in the base and for a canonical
+reduct, both go through it.
 
 One more walk, normalize, follows a single path instead: it takes the
 leftmost-outermost rewrite until no redex is left.  The detour conversions
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from prooflab.arguments import (
     ArgumentStructure,
@@ -81,7 +84,6 @@ __all__ = [
     "constant_reduction",
     "SearchOutcome",
     "search_reduct",
-    "Reachable",
     "normalize",
 ]
 
@@ -324,74 +326,6 @@ DEFAULT_BUDGET = 10_000
 _HEIGHT_BUDGET = f"height budget of {MAX_NESTING} levels"
 
 
-class Reachable:
-    """Iterating yields the start and then every structure reachable from
-    it by rewriting, breadth-first, each as it is found, up to the budget on
-    distinct structures; a caller may stop at the first structure it wants
-    without computing the rest.  parents maps each structure found to the
-    step that first reached it, (previous structure, position, rule name),
-    or None for the start, and path reads the steps back.  exhausted names
-    each budget that cut the enumeration short, and complete is True when
-    none did: the budget on distinct structures, which ends the walk, or
-    the height budget, MAX_NESTING levels, past which a reduct is neither
-    yielded nor expanded.  So a closure whose reducts grow a level with
-    every step, as under a constant reduction whose target holds its own
-    inference, stops well before the recursive walkers over structures
-    reach Python's recursion limit.  Each distinct subtree's one-step rewrites are
-    computed once per walk, in a memo made when the walk first expands a
-    structure and dropped when it ends."""
-
-    def __init__(
-        self,
-        start: ArgumentStructure,
-        reductions: Sequence[Reduction],
-        budget: int = DEFAULT_BUDGET,
-    ) -> None:
-        self.start = start
-        self.reductions = reductions
-        self.budget = budget
-        self.exhausted: list[str] = []
-        self.parents: dict[
-            ArgumentStructure, tuple[ArgumentStructure, Path, str] | None
-        ] = {}
-
-    def __iter__(self) -> Iterator[ArgumentStructure]:
-        parents = self.parents = {self.start: None}
-        queue = deque([self.start])
-        yield self.start
-        memo: dict = {}
-        while queue:
-            cur = queue.popleft()
-            for pos, name, new in _rewrites_of(cur, self.reductions, memo):
-                if new.height > MAX_NESTING:
-                    if _HEIGHT_BUDGET not in self.exhausted:
-                        self.exhausted.append(_HEIGHT_BUDGET)
-                    continue
-                if new in parents:
-                    continue
-                if len(parents) >= self.budget:
-                    self.exhausted.append(
-                        f"budget of {self.budget} distinct structures"
-                    )
-                    return
-                parents[new] = (cur, pos, name)
-                queue.append(new)
-                yield new
-
-    @property
-    def complete(self) -> bool:
-        return not self.exhausted
-
-    def path(self, struct: ArgumentStructure) -> tuple[tuple[Path, str], ...]:
-        """The (position, rule name) steps from the start to a structure
-        found."""
-        steps = []
-        while self.parents[struct] is not None:
-            struct, pos, name = self.parents[struct]
-            steps.append((pos, name))
-        return tuple(reversed(steps))
-
-
 def search_reduct(
     start: ArgumentStructure,
     goal: ArgumentStructure | Base | Callable[[ArgumentStructure], bool],
@@ -405,8 +339,22 @@ def search_reduct(
     is met by some reduct just when the normal form meets it; when the path
     there holds at most budget structures, the answer is read off its end,
     and visited counts the path.  Otherwise the closure is walked breadth
-    first, each structure tested as it is found: "no" means the whole
-    closure was enumerated, and a walk a budget cuts short is inconclusive."""
+    first, each structure tested as it is found, so a caller's predicate can
+    stop the walk at the first structure it wants without the rest, which
+    may be unbounded, being built; visited counts the structures found, the
+    start included.  A predicate goal always walks, so search_reduct with a
+    predicate is the full walk the normal-form route is checked against.
+    parents maps each structure found to the step that first reached it,
+    and the path is read back from there.  "no" means the whole closure was
+    enumerated; a walk a budget cuts short is inconclusive, its note naming
+    each budget spent: the budget on distinct structures, which ends the
+    walk, or the height budget, MAX_NESTING levels, past which a reduct is
+    neither tested nor expanded.  So a closure whose reducts grow a level
+    with every step, as under a constant reduction whose target holds its
+    own inference, stops well before the recursive walkers over structures
+    reach Python's recursion limit.  Each distinct subtree's one-step
+    rewrites are computed once per walk, in a memo made when the walk first
+    expands a structure, so a start that meets the goal pays nothing."""
     if isinstance(goal, Base):
         pred = lambda d: is_atomic_derivation(d, goal)
     elif callable(goal):
@@ -425,14 +373,39 @@ def search_reduct(
                     "yes", path, end, len(path) + 1, by_normal_form=True
                 )
             return SearchOutcome("no", None, None, len(path) + 1, by_normal_form=True)
-    walk = Reachable(start, reductions, budget)
-    for cur in walk:
-        if pred(cur):
-            return SearchOutcome("yes", walk.path(cur), cur, len(walk.parents))
-    if walk.complete:
-        return SearchOutcome("no", None, None, len(walk.parents))
-    note = "; ".join(f"{b} exhausted" for b in walk.exhausted)
-    return SearchOutcome("inconclusive", None, None, len(walk.parents), note)
+    parents: dict[
+        ArgumentStructure, tuple[ArgumentStructure, Path, str] | None
+    ] = {start: None}
+    if pred(start):
+        return SearchOutcome("yes", (), start, 1)
+    exhausted: list[str] = []
+    queue = deque([start])
+    memo: dict = {}
+    while queue:
+        cur = queue.popleft()
+        for pos, name, new in _rewrites_of(cur, reductions, memo):
+            if new.height > MAX_NESTING:
+                if _HEIGHT_BUDGET not in exhausted:
+                    exhausted.append(_HEIGHT_BUDGET)
+                continue
+            if new in parents:
+                continue
+            if len(parents) >= budget:
+                exhausted.append(f"budget of {budget} distinct structures")
+                queue.clear()
+                break
+            parents[new] = (cur, pos, name)
+            if pred(new):
+                steps = [(pos, name)]
+                while (step := parents[cur]) is not None:
+                    cur, pos, name = step
+                    steps.append((pos, name))
+                return SearchOutcome("yes", tuple(reversed(steps)), new, len(parents))
+            queue.append(new)
+    if not exhausted:
+        return SearchOutcome("no", None, None, len(parents))
+    note = "; ".join(f"{b} exhausted" for b in exhausted)
+    return SearchOutcome("inconclusive", None, None, len(parents), note)
 
 
 def normalize(

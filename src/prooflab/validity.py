@@ -23,15 +23,16 @@ the clause-defined consequence relation: it evaluates that relation first
 and then synthesizes and rechecks a concrete witness argument, so a
 positive answer always comes with an argument in hand.  The base's
 evaluation context (base_semantics.base_context) answers the clause-defined
-relation by its classical valuation and supplies the atomic derivations the
-witnesses are built from, one per atom.  The same context keeps this
-layer's state for the base, for as long as the base lives: one closed
-witness argument per formula, so the same justification objects come back
-on every call; the verdict of each witness argument per budget, used
-wherever that exact argument is checked again (as a closing instance, and
-as models_alpha's argument for a sequent without premises); and the suite
-provider built on those witnesses.  Nothing is kept per sequent, and the
-checks of sub-arguments under a parent's justifications are made afresh.
+relation by its classical valuation, and its saturation's trees are the
+atomic derivations the witnesses are built from.  The same context keeps
+this layer's state for the base, for as long as the base lives: one closed
+witness argument per formula, built once, so the same justification
+objects come back on every call; the verdict of each witness argument per
+budget, used wherever that exact argument is checked again (as a closing
+instance, and as models_alpha's argument for a sequent without premises);
+and the suite provider built on those witnesses.  Nothing is kept per
+sequent, and the checks of sub-arguments under a parent's justifications
+are made afresh.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from prooflab.arguments import (
     assumption,
     assumptions,
     conclusion,
+    derivation_to_structure,
     impl_intro,
     instantiate,
     is_canonical,
@@ -68,7 +70,6 @@ from prooflab.base_semantics import (
 )
 from prooflab.reductions import (
     DEFAULT_BUDGET,
-    Reachable,
     Reduction,
     constant_reduction,
     search_reduct,
@@ -122,10 +123,7 @@ class Argument:
     justifications: tuple[Reduction, ...] = ()
 
     def reductions(self) -> tuple[Reduction, ...]:
-        extra = tuple(
-            r for r in self.justifications if r not in standard_reductions()
-        )
-        return standard_reductions() + extra
+        return _merge_reductions(standard_reductions(), self.justifications)
 
 
 @dataclass(frozen=True)
@@ -206,46 +204,49 @@ def _check_closed(
             )
         return ValidityVerdict(Status.INCONCLUSIVE, out.note)
 
-    # each reduct is tried as the search reaches it, so a valid one ends the
-    # search before the rest of the closure, which may be unbounded, is built
-    walk = Reachable(struct, reds, budget)
+    # a reduct settles the goal when it is canonical and its immediate
+    # sub-arguments are valid; each is tried as the search reaches it, so a
+    # valid one ends the search before the rest of the closure, which may be
+    # unbounded, is built
     notes: list[str] = []
-    saw_inconclusive = False
-    for cand in walk:
+    unsettled = False
+
+    def settles(cand: ArgumentStructure) -> bool:
+        nonlocal unsettled
         if not is_canonical(cand):
-            continue
-        verdicts = []
-        for sub in sub_structures(cand):
-            sub_arg = Argument(structure=sub, justifications=arg.justifications)
-            verdicts.append(
-                check_valid(
-                    sub_arg,
-                    base,
-                    suite_provider=provider,
-                    budget=budget,
-                )
+            return False
+        verdicts = [
+            check_valid(
+                Argument(structure=sub, justifications=arg.justifications),
+                base,
+                suite_provider=provider,
+                budget=budget,
             )
+            for sub in sub_structures(cand)
+        ]
         if all(v.status is Status.VALID for v in verdicts):
-            return ValidityVerdict(
-                Status.VALID,
-                "reduces to a canonical argument for "
-                f"{format_formula(goal)} with valid sub-arguments",
-            )
+            return True
         if any(v.status is Status.INCONCLUSIVE for v in verdicts):
-            saw_inconclusive = True
-        notes.extend(
-            v.reason for v in verdicts if v.status is not Status.VALID
+            unsettled = True
+        notes.extend(v.reason for v in verdicts if v.status is not Status.VALID)
+        return False
+
+    out = search_reduct(struct, settles, reds, budget)
+    if out.status == "yes":
+        return ValidityVerdict(
+            Status.VALID,
+            "reduces to a canonical argument for "
+            f"{format_formula(goal)} with valid sub-arguments",
         )
-    if walk.complete and not saw_inconclusive:
+    if out.status == "no" and not unsettled:
         return ValidityVerdict(
             Status.INVALID,
             "no canonical reduct with valid sub-arguments; the whole "
-            f"reduction closure ({len(walk.parents)} structures) was enumerated",
+            f"reduction closure ({out.visited} structures) was enumerated",
             notes=tuple(notes[:4]),
         )
-    why = []
-    why.extend(f"reduction {b} exhausted" for b in walk.exhausted)
-    if saw_inconclusive:
+    why = [out.note] if out.note else []
+    if unsettled:
         why.append("a sub-argument could not be settled")
     return ValidityVerdict(Status.INCONCLUSIVE, "; ".join(why), notes=tuple(notes[:4]))
 
@@ -390,12 +391,13 @@ class _Witnesses:
     def _build(self, f: Formula) -> Argument:
         ctx = self.ctx
         if isinstance(f, Atom):
-            witness = ctx.atom_witness(f.name)
-            if witness is None:
+            if f.name not in ctx.derivable:
                 raise StructureError(
                     f"no derivation of {f.name} although it was claimed to hold"
                 )
-            return Argument(witness)
+            return Argument(
+                derivation_to_structure(ctx.saturation.tree(f.name), ctx.rules)
+            )
         if isinstance(f, Absurdity):
             raise StructureError("absurdity cannot hold over a consistent base")
         if isinstance(f, Conj):

@@ -43,7 +43,6 @@ from prooflab.arguments import (
     or_project,
     pretty,
     replace,
-    rule_step,
     structure_from_obj,
     structure_to_obj,
     sub_structures,
@@ -441,17 +440,6 @@ def test_replace_rejects_discharged_leaf_as_hole():
 
 # ---------------------------------------------------------------------------
 # atomic derivations
-
-
-def test_rule_step_builds_atomic_tree():
-    rule = parse_rule("(p, q => r)")
-    d = rule_step(rule, [axiom_leaf(p), axiom_leaf(q)])
-    assert conclusion(d) == r
-    assert is_closed(d)
-    with pytest.raises(StructureError):
-        rule_step(rule, [axiom_leaf(p)])
-    with pytest.raises(StructureError):
-        rule_step(rule, [axiom_leaf(p), axiom_leaf(s)])
 
 
 def test_derivation_roundtrip_simple_chain():

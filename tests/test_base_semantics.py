@@ -17,6 +17,7 @@ from oracles import (
     ref_variant,
 )
 from prooflab import atomic_system, base_semantics
+from prooflab.arguments import StructureError, conclusion
 from prooflab.atomic_system import (
     Base,
     atoms_of_base,
@@ -44,7 +45,7 @@ from prooflab.base_semantics import (
     search_counterexample,
 )
 from prooflab.syntax import Atom, BOT, Conj, Disj, Impl, atoms_of, parse_formula
-from prooflab.validity import models_alpha
+from prooflab.validity import _witnesses, models_alpha
 from test_acceptance import base_family
 
 STD = SemanticsKind.STANDARD
@@ -263,7 +264,10 @@ def test_context_lives_exactly_as_long_as_its_base():
     assert base_context(twin) is ctx
     assert models(SDQ, b, seq("gc_s |- gc_t | r")).holds
     assert models_alpha(b, seq("|- gc_s & gc_t")).holds
-    assert ctx.atom_witness("gc_t") is not None and ctx.atom_witness("r") is None
+    # the validity layer's witnesses live in the context and go with it
+    assert Atom("gc_t") in ctx.validity.args
+    with pytest.raises(StructureError):
+        ctx.validity.witness(Atom("r"))
     gone = weakref.ref(ctx)
     del b, twin, ctx
     gc.collect()
@@ -280,7 +284,7 @@ def test_building_a_context_does_not_revalidate_its_base(monkeypatch):
 
     monkeypatch.setattr(atomic_system, "check_consistency", counting)
     ctx = BaseContext(b)
-    assert ctx.atom_witness("q") is not None
+    assert conclusion(_witnesses(ctx).witness(Atom("q")).structure) == Atom("q")
     assert calls == []
 
 
@@ -294,8 +298,10 @@ def test_context_answers_from_its_own_saturation(monkeypatch):
     monkeypatch.setattr(atomic_system, "_saturate", refuse)
     monkeypatch.setattr(base_semantics, "_saturate", refuse)
     assert ctx.derivable == {"own_p", "own_q"}
-    assert ctx.atom_witness("own_q") is not None
-    assert ctx.atom_witness("own_t") is None
+    state = _witnesses(ctx)
+    assert conclusion(state.witness(Atom("own_q")).structure) == Atom("own_q")
+    with pytest.raises(StructureError):
+        state.witness(Atom("own_t"))
     assert models_alpha(b, seq("|- own_p & (own_s -> own_q)")).holds
 
 

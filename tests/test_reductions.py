@@ -49,7 +49,6 @@ from prooflab.reductions import (
     IMP_DETOUR,
     PROJECT_DETOUR,
     WEAKEN_DETOUR,
-    Reachable,
     _first_rewrite,
     _rewrites_of,
     constant_reduction,
@@ -93,6 +92,19 @@ def all_steps(d, reductions):
     """Every one-step rewrite, positions outermost-first and leftmost,
     reductions in the given order at each."""
     return [Step(*found) for found in _rewrites_of(d, reductions, {})]
+
+
+def walk(d, reductions, budget=DEFAULT_BUDGET):
+    """search_reduct's breadth-first walk, with a predicate that records
+    each structure it is given and never holds: every structure in the
+    order found, and the outcome."""
+    found = []
+
+    def record(e):
+        found.append(e)
+        return False
+
+    return found, search_reduct(d, record, reductions, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +347,8 @@ def test_inner_position_reduces():
 def test_closure_and_reachability():
     inner = or_project(or_intro_left(assumption(p), q))
     d = and_elim(and_intro(inner, assumption(r)), 1)
-    walk = Reachable(d, STD)
-    found = list(walk)
-    assert walk.complete
+    found, out = walk(d, STD)
+    assert out.status == "no"
     expected = {
         d,
         inner,
@@ -345,7 +356,7 @@ def test_closure_and_reachability():
         assumption(p),
     }
     assert set(found) == expected
-    assert set(walk.parents) == expected
+    assert out.visited == len(found) == len(expected)
 
     yes = search_reduct(d, assumption(p), STD)
     assert yes.status == "yes"
@@ -383,12 +394,12 @@ def test_budget_exhaustion_is_inconclusive():
     d = and_elim(and_intro(inner, assumption(r)), 1)
     out = search_reduct(d, assumption(s), STD, budget=2)
     assert out.status == "inconclusive"
-    assert "budget" in out.note
+    assert out.note == "budget of 2 distinct structures exhausted"
     # the structures found within the budget: d and the reduct at its root
     assert out.visited == 2
-    walk = Reachable(d, STD, budget=2)
-    assert list(walk) == [d, inner]
-    assert not walk.complete
+    found, out = walk(d, STD, budget=2)
+    assert found == [d, inner]
+    assert out.status == "inconclusive"
 
 
 def test_budget_cut_search_tests_every_structure_found():
@@ -610,25 +621,23 @@ def derivation_detours():
 @given(st.one_of(structures(), detours()), st.sampled_from([2, 60]))
 def test_reachable_yields_each_once_and_its_paths_replay(d, budget):
     by_name = {red.name: red for red in STD}
-    walk = Reachable(d, STD, budget=budget)
-    found = list(walk)
+    found, out = walk(d, STD, budget)
     assert found[0] == d
-    assert len(set(found)) == len(found) <= budget
-    assert set(walk.parents) == set(found)
-    for e in found:
+    assert len(set(found)) == len(found) == out.visited <= budget
+    for i, e in enumerate(found):
+        # a search for e stops where the walk found it, the last structure
+        # found included when the budget cuts the walk
+        got = search_reduct(d, lambda x: x == e, STD, budget=budget)
+        assert got.status == "yes" and got.witness == e and got.visited == i + 1
         # the named reduction at each position leads from d to e
         cur = d
-        for pos, name in walk.path(e):
+        for pos, name in got.path:
             results = {
                 step.position: step.result
                 for step in all_steps(cur, [by_name[name]])
             }
             cur = results[pos]
         assert cur == e
-    # the last structure found is tested even when the budget cuts the walk
-    out = search_reduct(d, lambda e: e == found[-1], STD, budget=budget)
-    assert out.status == "yes" and out.witness == found[-1]
-    assert out.path == walk.path(found[-1]) and out.visited == len(found)
 
 
 def reference_rewrites(d, reductions):
@@ -648,9 +657,10 @@ def assert_rewrites_match_reference(d, reductions, budget=30):
     assert all_steps(d, reductions) == [Step(*w) for w in want]
     first = first_step(d, reductions)
     assert first == (Step(*want[0]) if want else None)
-    # one memo shared by every structure of a walk, as Reachable shares it
+    # one memo shared by every structure of a walk, as search_reduct's walk
+    # shares it
     memo = {}
-    for e in Reachable(d, reductions, budget):
+    for e in walk(d, reductions, budget)[0]:
         assert _rewrites_of(e, reductions, memo) == reference_rewrites(e, reductions)
 
 
@@ -852,10 +862,10 @@ def test_height_budget_cuts_a_growing_closure():
     # own inference: one chain of q's per height, each reduct a level taller
     start = Node(formula=q, children=(axiom_leaf(q),))
     grow = constant_reduction([q], q, Node(formula=q, children=(start,)), name="grow")
-    walk = Reachable(start, [grow])
-    assert [e.height for e in walk] == list(range(1, MAX_NESTING + 1))
-    assert walk.exhausted == [f"height budget of {MAX_NESTING} levels"]
-    assert not walk.complete
+    found, out = walk(start, [grow])
+    assert [e.height for e in found] == list(range(1, MAX_NESTING + 1))
+    assert out.status == "inconclusive"
+    assert out.note == f"height budget of {MAX_NESTING} levels exhausted"
     out = search_reduct(start, axiom_leaf(q), [grow])
     assert out.status == "inconclusive"
     assert out.note == f"height budget of {MAX_NESTING} levels exhausted"
@@ -917,9 +927,8 @@ def assert_paths_replay(d, path, end):
 def complete_closure(d):
     """Every structure d reduces to, or None if the default budget cuts the
     enumeration short."""
-    walk = Reachable(d, STD)
-    found = list(walk)
-    return found if walk.complete else None
+    found, out = walk(d, STD)
+    return found if out.status == "no" else None
 
 
 def assert_normal_form_route_agrees(d, closure):

@@ -112,6 +112,7 @@ def test_atomic_budget_exhaustion_is_inconclusive():
     d = and_elim(and_intro(axiom_leaf(q), axiom_leaf(q)), 1)
     verdict = check_valid(Argument(d), B_P, budget=1)
     assert verdict.status is Status.INCONCLUSIVE
+    assert verdict.reason == "budget of 1 distinct structures exhausted"
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,7 @@ def test_compound_budget_exhaustion_names_the_budget():
     assert valid(Argument(d), B_PQ)
     verdict = check_valid(Argument(d), B_PQ, budget=1)
     assert verdict.status is Status.INCONCLUSIVE
-    assert verdict.reason == "reduction budget of 1 distinct structures exhausted"
+    assert verdict.reason == "budget of 1 distinct structures exhausted"
 
 
 def test_canonical_pair_is_valid():
