@@ -180,19 +180,22 @@ def _status_exit(status: Status) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     base = _load_base(args)
     sequent = parse_sequent(args.sequent)
+    rules = format_base(base).splitlines()
+    payload = {
+        "base": rules,
+        "sequent": format_sequent(sequent),
+        "semantics": args.semantics,
+    }
+    lines = [
+        f"sequent:   {format_sequent(sequent)}",
+        f"base:      {', '.join(rules) or '(empty)'}",
+    ]
     if args.semantics == "alpha":
         res = models_alpha(base, sequent, budget=args.budget, strict=args.strict)
-        payload = {
-            "base": format_base(base).splitlines(),
-            "sequent": format_sequent(sequent),
-            "semantics": "alpha",
-            "status": res.verdict.status.value,
-            "reason": res.verdict.reason,
-        }
-        lines = [
-            f"sequent:   {format_sequent(sequent)}",
-            f"base:      {', '.join(format_base(base).splitlines()) or '(empty)'}",
-            f"semantics: argument-based (alpha)",
+        payload["status"] = res.verdict.status.value
+        payload["reason"] = res.verdict.reason
+        lines += [
+            "semantics: argument-based (alpha)",
             f"status:    {res.verdict.status.value}",
             f"reason:    {res.verdict.reason}",
         ]
@@ -208,17 +211,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         _emit(args, "\n".join(lines), payload)
         return _status_exit(res.verdict.status)
     res = models(SemanticsKind(args.semantics), base, sequent)
-    payload = {
-        "base": format_base(base).splitlines(),
-        "sequent": format_sequent(sequent),
-        "semantics": args.semantics,
-        "holds": res.holds,
-        "trace": [list(entry) for entry in res.trace.entries],
-        "notes": list(res.trace.notes),
-    }
-    lines = [
-        f"sequent:   {format_sequent(sequent)}",
-        f"base:      {', '.join(format_base(base).splitlines()) or '(empty)'}",
+    payload["holds"] = res.holds
+    payload["trace"] = [list(entry) for entry in res.trace.entries]
+    payload["notes"] = list(res.trace.notes)
+    lines += [
         f"semantics: {args.semantics}",
         f"holds:     {'yes' if res.holds else 'no'}",
     ]
@@ -281,32 +277,23 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             out.status
         ]
     # no target: rewrite to a normal form, tracing the steps
-    current, path, normal = normalize(arg.structure, reds, args.budget)
+    current, path, why = normalize(arg.structure, reds, args.budget)
     steps = [{"position": list(pos), "rule": name} for pos, name in path]
     payload = {
         "steps": steps,
         "normal_form": structure_to_obj(current),
-        "stuck": normal,
+        "stuck": not why,
     }
     lines = []
     for k, step in enumerate(steps, 1):
         lines.append(f"step {k}: {step['rule']} at {step['position']}")
-    if not normal:
-        # normalize stops short at the step budget or at a rewrite that
-        # returns its input
-        if len(path) >= args.budget:
-            note = f"step budget of {args.budget} exhausted before a normal form"
-        else:
-            note = (
-                f"fixed point after step {len(path)}: the next rewrite returns "
-                "the structure unchanged, so this path has no normal form"
-            )
-        payload["note"] = note
-        lines.append(f"note: {note}")
+    if why:
+        payload["note"] = why
+        lines.append(f"note: {why}")
     lines.append("result:")
     lines.extend("  " + ln for ln in pretty(current).splitlines())
     _emit(args, "\n".join(lines), payload)
-    return EX_OK if normal else EX_INCONCLUSIVE
+    return EX_INCONCLUSIVE if why else EX_OK
 
 
 def _budget(text: str) -> int:
@@ -402,14 +389,9 @@ def _suite_report(budget: int) -> dict:
         ),
     }
 
+    keys = ("sequent", "base", "models", "il_derives", "verdict")
     report["base_incompleteness"] = {
-        kind: {
-            "sequent": w["sequent"],
-            "base": w["base"],
-            "models": w["models"],
-            "il_derives": w["il_derives"],
-            "verdict": w["verdict"],
-        }
+        kind: {key: w[key] for key in keys}
         for kind in ("standard", "sandqvist", "alpha")
         for w in [base_completeness_witness(kind)]
     }
@@ -418,14 +400,11 @@ def _suite_report(budget: int) -> dict:
     for text in ("((p -> q) -> p) -> p", "~~p -> p", "p | ~p"):
         seq_t = parse_sequent(f"|- {text}")
         row = {}
-        for label, kind in (
-            ("standard", SemanticsKind.STANDARD),
-            ("sandqvist", SemanticsKind.SANDQVIST),
-        ):
+        for kind in SemanticsKind:
             res = search_counterexample(
                 kind, seq_t, SearchBounds(max_atoms=3, max_rules=4, max_level=2)
             )
-            row[label] = {
+            row[kind.value] = {
                 "examined": res.examined,
                 "refuted": res.counterexample is not None,
             }

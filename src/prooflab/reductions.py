@@ -366,8 +366,8 @@ def search_reduct(
         and set(reductions) == set(_STANDARD)
         and (isinstance(goal, Base) or _first_rewrite(goal, reductions) is None)
     ):
-        end, path, normal = normalize(start, reductions, budget - 1)
-        if normal:
+        end, path, why = normalize(start, reductions, budget - 1)
+        if not why:
             if pred(end):
                 return SearchOutcome(
                     "yes", path, end, len(path) + 1, by_normal_form=True
@@ -410,21 +410,27 @@ def search_reduct(
 
 def normalize(
     start: ArgumentStructure, reductions: Sequence[Reduction], max_steps: int
-) -> tuple[ArgumentStructure, tuple[tuple[Path, str], ...], bool]:
+) -> tuple[ArgumentStructure, tuple[tuple[Path, str], ...], str]:
     """Rewrite leftmost-outermost, one redex at a time, until no redex is
     left or max_steps steps are taken: the structure it stopped at, the
-    (position, rule name) steps that led there, and whether it stopped
-    because no redex was left.  A rewrite that returns its input would be
-    taken forever, so normalize stops there too: no normal form."""
+    (position, rule name) steps that led there, and why it stopped short of
+    a normal form, empty when no redex was left.  A rewrite that returns its
+    input would be taken forever, so normalize stops there too, at a fixed
+    point with no normal form on this path."""
     cur, path = start, []
     while (found := _first_rewrite(cur, reductions)) is not None:
         if len(path) >= max_steps:
-            return cur, tuple(path), False
+            why = f"step budget of {max_steps} exhausted before a normal form"
+            return cur, tuple(path), why
         pos, name, new = found
         # the cached hashes first, so a rewrite that changes the structure
         # costs no comparison of trees
         if hash(new) == hash(cur) and new == cur:
-            return cur, tuple(path), False
+            why = (
+                f"fixed point after step {len(path)}: the next rewrite returns "
+                "the structure unchanged, so this path has no normal form"
+            )
+            return cur, tuple(path), why
         cur = new
         path.append((pos, name))
-    return cur, tuple(path), True
+    return cur, tuple(path), ""

@@ -30,9 +30,12 @@ witness argument per formula, built once, so the same justification
 objects come back on every call; the verdict of each witness argument per
 budget, used wherever that exact argument is checked again (as a closing
 instance, and as models_alpha's argument for a sequent without premises);
-and the suite provider built on those witnesses.  Nothing is kept per
-sequent, and the checks of sub-arguments under a parent's justifications
-are made afresh.
+and the suite provider built on those witnesses.  One step builder makes
+both synthesized one-step arguments: the body of an implication's witness
+and the argument for a sequent with premises, each an inference from its
+assumptions justified by a constant reduction to the conclusion's witness.
+Nothing is kept per sequent, and the checks of sub-arguments under a
+parent's justifications are made afresh.
 """
 
 from __future__ import annotations
@@ -280,31 +283,22 @@ def _check_open(
     notes: list[str] = []
     effective = 0
     for k, inst in enumerate(suite.instances):
-        sigma = dict(inst.assignment)
-        missing = sorted(
-            format_formula(f) for f in open_forms - set(sigma.keys())
-        )
+        # a closing for a formula the argument does not assume plays no part
+        sigma = {f: a for f, a in inst.assignment if f in open_forms}
+        missing = sorted(format_formula(f) for f in open_forms - sigma.keys())
         if missing:
             return ValidityVerdict(
                 Status.INCONCLUSIVE,
                 f"closing instance {k} misses assumptions {missing}",
             )
-        bad = [
-            f
-            for f, closing in sigma.items()
-            if f in open_forms and not is_closed(closing.structure)
-        ]
-        if bad:
+        if not all(is_closed(a.structure) for a in sigma.values()):
             return ValidityVerdict(
                 Status.INCONCLUSIVE,
                 f"closing instance {k} supplies open arguments",
             )
         # only closings by arguments that are themselves valid count: an
         # instance built from an invalid one proves nothing either way
-        outside = False
         for f, closing in sigma.items():
-            if f not in open_forms:
-                continue
             if isinstance(provider, _Witnesses):
                 v = provider.verdict(closing, base, budget)
             else:
@@ -314,7 +308,6 @@ def _check_open(
                     f"closing instance {k} skipped: its argument for "
                     f"{format_formula(f)} is not valid"
                 )
-                outside = True
                 break
             if v.status is Status.INCONCLUSIVE:
                 return ValidityVerdict(
@@ -322,33 +315,26 @@ def _check_open(
                     f"closing instance {k}: validity of the argument for "
                     f"{format_formula(f)} could not be settled",
                 )
-        if outside:
-            continue
-        effective += 1
-        closed_struct = instantiate(
-            struct, {f: a.structure for f, a in sigma.items() if f in open_forms}
-        )
-        joined = _merge_reductions(
-            arg.justifications,
-            *[a.justifications for f, a in sigma.items() if f in open_forms],
-        )
-        verdict = _check_closed(
-            Argument(structure=closed_struct, justifications=joined),
-            base,
-            provider,
-            budget,
-        )
-        if verdict.status is Status.INVALID:
-            return ValidityVerdict(
-                Status.INVALID,
-                f"closing instance {k} yields an invalid closed argument: "
-                + verdict.reason,
+        else:
+            effective += 1
+            closed = Argument(
+                instantiate(struct, {f: a.structure for f, a in sigma.items()}),
+                _merge_reductions(
+                    arg.justifications, *[a.justifications for a in sigma.values()]
+                ),
             )
-        if verdict.status is Status.INCONCLUSIVE:
-            return ValidityVerdict(
-                Status.INCONCLUSIVE,
-                f"closing instance {k} could not be settled: " + verdict.reason,
-            )
+            verdict = _check_closed(closed, base, provider, budget)
+            if verdict.status is Status.INVALID:
+                return ValidityVerdict(
+                    Status.INVALID,
+                    f"closing instance {k} yields an invalid closed argument: "
+                    + verdict.reason,
+                )
+            if verdict.status is Status.INCONCLUSIVE:
+                return ValidityVerdict(
+                    Status.INCONCLUSIVE,
+                    f"closing instance {k} could not be settled: " + verdict.reason,
+                )
     if effective == 0:
         return ValidityVerdict(
             Status.INCONCLUSIVE,
@@ -372,8 +358,10 @@ class _Witnesses:
     one closed witness argument per formula that holds, each built once, so
     the same justification objects come back every time; the verdict of
     each witness argument, per budget, checked once; and, by calling it,
-    the suite provider that closes open arguments with those witnesses.  It
-    references the context, never the base."""
+    the suite provider that closes open arguments with those witnesses.
+    Its step builder makes the one-step arguments synthesized over the
+    base, for implication witnesses and for sequents with premises alike.
+    It references the context, never the base."""
 
     def __init__(self, ctx: BaseContext) -> None:
         self.ctx = ctx
@@ -413,21 +401,26 @@ class _Witnesses:
             sub = self.witness(f.right)
             return Argument(or_intro_right(sub.structure, f.left), sub.justifications)
         if isinstance(f, Impl):
-            stub = structure_of_inference(
-                Inference(subs=(assumption(f.left),), conclusion=f.right)
-            )
-            justs: tuple[Reduction, ...] = ()
-            if ctx.holds(f.left):
-                target = self.witness(f.right)
-                close = constant_reduction(
-                    [f.left],
-                    f.right,
-                    target.structure,
-                    name=f"close[{format_formula(f)}]",
-                )
-                justs = target.justifications + (close,)
-            return Argument(impl_intro(stub, f.left), justs)
+            body = self.step([f.left], f.right, f"close[{f}]")
+            return Argument(impl_intro(body.structure, f.left), body.justifications)
         raise StructureError(f"no witness for {format_formula(f)}")
+
+    def step(
+        self, prems: Sequence[Formula], concl: Formula, name: str
+    ) -> Argument:
+        """The one-step inference from assumptions prems to concl.  When all
+        of prems hold it is justified by a constant reduction, named name,
+        to concl's witness, so every closing of it reduces to that witness;
+        otherwise no closed valid argument can close it and it needs no
+        justification."""
+        struct = structure_of_inference(
+            Inference(subs=tuple(assumption(g) for g in prems), conclusion=concl)
+        )
+        if not all(map(self.ctx.holds, prems)):
+            return Argument(struct)
+        target = self.witness(concl)
+        close = constant_reduction(prems, concl, target.structure, name=name)
+        return Argument(struct, target.justifications + (close,))
 
     def verdict(
         self, arg: Argument, base: Base, budget: int
@@ -488,24 +481,12 @@ def synthesize_witness(
 def _synthesize(state: _Witnesses, sequent: Sequent, strict: bool) -> Argument:
     if sequent.premises:
         prems = sorted(sequent.premises, key=format_formula)
-        struct = structure_of_inference(
-            Inference(
-                subs=tuple(assumption(g) for g in prems),
-                conclusion=sequent.conclusion,
-            )
-        )
-        if not all(map(state.ctx.holds, prems)):
-            return Argument(struct)
-        if strict:
+        if strict and all(map(state.ctx.holds, prems)):
             raise StructureError(
                 "a one-step argument from live premises needs a "
                 "justification beyond the standard reductions"
             )
-        target = state.witness(sequent.conclusion)
-        close = constant_reduction(
-            prems, sequent.conclusion, target.structure, name="close[premises]"
-        )
-        return Argument(struct, target.justifications + (close,))
+        return state.step(prems, sequent.conclusion, "close[premises]")
     arg = state.witness(sequent.conclusion)
     if strict and arg.justifications:
         raise StructureError(
@@ -554,11 +535,7 @@ def models_alpha(
             holds=None,
         )
     verdict = state.verdict(arg, base, budget)
-    holds = {
-        Status.VALID: True,
-        Status.INVALID: False,
-        Status.INCONCLUSIVE: None,
-    }[verdict.status]
+    holds = {Status.VALID: True, Status.INVALID: False}.get(verdict.status)
     return AlphaResult(verdict=verdict, witness=arg, holds=holds)
 
 

@@ -1,11 +1,17 @@
-"""Every name a prooflab module exports resolves."""
+"""Every name a prooflab module exports resolves, and no module imports a
+name it never uses."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
 
 import pytest
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
 
 MODULES = [
     "prooflab",
@@ -39,3 +45,39 @@ def test_base_semantics_does_not_load_arguments():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads; a name listed in __all__ is
+    exported, so it counts as used."""
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(
+        f"{name} (line {line})" for name, line in imported.items() if name not in used
+    )
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = os.path.join(SRC, "prooflab")
+    unused = {}
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename), encoding="utf-8") as fh:
+                found = _unused_imports(ast.parse(fh.read(), filename))
+            if found:
+                unused[filename] = found
+    assert unused == {}

@@ -935,7 +935,8 @@ def assert_normal_form_route_agrees(d, closure):
     normal = [e for e in closure if _first_rewrite(e, STD) is None]
     assert len(normal) == 1
     (nf,) = normal
-    end, path, done = normalize(d, STD, len(closure))
+    end, path, why = normalize(d, STD, len(closure))
+    done = not why
     assert done and end == nf
     assert_paths_replay(d, path, end)
 
@@ -975,12 +976,14 @@ def test_normal_form_route_on_detour_chains(depth):
 
 def test_normalize_stops_at_the_step_bound():
     d, rules = detour_chain(3)
-    end, path, done = normalize(d, STD, 2)
+    end, path, why = normalize(d, STD, 2)
+    done = not why
     assert not done and len(path) == 2
     assert end == first_step(first_step(d, STD).result, STD).result
-    end, path, done = normalize(d, STD, 3)
+    end, path, why = normalize(d, STD, 3)
+    done = not why
     assert done and end == CHAIN_INNER and len(path) == 3
-    assert normalize(CHAIN_INNER, STD, 0) == (CHAIN_INNER, (), True)
+    assert normalize(CHAIN_INNER, STD, 0) == (CHAIN_INNER, (), "")
 
 
 def test_normal_form_route_declines():
@@ -1020,7 +1023,8 @@ def test_base_goal_answers_as_the_walked_predicate(d, budget):
     out = search_reduct(d, CHAIN_BASE, STD, budget)
     assert not walked.by_normal_form
     # read off the normal form exactly when the path there fits the budget
-    end, path, normal = normalize(d, STD, budget - 1)
+    end, path, why = normalize(d, STD, budget - 1)
+    normal = not why
     assert out.by_normal_form == normal
     if not normal:
         assert out == walked

@@ -231,6 +231,19 @@ SUITE_VERDICTS = {
         Status.VALID,
         "all 1 usable closing instances yield valid closed arguments",
     ),
+    # an open closing for an assumption leaves the check inconclusive; q is
+    # not assumed, so its open argument plays no part
+    "open-closing-for-a-formula-not-open": (
+        Argument(assumption(p)),
+        B_P,
+        dict(
+            suite=_suite(
+                ((p, Argument(axiom_leaf(p))), (q, Argument(assumption(q))))
+            )
+        ),
+        Status.VALID,
+        "all 1 usable closing instances yield valid closed arguments",
+    ),
     "closing-argument-unsettled": (
         Argument(assumption(p)),
         B_PQ,
