@@ -13,11 +13,13 @@ rules of level at most k - 2.
 Base refuses construction when its rules derive bot outright.
 
 Derivability is decided goal first, as in tabled resolution: a base's rules,
-with every rule nested in them, are numbered once, and rules assumed on top
-of the base extend that numbering.  A context is a bitmask over those
-numbers, and a worklist of goals (context, atom), seeded with every atom in
-the supply's context, grounds only the rules of a goal's context that
-conclude its atom.  Each premise asks for a fact in the context its
+with every rule nested in them and the axiom of every atom they mention, are
+numbered once.  An assumed rule so numbered, such as the axiom of an atom
+the base mentions, is one more bit of the supply's context; only other
+assumed rules extend a copy of the numbering.  A context is a bitmask over
+those numbers, and a worklist of goals (context, atom), seeded with every
+atom in the supply's context, grounds only the rules of a goal's context
+that conclude its atom.  Each premise asks for a fact in the context its
 discharged rules extend to, so a context is opened only when some goal asks
 for a fact in it.  Facts then propagate through per-application counters of
 unmet premises, as in linear-time Horn satisfiability.  A positive answer
@@ -152,6 +154,9 @@ class AtomicRule:
         return format_rule(self)
 
 
+# One rule per recent axiom name, so that a set lookup or difference finds
+# an assumed axiom by identity, without building it or checking its name.
+@lru_cache(maxsize=1024)
 def axiom(name: str) -> AtomicRule:
     return AtomicRule(premises=(), conclusion=name)
 
@@ -257,7 +262,10 @@ class _Numbering:
 
     order lists the rules, the set and every rule nested in a discharged
     set, by number, and index maps each rule to its number; atoms numbers
-    the atoms in the order the rules first mention them.  shapes[i] is rule
+    the atoms in the order the rules first mention them.  Every atom's
+    axiom has a number too, held in the set or not: those the rules do not
+    hold follow them, in atom-number order, so assuming the axiom of an
+    atom the set mentions only adds a bit to a context.  shapes[i] is rule
     i's ((premise atom, discharged mask), ...), concluding[a] the mask of
     the rules concluding atom a, axioms[a] the bit of a's axiom, and
     initial the mask of the set itself.
@@ -284,9 +292,11 @@ class _Numbering:
 
     def _append(self, rules: Iterable[AtomicRule]) -> None:
         """Number the given rules and the rules nested in them that have no
-        number yet, in the order of their keys, after those that have."""
-        index = self.index
-        start = len(index)
+        number yet, in the order of their keys, after those that have; then
+        the axioms of the atoms first numbered here that have none, in
+        atom-number order."""
+        index, atoms, axioms = self.index, self.atoms, self.axioms
+        start, seen = len(index), len(atoms)
         todo = list(rules)
         while todo:
             r = todo.pop()
@@ -294,11 +304,18 @@ class _Numbering:
                 index[r] = -1
                 for p in r.premises:
                     todo.extend(p.discharged)
-        new = sorted(islice(index, start, None), key=lambda r: r._key)
+        self._number(sorted(islice(index, start, None), key=lambda r: r._key))
+        self._number(
+            [axiom(a) for a in islice(atoms, seen, None) if atoms[a] not in axioms]
+        )
+
+    def _number(self, new: list[AtomicRule]) -> None:
+        """Give the rules the next numbers, in the order listed."""
+        index, atoms, concluding = self.index, self.atoms, self.concluding
+        start = len(self.order)
         for i, r in enumerate(new, start):
             index[r] = i
         self.order += new
-        atoms, concluding = self.atoms, self.concluding
         for i, r in enumerate(new, start):
             prems = []
             for p in r.premises:
@@ -313,8 +330,8 @@ class _Numbering:
                 self.axioms[head] = 1 << i
 
     def extended(self, extra: frozenset[AtomicRule]) -> _Numbering:
-        """The numbering of this set plus extra: rules numbered here keep
-        their numbers, and the others are numbered after them."""
+        """This numbering with extra's rules that it lacks numbered after
+        its own, which keep their numbers; initial stays this set's mask."""
         out = _Numbering.__new__(_Numbering)
         out.order = self.order.copy()
         out.index = self.index.copy()
@@ -323,7 +340,7 @@ class _Numbering:
         out.concluding = self.concluding.copy()
         out.axioms = self.axioms.copy()
         out._append(extra)
-        out.initial = self.initial | out._mask(extra)
+        out.initial = self.initial
         return out
 
 
@@ -343,11 +360,13 @@ class _Saturation:
 
     1. Number every rule: the supply and every rule nested in a discharged
        set (_Numbering).  A base's rules are numbered once, in the fixed
-       order of the rule keys, and assumed rules extend that numbering:
-       those it holds already keep their numbers, and the rest follow in
-       key order.  A context is then an int bitmask over those numbers, and
-       a premise's target context is the current one OR'd with the
-       premise's discharged-rule mask.
+       order of the rule keys, followed by the axioms of its atoms that it
+       lacks.  Assumed rules the numbering holds, such as the axiom of any
+       atom the base mentions, are bits of the supply's context (initial)
+       and cost no numbering; any others extend a copy of it, following the
+       numbered rules in key order.  A context is then an int bitmask over
+       those numbers, and a premise's target context is the current one
+       OR'd with the premise's discharged-rule mask.
     2. Ground applications from a worklist of goals, as tabled resolution
        does (Tamaki & Sato 1986; Chen & Warren 1996).  The worklist starts
        with every atom in the supply's context.  A goal (context c, atom a)
@@ -382,11 +401,10 @@ class _Saturation:
 
     __slots__ = ("atoms", "_tables", "_trees")
 
-    def __init__(self, numbering: _Numbering, max_steps: int) -> None:
+    def __init__(self, numbering: _Numbering, initial: int, max_steps: int) -> None:
         shapes, concluding = numbering.shapes, numbering.concluding
         axioms = numbering.axioms
         n = len(numbering.atoms)
-        initial = numbering.initial
 
         # a fact (context c, atom a) is the number c * n + a.  Application k
         # is rule app_rule[k] concluding fact app_head[k], with counts[k]
@@ -506,15 +524,18 @@ class _Saturation:
 
 # A few recent saturations, for repeated derive() calls on one supply (one
 # per goal atom of the same base under the same assumed rules), keyed by
-# the base's rules and the assumed rules it lacks.  A base's own saturation
+# the base's rules and the assumed rules it lacks.  Assumed rules the base's
+# numbering holds are bits of the supply's context, on the base's numbering
+# itself; only the others extend a copy of it.  A base's own saturation
 # lives in its evaluation context (base_semantics), so this cache need not
 # hold every base's for as long as it lives.
 @lru_cache(maxsize=256)
 def _saturate(rules: frozenset, extra: frozenset, max_steps: int, /) -> _Saturation:
     numbering = _numbering(rules)
-    if extra:
+    if not extra <= numbering.index.keys():
         numbering = numbering.extended(extra)
-    return _Saturation(numbering, max_steps)
+    initial = numbering.initial | numbering._mask(extra)
+    return _Saturation(numbering, initial, max_steps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -543,7 +564,8 @@ def derive(
     repeated call returns the same tree object, and trees of one supply
     share their common subtrees.  The numberings of the 256 most recent
     bases are kept too, so one base under several assumed sets is numbered
-    once.
+    once; an assumed axiom over an atom the base mentions costs no
+    numbering work at all.
     """
     sat = _saturate(base.rules, frozenset(assumed) - base.rules, max_steps)
     if goal not in sat.atoms:

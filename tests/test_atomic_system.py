@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -426,6 +427,38 @@ def test_tied_supply_trees_are_pinned():
         ]
 
 
+def test_tie_under_an_assumed_axiom_the_base_numbers_is_pinned():
+    # u is an atom the base mentions without an axiom, so its assumed axiom
+    # is a bit of the base's numbering.  Under the discharge of (p => u)
+    # both that rule and the axiom conclude u, and the axiom wins.  These
+    # are the trees the supply gave when an assumed axiom was numbered in a
+    # copy of the base's numbering instead; atoms first changes none.
+    b = base(TIED_SUPPLY)
+    assumed = {axiom("u")}
+    for atoms_first in (False, True):
+        _saturate.cache_clear()
+        if atoms_first:
+            assert derivable_atoms(b, assumed) == {"p", "q", "r", "s", "t", "u", "v"}
+        got = [
+            line for a in "pqrstuv" for line in tree_lines(derive(b, assumed, a).tree)
+        ]
+        assert got == [
+            "p by p",
+            "q by q",
+            "r by (p => r)",
+            "  p by p",
+            "s by (r => s)",
+            "  r by (p => r)",
+            "    p by p",
+            "t by ([a => s] => t)",
+            "  s by (a => s)",
+            "    a by a",
+            "u by u",
+            "v by ([(p => u) => u] => v)",
+            "  u by u",
+        ]
+
+
 def test_repeated_derive_returns_the_same_tree():
     # atoms no other test uses, so the supply is not cached already
     b = base("rep_a.\n(rep_a => rep_b)\n(rep_b => rep_c)")
@@ -488,8 +521,9 @@ def nested_rules(rs):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(rules(max_level=4), min_size=1, max_size=4), st.data())
 def test_base_under_assumed_rules_matches_naive_fixpoint(rs, data):
-    # assumed rules extend the base's numbering: new compound rules, rules
-    # the base holds already and rules nested in its discharged sets
+    # assumed rules the base's numbering holds, the base's own and those
+    # nested in its discharged sets, are bits of a context; new compound
+    # rules extend a copy of the numbering
     rs = frozenset(rs)
     if not check_consistency(rs):
         return
@@ -521,6 +555,65 @@ def test_one_base_is_numbered_once_under_several_assumed_sets():
     }
     after = _numbering.cache_info()
     assert after.misses - before.misses == 1
+
+
+def count_extensions(monkeypatch) -> list:
+    """The assumed sets _Numbering.extended is called for from now on."""
+    calls = []
+    real = atomic_system._Numbering.extended
+
+    def extended(self, extra):
+        calls.append(extra)
+        return real(self, extra)
+
+    monkeypatch.setattr(atomic_system._Numbering, "extended", extended)
+    return calls
+
+
+def test_assumed_axioms_the_base_numbers_extend_nothing(monkeypatch):
+    calls = count_extensions(monkeypatch)
+    # atoms no other test uses, so every supply here saturates afresh;
+    # the base mentions ax_b and ax_c and nests the axiom ax_d
+    b = base("ax_a.\n(ax_a, ax_b => ax_c)\n([ax_d => ax_c] => ax_e)")
+    before = _saturate.cache_info()
+    assert derivable_atoms(b, {axiom("ax_b")}) == {"ax_a", "ax_b", "ax_c", "ax_e"}
+    assert derivable_atoms(b, {axiom("ax_c"), axiom("ax_e")}) == {
+        "ax_a", "ax_c", "ax_e"
+    }
+    assert derivable_atoms(b, {axiom("ax_d")}) == {"ax_a", "ax_d"}
+    res = derive(b, {axiom("ax_c")}, "ax_e")
+    assert check_derivation(res.tree, b.rules | {axiom("ax_c")})
+    assert _saturate.cache_info().misses - before.misses == 4
+    assert calls == []
+
+
+def test_other_assumed_rules_extend_the_numbering_once(monkeypatch):
+    calls = count_extensions(monkeypatch)
+    # atoms no other test uses: ex_new is one the base never mentions
+    b = base("ex_a.\n(ex_a, ex_b => ex_c)")
+    assert derivable_atoms(b, {axiom("ex_new")}) == {"ex_a", "ex_new"}
+    assert calls == [{axiom("ex_new")}]
+    compound = rule("(ex_a => ex_b)")
+    assert derivable_atoms(b, {compound}) == {"ex_a", "ex_b", "ex_c"}
+    assert calls == [{axiom("ex_new")}, {compound}]
+
+
+def test_an_assumed_bot_axiom_derives_bot(monkeypatch):
+    calls = count_extensions(monkeypatch)
+    # the first base never mentions bot, the second numbers it
+    for text in ("bt_a.", "bt_a.\n(bt_b => bot)"):
+        b = base(text)
+        assert derivable_atoms(b, {axiom("bot")}) == {"bt_a", "bot"}
+        res = derive(b, {axiom("bot")}, "bot")
+        assert res.tree == DerivationNode("bot", axiom("bot"), ())
+    assert calls == [{axiom("bot")}]
+
+
+def test_one_rule_per_axiom_name():
+    assert axiom("p") is axiom("p")
+    assert parse_rule("p.") is axiom("p")
+    again = pickle.loads(pickle.dumps(axiom("p")))
+    assert again == axiom("p") and hash(again) == hash(axiom("p"))
 
 
 # ---------------------------------------------------------------------------

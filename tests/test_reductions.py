@@ -5,7 +5,7 @@ the structure builders, never by running the rewrite itself."""
 from typing import NamedTuple
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prooflab.arguments import (
@@ -548,10 +548,18 @@ def test_imp_detour_preserves_conclusion_and_shrinks_assumptions(body, a, data):
 
 @settings(max_examples=120)
 @given(bodies(), bodies(), st.sampled_from([1, 2]))
+# an A & A detour: both conjuncts conclude p -> q by different proofs
+@example(assumption(Impl(p, q)), impl_intro(assumption(q), p), 2)
 def test_conj_detour_yields_the_component(left, right, side):
+    # a structure records an elimination's conclusion, not its side, so
+    # when both conjuncts conclude the same formula the detour answers the
+    # left one, whichever side was asked for
     d = and_elim(and_intro(left, right), side)
     step = first_step(d, [CONJ_DETOUR])
-    assert step.result == (left if side == 1 else right)
+    if conclusion(left) == conclusion(right):
+        assert step.result == left
+    else:
+        assert step.result == (left if side == 1 else right)
 
 
 @settings(max_examples=80)
