@@ -342,12 +342,7 @@ def bind(
                 )
         marks[src] = (bound, item.rule if isinstance(item, RuleDischarge) else None)
 
-    def mark(node: Node, path: Path) -> Node:
-        bound, rule = marks.get(path, (node.bound, node.rule))
-        children = tuple(mark(c, path + (i,)) for i, c in enumerate(node.children))
-        return Node(node.formula, children, node.axiomatic, bound, rule)
-
-    out = mark(root, ())
+    out = _mark(root, (), marks)
     # the defining clause forbids discharging an assumption at the parent
     # node of a discharged edge set or at that edge set's target
     clash = _on_rule_anchors(tuple(_entries(out)), AssumptionDischarge)
@@ -357,6 +352,21 @@ def bind(
             "discharged rule application"
         )
     return out
+
+
+# The recursions of this module are module functions passed what they work
+# on, not closures over it: a nested recursive function references itself
+# through its closure cell, and every call would leave a cycle for the
+# collector.
+
+
+def _mark(
+    node: Node, path: Path, marks: Mapping[Path, tuple[int, AtomicRule | None]]
+) -> Node:
+    """The subtree at path with the (bound, rule) marks written on."""
+    bound, rule = marks.get(path, (node.bound, node.rule))
+    children = tuple(_mark(c, path + (i,), marks) for i, c in enumerate(node.children))
+    return Node(node.formula, children, node.axiomatic, bound, rule)
 
 
 def _on_rule_anchors(
@@ -485,16 +495,20 @@ def instantiate(
                 f"instance for {format_formula(f)} concludes "
                 f"{format_formula(conclusion(sub))}"
             )
+    return _fill(struct, 0, sigma)
 
-    def fill(node: Node, depth: int) -> Node:
-        if _is_open(node, depth):
-            return _moved(sigma[node.formula], depth)
-        if not node.children or all(d and d <= depth for _, d in node.open):
-            # no leaf of the subtree is open in the structure
-            return node
-        return _with_children(node, tuple(fill(c, depth + 1) for c in node.children))
 
-    return fill(struct, 0)
+def _fill(
+    node: Node, depth: int, sigma: Mapping[Formula, ArgumentStructure]
+) -> Node:
+    """The subtree at node, depth levels down, with its assumption leaves
+    replaced by their instances."""
+    if _is_open(node, depth):
+        return _moved(sigma[node.formula], depth)
+    if not node.children or all(d and d <= depth for _, d in node.open):
+        # no leaf of the subtree is open in the structure
+        return node
+    return _with_children(node, tuple(_fill(c, depth + 1, sigma) for c in node.children))
 
 
 def replace(
@@ -688,11 +702,6 @@ def derivation_to_structure(
     return _encode(tree, base.rules if isinstance(base, Base) else base, 0, {})
 
 
-# The recursions below are module functions passed the base's rules, not
-# closures over them: a nested recursive function references itself through
-# its closure cell, and every call would leave a cycle for the collector.
-
-
 def _encode(
     node: DerivationNode,
     base_rules: frozenset[AtomicRule],
@@ -729,53 +738,54 @@ def is_atomic_derivation(struct: ArgumentStructure, base: Base) -> bool:
     """Replay a structure as a derivation over the base: every label atomic,
     every leaf an available axiom, every step an available rule, where
     availability flows from the base and from discharged rule premises."""
-    return _replays(struct, base.rules, 0, {})
+    return _replays(struct, base.rules, ())
 
 
 def _replays(
     node: Node,
     base_rules: frozenset[AtomicRule],
-    depth: int,
-    env: dict[AtomicRule, set[int]],
+    avail: tuple[frozenset[AtomicRule], ...],
 ) -> bool:
-    """The replay of the subtree at node, depth levels down; env maps each
-    assumed rule to the depths of the nodes on the way down that made it
-    available."""
+    """The replay of the subtree at node, len(avail) levels down; avail[d]
+    is the discharged set of the premise the way down takes at its node d
+    levels down, so a node bound k levels up is assumed from
+    avail[len(avail) - k]."""
     if not _atomic_formula(node.formula):
         return False
     name = _atom_name(node.formula)
+    depth = len(avail)
     assumed = 0 < node.bound <= depth
     if not node.children:
         if not node.axiomatic:
             return False
-        ax = axiom(name)
         if assumed:
-            return ax in env and depth - node.bound in env[ax]
-        return ax in base_rules
+            return axiom(name) in avail[depth - node.bound]
+        return axiom(name) in base_rules
     if assumed:
-        if node.rule not in env or depth - node.bound not in env[node.rule]:
+        rule = node.rule
+        if (
+            rule not in avail[depth - node.bound]
+            or rule.conclusion != name
+            or len(rule.premises) != len(node.children)
+        ):
             return False
-        candidates = [node.rule]
+        candidates = [rule]
     else:
         candidates = [
             r
             for r in base_rules
             if r.conclusion == name and len(r.premises) == len(node.children)
         ]
-    for rule in candidates:
-        if rule.conclusion != name or len(rule.premises) != len(node.children):
-            continue
-        if _assign(node, base_rules, depth, rule, env, 0, frozenset()):
-            return True
-    return False
+    return any(
+        _assign(node, base_rules, avail, rule, 0, frozenset()) for rule in candidates
+    )
 
 
 def _assign(
     node: Node,
     base_rules: frozenset[AtomicRule],
-    depth: int,
+    avail: tuple[frozenset[AtomicRule], ...],
     rule: AtomicRule,
-    env: dict[AtomicRule, set[int]],
     i: int,
     used: frozenset[int],
 ) -> bool:
@@ -792,11 +802,8 @@ def _assign(
     for j, prem in enumerate(rule.premises):
         if j in used or prem.conclusion != cname:
             continue
-        inner = {r: set(depths) for r, depths in env.items()}
-        for s in prem.discharged:
-            inner.setdefault(s, set()).add(depth)
-        if _replays(child, base_rules, depth + 1, inner) and _assign(
-            node, base_rules, depth, rule, env, i + 1, used | {j}
+        if _replays(child, base_rules, avail + (prem.discharged,)) and _assign(
+            node, base_rules, avail, rule, i + 1, used | {j}
         ):
             return True
     return False
@@ -872,13 +879,16 @@ def pretty(struct: ArgumentStructure) -> str:
         index.setdefault(target, []).append(f"({k})")
 
     lines: list[str] = []
-
-    def walk(node: Node, path: Path, depth: int) -> None:
-        marks = "".join(index.get(path, []))
-        star = "*" if node.axiomatic else ""
-        lines.append("  " * depth + format_formula(node.formula) + star + marks)
-        for i, child in enumerate(node.children):
-            walk(child, path + (i,), depth + 1)
-
-    walk(struct, (), 0)
+    _pretty_lines(struct, (), index, lines)
     return "\n".join(lines)
+
+
+def _pretty_lines(
+    node: Node, path: Path, index: Mapping[Path, list[str]], lines: list[str]
+) -> None:
+    """Append the lines of the subtree at path, indented by its depth."""
+    marks = "".join(index.get(path, []))
+    star = "*" if node.axiomatic else ""
+    lines.append("  " * len(path) + format_formula(node.formula) + star + marks)
+    for i, child in enumerate(node.children):
+        _pretty_lines(child, path + (i,), index, lines)

@@ -12,26 +12,25 @@ rules of level at most k - 2.
 ``bot`` is an ordinary atom here: deriving it is not special, except that a
 Base refuses construction when its rules derive bot outright.
 
-Derivability is decided goal first, as in tabled resolution: a base's rules,
-with every rule nested in them and the axiom of every atom they mention, are
-numbered once.  An assumed rule so numbered, such as the axiom of an atom
-the base mentions, is one more bit of the supply's context; only other
-assumed rules extend a copy of the numbering.  A context is a bitmask over
-those numbers, and a worklist of goals (context, atom), seeded with every
-atom in the supply's context, grounds only the rules of a goal's context
-that conclude its atom.  Each premise asks for a fact in the context its
-discharged rules extend to, so a context is opened only when some goal asks
-for a fact in it.  Facts then propagate through per-application counters of
-unmet premises, as in linear-time Horn satisfiability.  A positive answer
-carries a derivation tree that an independent checker (check_derivation)
-replays against the rule supply.  Each fact is justified by the first
-application that completes, in the order goals were asked, so the tree does
-not depend on the hash seed.  A saturation keeps the set of atoms derivable
-in the supply's context and the tables a tree is read from, and builds no
-tree until one is asked for: a query for atoms alone, or a NO, costs no
-tree work.  The first tree asked for walks the justifications and builds
-the nodes of every tree of that context, once, and the trees of one supply
-share their common subtrees.
+Derivability is decided goal first, as in tabled resolution: a base's
+rules, with every rule nested in them and the axiom of every atom they
+mention, are numbered once.  An assumed rule so numbered, such as the axiom
+of an atom the base mentions, is one more bit of the supply's context.  A
+context is a bitmask over those numbers, and a worklist of goals (context,
+atom), seeded with every atom in the supply's context, grounds only the
+rules of a goal's context that conclude its atom.  Each premise asks for a
+fact in the context its discharged rules extend to, so a context is opened
+only when some goal asks for a fact in it.  Facts then propagate through
+per-application counters of unmet premises, as in linear-time Horn
+satisfiability.  A positive answer carries a derivation tree that an
+independent checker (check_derivation) replays against the rule supply.
+Each fact is justified by the first application that completes, in the
+order goals were asked, so the tree does not depend on the hash seed.  A
+saturation keeps the set of atoms derivable in the supply's context and the
+tables a tree is read from, and builds no tree until one is asked for: a
+query for atoms alone, or a NO, costs no tree work.  The first tree asked
+for walks the justifications and builds the nodes of every tree of that
+context, once, and the trees of one supply share their common subtrees.
 
 Concrete rule syntax, one rule per line in base files:
 
@@ -48,7 +47,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from typing import Iterable
 
 from prooflab.syntax import (
@@ -194,17 +192,14 @@ def level(r: AtomicRule) -> int:
 def atoms_of_rule(r: AtomicRule) -> frozenset[str]:
     """All named atoms a rule mentions; bot is excluded."""
     out: set[str] = set()
-
-    def walk(rule: AtomicRule) -> None:
-        if rule.conclusion != "bot":
-            out.add(rule.conclusion)
+    todo = [r]
+    while todo:
+        rule = todo.pop()
+        out.add(rule.conclusion)
         for p in rule.premises:
-            if p.conclusion != "bot":
-                out.add(p.conclusion)
-            for s in p.discharged:
-                walk(s)
-
-    walk(r)
+            out.add(p.conclusion)
+            todo.extend(p.discharged)
+    out.discard("bot")
     return frozenset(out)
 
 
@@ -258,29 +253,39 @@ class DerivationNode:
 
 
 class _Numbering:
-    """A rule set numbered for saturation.
+    """A rule set numbered for saturation, whole and in one pass.
 
-    order lists the rules, the set and every rule nested in a discharged
-    set, by number, and index maps each rule to its number; atoms numbers
-    the atoms in the order the rules first mention them.  Every atom's
-    axiom has a number too, held in the set or not: those the rules do not
-    hold follow them, in atom-number order, so assuming the axiom of an
-    atom the set mentions only adds a bit to a context.  shapes[i] is rule
-    i's ((premise atom, discharged mask), ...), concluding[a] the mask of
-    the rules concluding atom a, axioms[a] the bit of a's axiom, and
-    initial the mask of the set itself.
+    order lists the rules by number: the set's and every rule nested in a
+    discharged set, in key order, and index maps each rule to its number;
+    atoms numbers the atoms in the order the rules first mention them.
+    Every atom's axiom has a number too, held in the set or not: those the
+    rules do not hold follow them, in atom-number order, so assuming the
+    axiom of an atom the set mentions only adds a bit to a context.
+    shapes[i] is rule i's ((premise atom, discharged mask), ...),
+    concluding[a] the mask of the rules concluding atom a, axioms[a] the
+    bit of a's axiom, and initial the mask of the set itself.
     """
 
     __slots__ = ("order", "index", "atoms", "shapes", "concluding", "axioms", "initial")
 
     def __init__(self, rules: frozenset[AtomicRule]) -> None:
+        index: dict[AtomicRule, int] = {}
+        todo = list(rules)
+        while todo:
+            r = todo.pop()
+            if r not in index:
+                index[r] = -1
+                for p in r.premises:
+                    todo.extend(p.discharged)
         self.order: list[AtomicRule] = []
-        self.index: dict[AtomicRule, int] = {}
+        self.index = index
         self.atoms: dict[str, int] = {}
         self.shapes: list[tuple[tuple[int, int], ...]] = []
         self.concluding: dict[int, int] = {}
         self.axioms: dict[int, int] = {}
-        self._append(rules)
+        self._number(sorted(index, key=lambda r: r._key))
+        atoms, axioms = self.atoms, self.axioms
+        self._number([axiom(a) for a, i in atoms.items() if i not in axioms])
         self.initial = self._mask(rules)
 
     def _mask(self, rules: Iterable[AtomicRule]) -> int:
@@ -289,25 +294,6 @@ class _Numbering:
         for r in rules:
             m |= 1 << index[r]
         return m
-
-    def _append(self, rules: Iterable[AtomicRule]) -> None:
-        """Number the given rules and the rules nested in them that have no
-        number yet, in the order of their keys, after those that have; then
-        the axioms of the atoms first numbered here that have none, in
-        atom-number order."""
-        index, atoms, axioms = self.index, self.atoms, self.axioms
-        start, seen = len(index), len(atoms)
-        todo = list(rules)
-        while todo:
-            r = todo.pop()
-            if r not in index:
-                index[r] = -1
-                for p in r.premises:
-                    todo.extend(p.discharged)
-        self._number(sorted(islice(index, start, None), key=lambda r: r._key))
-        self._number(
-            [axiom(a) for a in islice(atoms, seen, None) if atoms[a] not in axioms]
-        )
 
     def _number(self, new: list[AtomicRule]) -> None:
         """Give the rules the next numbers, in the order listed."""
@@ -329,20 +315,6 @@ class _Numbering:
             if not prems:
                 self.axioms[head] = 1 << i
 
-    def extended(self, extra: frozenset[AtomicRule]) -> _Numbering:
-        """This numbering with extra's rules that it lacks numbered after
-        its own, which keep their numbers; initial stays this set's mask."""
-        out = _Numbering.__new__(_Numbering)
-        out.order = self.order.copy()
-        out.index = self.index.copy()
-        out.atoms = self.atoms.copy()
-        out.shapes = self.shapes.copy()
-        out.concluding = self.concluding.copy()
-        out.axioms = self.axioms.copy()
-        out._append(extra)
-        out.initial = self.initial
-        return out
-
 
 # The numberings of recent rule sets, keyed by the set, never by a Base: an
 # entry that held a base would keep it, and its evaluation context, alive.
@@ -363,10 +335,9 @@ class _Saturation:
        order of the rule keys, followed by the axioms of its atoms that it
        lacks.  Assumed rules the numbering holds, such as the axiom of any
        atom the base mentions, are bits of the supply's context (initial)
-       and cost no numbering; any others extend a copy of it, following the
-       numbered rules in key order.  A context is then an int bitmask over
-       those numbers, and a premise's target context is the current one
-       OR'd with the premise's discharged-rule mask.
+       and cost no numbering.  A context is then an int bitmask over those
+       numbers, and a premise's target context is the current one OR'd
+       with the premise's discharged-rule mask.
     2. Ground applications from a worklist of goals, as tabled resolution
        does (Tamaki & Sato 1986; Chen & Warren 1996).  The worklist starts
        with every atom in the supply's context.  A goal (context c, atom a)
@@ -526,15 +497,19 @@ class _Saturation:
 # per goal atom of the same base under the same assumed rules), keyed by
 # the base's rules and the assumed rules it lacks.  Assumed rules the base's
 # numbering holds are bits of the supply's context, on the base's numbering
-# itself; only the others extend a copy of it.  A base's own saturation
-# lives in its evaluation context (base_semantics), so this cache need not
-# hold every base's for as long as it lives.
+# itself.  A supply with any other assumed rule is numbered as the rule set
+# rules | extra, so it saturates, and breaks ties, as the base of those
+# rules does.  A base's own saturation lives in its evaluation context
+# (base_semantics), so this cache need not hold every base's for as long as
+# it lives.
 @lru_cache(maxsize=256)
 def _saturate(rules: frozenset, extra: frozenset, max_steps: int, /) -> _Saturation:
     numbering = _numbering(rules)
-    if not extra <= numbering.index.keys():
-        numbering = numbering.extended(extra)
-    initial = numbering.initial | numbering._mask(extra)
+    if extra <= numbering.index.keys():
+        initial = numbering.initial | numbering._mask(extra)
+    else:
+        numbering = _numbering(rules | extra)
+        initial = numbering.initial
     return _Saturation(numbering, initial, max_steps)
 
 

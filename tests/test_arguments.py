@@ -49,7 +49,13 @@ from prooflab.arguments import (
     validate,
     weaken,
 )
-from prooflab.atomic_system import Base, derive, parse_base_text, parse_rule
+from prooflab.atomic_system import (
+    Base,
+    atoms_of_rule,
+    derive,
+    parse_base_text,
+    parse_rule,
+)
 from prooflab.syntax import Atom, BOT, Conj, Disj, Impl, parse_formula
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
@@ -534,19 +540,34 @@ def test_atomic_replay_matches_engine_on_sample_bases():
         }
 
 
-def test_replay_and_encoding_leave_no_cycles():
-    # whatever a cycle references lives until the next collection
+def _cycle_cases():
     base = parse_base_text("([(p => q) => t] => u)\np.\n(q => t)\n")
     tree = derive(base, frozenset(), "u").tree
     d = derivation_to_structure(tree, base)
+    open_q = impl_intro(and_intro(assumption(p), assumption(q)), p)
+    unbound = Node(Impl(p, p), (leaf(p),))
+    entries = ((AssumptionDischarge(leaf=(0,)), ()),)
+    rule = parse_rule("([(p => q) => t] => u)")
+    return {
+        "is_atomic_derivation": lambda: is_atomic_derivation(d, base),
+        "derivation_to_structure": lambda: derivation_to_structure(tree, base),
+        "instantiate": lambda: instantiate(open_q, {q: axiom_leaf(q)}),
+        "bind": lambda: bind(unbound, entries),
+        "pretty": lambda: pretty(d),
+        "atoms_of_rule": lambda: atoms_of_rule(rule),
+    }
+
+
+@pytest.mark.parametrize("name", list(_cycle_cases()))
+def test_recursions_leave_no_cycles(name):
+    # whatever a cycle references lives until the next collection
+    call = _cycle_cases()[name]
+    call()
     gc.collect()
     gc.disable()
     try:
-        for _ in range(1000):
-            assert is_atomic_derivation(d, base)
-        assert gc.collect() == 0
-        for _ in range(1000):
-            derivation_to_structure(tree, base)
+        for _ in range(10):
+            call()
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -9,10 +9,11 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import enum_derivable, enum_derivable_atoms, naive_derivable
 from prooflab import atomic_system
+from prooflab.arguments import derivation_to_structure, is_atomic_derivation
 from prooflab.atomic_system import (
     AtomicRule,
     Base,
@@ -263,6 +264,20 @@ def test_base_under_assumed_axioms_matches_naive_fixpoint(rs, assumed_sets):
             res = derive(b, assumed=extra, goal=a)
             assert res.derivable
             assert check_derivation(res.tree, rs | extra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rules(max_level=4), min_size=1, max_size=4))
+def test_derive_trees_replay_as_atomic_derivations(rs):
+    # each tree, encoded as an argument structure with its assumed rules
+    # discharged, replays over the base by the argument layer's own check
+    rs = frozenset(rs)
+    if not check_consistency(rs):
+        return
+    b = Base(rules=rs)
+    for a in derivable_atoms(b):
+        structure = derivation_to_structure(derive(b, goal=a).tree, b)
+        assert is_atomic_derivation(structure, b)
 
 
 def discharge_fan(k: int) -> str:
@@ -522,8 +537,8 @@ def nested_rules(rs):
 @given(st.lists(rules(max_level=4), min_size=1, max_size=4), st.data())
 def test_base_under_assumed_rules_matches_naive_fixpoint(rs, data):
     # assumed rules the base's numbering holds, the base's own and those
-    # nested in its discharged sets, are bits of a context; new compound
-    # rules extend a copy of the numbering
+    # nested in its discharged sets, are bits of a context; with a new
+    # compound rule the supply is numbered as one set
     rs = frozenset(rs)
     if not check_consistency(rs):
         return
@@ -542,9 +557,37 @@ def test_base_under_assumed_rules_matches_naive_fixpoint(rs, data):
             assert check_derivation(res.tree, rs | assumed)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(rules(max_level=3), min_size=1, max_size=4),
+    st.lists(rules(max_level=3), min_size=1, max_size=2),
+)
+@example(
+    [rule("p"), rule("(p => q)"), rule("(r => p)"), rule("([p => q] => r)")],
+    [rule("(q, q => r)")],
+)
+def test_other_assumed_rules_derive_as_the_base_of_both(rs, assumed):
+    # a supply holding a rule the base's numbering lacks is numbered as the
+    # rule set of both, so its trees, ties included, are that base's.  In
+    # the example both (q, q => r) and ([p => q] => r) derive r, and the
+    # first in key order over the whole supply wins.
+    rs, assumed = frozenset(rs), frozenset(assumed)
+    both = rs | assumed
+    if assumed <= _numbering(rs).index.keys():
+        return
+    if not check_consistency(rs) or not check_consistency(both):
+        return
+    b = Base(rules=rs)
+    for a in derivable_atoms(b, assumed):
+        tree = derive(b, assumed, a).tree
+        assert tree == derive(Base(rules=both), (), a).tree
+        assert check_derivation(tree, both)
+
+
 def test_one_base_is_numbered_once_under_several_assumed_sets():
     # atoms no other test uses, so the base is not numbered already; the
-    # second set assumes a rule nested in the base, the third a new one
+    # second set assumes a rule nested in the base, and the third a new one,
+    # whose supply is numbered as one set with the base's rules
     b = base("n1_a.\n(n1_a, n1_b => n1_c)\n([n1_d => n1_c] => n1_e)")
     before = _numbering.cache_info()
     assert derivable_atoms(b) == {"n1_a"}
@@ -554,28 +597,15 @@ def test_one_base_is_numbered_once_under_several_assumed_sets():
         "n1_a", "n1_b", "n1_c", "n1_e", "n1_f"
     }
     after = _numbering.cache_info()
-    assert after.misses - before.misses == 1
+    assert after.misses - before.misses == 2
 
 
-def count_extensions(monkeypatch) -> list:
-    """The assumed sets _Numbering.extended is called for from now on."""
-    calls = []
-    real = atomic_system._Numbering.extended
-
-    def extended(self, extra):
-        calls.append(extra)
-        return real(self, extra)
-
-    monkeypatch.setattr(atomic_system._Numbering, "extended", extended)
-    return calls
-
-
-def test_assumed_axioms_the_base_numbers_extend_nothing(monkeypatch):
-    calls = count_extensions(monkeypatch)
+def test_assumed_axioms_the_base_numbers_extend_nothing():
     # atoms no other test uses, so every supply here saturates afresh;
     # the base mentions ax_b and ax_c and nests the axiom ax_d
     b = base("ax_a.\n(ax_a, ax_b => ax_c)\n([ax_d => ax_c] => ax_e)")
-    before = _saturate.cache_info()
+    assert derivable_atoms(b) == {"ax_a"}
+    before = _saturate.cache_info(), _numbering.cache_info()
     assert derivable_atoms(b, {axiom("ax_b")}) == {"ax_a", "ax_b", "ax_c", "ax_e"}
     assert derivable_atoms(b, {axiom("ax_c"), axiom("ax_e")}) == {
         "ax_a", "ax_c", "ax_e"
@@ -583,30 +613,43 @@ def test_assumed_axioms_the_base_numbers_extend_nothing(monkeypatch):
     assert derivable_atoms(b, {axiom("ax_d")}) == {"ax_a", "ax_d"}
     res = derive(b, {axiom("ax_c")}, "ax_e")
     assert check_derivation(res.tree, b.rules | {axiom("ax_c")})
-    assert _saturate.cache_info().misses - before.misses == 4
-    assert calls == []
+    assert _saturate.cache_info().misses - before[0].misses == 4
+    assert _numbering.cache_info().misses == before[1].misses
 
 
-def test_other_assumed_rules_extend_the_numbering_once(monkeypatch):
-    calls = count_extensions(monkeypatch)
+def test_other_assumed_rules_number_the_union_once():
     # atoms no other test uses: ex_new is one the base never mentions
     b = base("ex_a.\n(ex_a, ex_b => ex_c)")
-    assert derivable_atoms(b, {axiom("ex_new")}) == {"ex_a", "ex_new"}
-    assert calls == [{axiom("ex_new")}]
+    assert derivable_atoms(b) == {"ex_a"}
     compound = rule("(ex_a => ex_b)")
-    assert derivable_atoms(b, {compound}) == {"ex_a", "ex_b", "ex_c"}
-    assert calls == [{axiom("ex_new")}, {compound}]
+    for assumed, atoms in (
+        ({axiom("ex_new")}, {"ex_a", "ex_new"}),
+        ({compound}, {"ex_a", "ex_b", "ex_c"}),
+    ):
+        before = _numbering.cache_info()
+        assert derivable_atoms(b, assumed) == atoms
+        for a in atoms:
+            assert check_derivation(derive(b, assumed, a).tree, b.rules | assumed)
+        # the base's numbering is looked up once and the union numbered
+        # once; the later calls answer from the saturation
+        after = _numbering.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        # and the numbering made was the union's
+        _numbering(b.rules | assumed)
+        assert _numbering.cache_info().misses == after.misses
 
 
-def test_an_assumed_bot_axiom_derives_bot(monkeypatch):
-    calls = count_extensions(monkeypatch)
-    # the first base never mentions bot, the second numbers it
-    for text in ("bt_a.", "bt_a.\n(bt_b => bot)"):
+def test_an_assumed_bot_axiom_derives_bot():
+    # the first base never mentions bot, so its supply is numbered as one
+    # set with bot's axiom; the second base numbers that axiom itself
+    for text, numbered in (("bt_a.", 1), ("bt_a.\n(bt_b => bot)", 0)):
         b = base(text)
+        assert derivable_atoms(b) == {"bt_a"}
+        before = _numbering.cache_info().misses
         assert derivable_atoms(b, {axiom("bot")}) == {"bt_a", "bot"}
         res = derive(b, {axiom("bot")}, "bot")
         assert res.tree == DerivationNode("bot", axiom("bot"), ())
-    assert calls == [{axiom("bot")}]
+        assert _numbering.cache_info().misses - before == numbered
 
 
 def test_one_rule_per_axiom_name():
