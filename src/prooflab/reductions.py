@@ -20,16 +20,18 @@ discharged where it lands.
 A structure is its root node, so a rewrite at a position grafts the
 rewritten subtree back into the same tree of nodes.  Because discharges are
 relative, whether a reduction applies to a subtree and what it rewrites to
-depend only on that subtree's value: one helper computes a node's one-step
-rewrites from its own and its children's, memoized per distinct subtree.
+depend only on that subtree's value: one generator yields a node's one-step
+rewrites, built one at a time from its own and its children's, and memoizes
+each distinct subtree's list once it has yielded the whole of it.
 
 The breadth-first walk of search_reduct enumerates the reduction closure
 up to a budget on distinct structures and a height budget, tests each
-structure as it is found, and records the step that first reached each
-one; the structures it finds share most of their subtrees, and each
-distinct subtree's rewrites are computed once per walk.  The validity
-checker's searches, for a derivation in the base and for a canonical
-reduct, both go through it.
+rewrite as it is built, and records the step that first reached each
+structure; a walk that meets its goal builds none of that structure's
+later rewrites.  The structures it finds share most of their subtrees, and
+each distinct subtree's rewrites are enumerated at most once per walk.  The
+validity checker's searches, for a derivation in the base and for a
+canonical reduct, both go through it.
 
 One more walk, normalize, follows a single path instead: it takes the
 leftmost-outermost rewrite until no redex is left.  The detour conversions
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from prooflab.arguments import (
     ArgumentStructure,
@@ -260,41 +262,47 @@ def constant_reduction(
 # applying reductions in place
 
 
-def _rewrites_of(
+def _rewrites(
     node: Node,
     reductions: Sequence[Reduction],
     memo: dict[Node, list[tuple[Path, str, Node]]],
-) -> list[tuple[Path, str, Node]]:
-    """Every one-step rewrite of the subtree at node, as (position below
-    node, rule name, rewritten node): the node's own rewrites, reductions in
-    the given order, then each child's in turn with node rebuilt around it,
-    so positions come outermost-first and leftmost.  Discharges are stored
-    as distances, so what a subtree rewrites to depends on its value alone:
-    memo maps each distinct subtree to its list, computed once, and is
-    shared by every call for the same reductions."""
+) -> Iterator[tuple[Path, str, Node]]:
+    """Each one-step rewrite of the subtree at node, built as it is asked
+    for, as (position below node, rule name, rewritten node): the node's own
+    rewrites, reductions in the given order, then each child's in turn with
+    node rebuilt around it, so positions come outermost-first and leftmost.
+    Discharges are stored as distances, so what a subtree rewrites to
+    depends on its value alone: memo maps each distinct subtree whose
+    rewrites were all enumerated to their list, which a later call replays,
+    and is shared by every call for the same reductions.  A caller that
+    stops early leaves the unfinished subtrees out of memo."""
     found = memo.get(node)
     if found is not None:
-        return found
+        yield from found
+        return
     found = []
     for red in reductions:
         new = red.rewrite(node)
         if new is not None:
             # grafting at the root only checks that the reduct keeps the
             # conclusion
-            found.append(((), red.name, _graft(node, (), new)))
+            step = ((), red.name, _graft(node, (), new))
+            found.append(step)
+            yield step
     kids = node.children
     for i, child in enumerate(kids):
-        for pos, name, new in _rewrites_of(child, reductions, memo):
+        for pos, name, new in _rewrites(child, reductions, memo):
             rebuilt = _with_children(node, kids[:i] + (new,) + kids[i + 1 :])
-            found.append(((i, *pos), name, rebuilt))
+            step = ((i, *pos), name, rebuilt)
+            found.append(step)
+            yield step
     memo[node] = found
-    return found
 
 
 def _first_rewrite(
     node: Node, reductions: Sequence[Reduction]
 ) -> tuple[Path, str, Node] | None:
-    """The first of _rewrites_of's list, found without building the rest:
+    """The first rewrite _rewrites yields, found with no memo or list:
     the node's own rewrites, reductions in the given order, then each
     child's in turn, stopping at the first that applies."""
     for red in reductions:
@@ -352,9 +360,12 @@ def search_reduct(
     neither tested nor expanded.  So a closure whose reducts grow a level
     with every step, as under a constant reduction whose target holds its
     own inference, stops well before the recursive walkers over structures
-    reach Python's recursion limit.  Each distinct subtree's one-step
-    rewrites are computed once per walk, in a memo made when the walk first
-    expands a structure, so a start that meets the goal pays nothing."""
+    reach Python's recursion limit.  A structure's one-step rewrites are
+    built one at a time, each tested as it is built, so the walk stops at
+    the first that meets the goal without building the rest; each distinct
+    subtree's rewrites are enumerated at most once per walk, in a memo made
+    when the walk first expands a structure, so a start that meets the goal
+    pays nothing."""
     if isinstance(goal, Base):
         pred = lambda d: is_atomic_derivation(d, goal)
     elif callable(goal):
@@ -383,7 +394,7 @@ def search_reduct(
     memo: dict = {}
     while queue:
         cur = queue.popleft()
-        for pos, name, new in _rewrites_of(cur, reductions, memo):
+        for pos, name, new in _rewrites(cur, reductions, memo):
             if new.height > MAX_NESTING:
                 if _HEIGHT_BUDGET not in exhausted:
                     exhausted.append(_HEIGHT_BUDGET)

@@ -208,9 +208,10 @@ def _check_closed(
         return ValidityVerdict(Status.INCONCLUSIVE, out.note)
 
     # a reduct settles the goal when it is canonical and its immediate
-    # sub-arguments are valid; each is tried as the search reaches it, so a
-    # valid one ends the search before the rest of the closure, which may be
-    # unbounded, is built
+    # sub-arguments are valid; each is tried as the search builds it, so a
+    # valid one ends the search before any later reduct is built: neither
+    # the rest of its structure's rewrites nor the rest of the closure,
+    # which may be unbounded
     notes: list[str] = []
     unsettled = False
 

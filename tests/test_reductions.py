@@ -2,6 +2,7 @@
 reachability search.  Expected results of rewrites are built by hand with
 the structure builders, never by running the rewrite itself."""
 
+from itertools import islice
 from typing import NamedTuple
 
 import pytest
@@ -49,8 +50,9 @@ from prooflab.reductions import (
     IMP_DETOUR,
     PROJECT_DETOUR,
     WEAKEN_DETOUR,
+    Reduction,
     _first_rewrite,
-    _rewrites_of,
+    _rewrites,
     constant_reduction,
     normalize,
     pointer_reduction,
@@ -91,7 +93,7 @@ def first_step(d, reductions):
 def all_steps(d, reductions):
     """Every one-step rewrite, positions outermost-first and leftmost,
     reductions in the given order at each."""
-    return [Step(*found) for found in _rewrites_of(d, reductions, {})]
+    return [Step(*found) for found in _rewrites(d, reductions, {})]
 
 
 def walk(d, reductions, budget=DEFAULT_BUDGET):
@@ -452,6 +454,28 @@ def test_detour_chain_search(depth):
     assert out.path == tuple(((), name) for name in rules)
 
 
+def test_walk_stops_at_the_first_rewrite_that_meets_the_goal():
+    # the root is kappa's instance and kappa's target a derivation in the
+    # base: the walk tests the root's rewrites first and builds none of the
+    # chain's below it
+    chain, _ = detour_chain(8)
+    start = structure_of_inference(Inference(subs=(chain,), conclusion=p))
+    reductions = STD + (constant_reduction([p], p, CHAIN_INNER, name="kappa"),)
+    called = {}
+
+    def counted(red):
+        def rewrite(e):
+            called.setdefault(red.name, []).append(e)
+            return red.rewrite(e)
+
+        return Reduction(red.name, rewrite)
+
+    out = search_reduct(start, CHAIN_BASE, [counted(red) for red in reductions])
+    assert out.status == "yes" and out.visited == 2
+    assert out.path == (((), "kappa"),) and out.witness == CHAIN_INNER
+    assert called == {red.name: [start] for red in reductions}
+
+
 # ---------------------------------------------------------------------------
 # pointer and constant reductions
 
@@ -669,13 +693,27 @@ def assert_rewrites_match_reference(d, reductions, budget=30):
     # shares it
     memo = {}
     for e in walk(d, reductions, budget)[0]:
-        assert _rewrites_of(e, reductions, memo) == reference_rewrites(e, reductions)
+        assert list(_rewrites(e, reductions, memo)) == reference_rewrites(e, reductions)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(structures(), detours()), st.permutations(STD))
 def test_rewrites_match_the_reference(d, reductions):
     assert_rewrites_match_reference(d, reductions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(structures(), detours()), st.permutations(STD), st.data())
+def test_rewrites_stopped_early_leave_the_memo_sound(d, reductions, data):
+    # a walk stops enumerating where a rewrite meets its goal; what it left
+    # in the memo must not cut short a later enumeration sharing it
+    memo = {}
+    for e in walk(d, reductions, 30)[0]:
+        want = reference_rewrites(e, reductions)
+        rewrites = _rewrites(e, reductions, memo)
+        list(islice(rewrites, data.draw(st.integers(0, len(want)))))
+        rewrites.close()
+        assert list(_rewrites(e, reductions, memo)) == want
 
 
 def _justified_cases():
@@ -891,7 +929,7 @@ def test_height_budget_cuts_a_growing_closure():
 
 
 def assert_first_rewrite_is_the_listed_first(d, reductions):
-    found = _rewrites_of(d, reductions, {})
+    found = list(_rewrites(d, reductions, {}))
     assert _first_rewrite(d, reductions) == (found[0] if found else None)
 
 
@@ -913,7 +951,7 @@ def test_first_rewrite_on_detour_chains(depth):
         taken.append(step.rule)
         d = step.result
     assert d == CHAIN_INNER and taken == rules
-    assert _first_rewrite(d, STD) is None and not _rewrites_of(d, STD, {})
+    assert _first_rewrite(d, STD) is None and not list(_rewrites(d, STD, {}))
 
 
 # ---------------------------------------------------------------------------
