@@ -20,17 +20,23 @@ context is a bitmask over those numbers, and a worklist of goals (context,
 atom), seeded with every atom in the supply's context, grounds only the
 rules of a goal's context that conclude its atom.  Each premise asks for a
 fact in the context its discharged rules extend to, so a context is opened
-only when some goal asks for a fact in it.  Facts then propagate through
-per-application counters of unmet premises, as in linear-time Horn
-satisfiability.  A positive answer carries a derivation tree that an
-independent checker (check_derivation) replays against the rule supply.
-Each fact is justified by the first application that completes, in the
-order goals were asked, so the tree does not depend on the hash seed.  A
-saturation keeps the set of atoms derivable in the supply's context and the
-tables a tree is read from, and builds no tree until one is asked for: a
-query for atoms alone, or a NO, costs no tree work.  The first tree asked
-for walks the justifications and builds the nodes of every tree of that
-context, once, and the trees of one supply share their common subtrees.
+only when some goal asks for a fact in it.  The facts each goal completes
+propagate through per-application counters of unmet premises, as in
+linear-time Horn satisfiability, before the next goal is taken, and a goal
+whose fact is already recorded grounds nothing.  Derivability is monotone
+in the context, so a newly opened context starts with the atoms of the
+context that opened it, and a fact recorded later in a context is passed
+to every larger context it has asked into.  A positive answer carries a
+derivation tree that an independent checker (check_derivation) replays
+against the rule supply.  Each fact is justified by the first way it is
+recorded, in the order goals were asked, and a fact passed on shares the
+tree of the smaller context's fact, so the tree does not depend on the hash
+seed.  A saturation keeps the set of atoms derivable in the supply's
+context and the tables a tree is read from, and builds no tree until one is
+asked for: a query for atoms alone, or a NO, costs no tree work.  The first
+tree asked for walks the justifications and builds the nodes of every tree
+of that context, once, and the trees of one supply share their common
+subtrees.
 
 Concrete rule syntax, one rule per line in base files:
 
@@ -328,7 +334,7 @@ class _Saturation:
     """Fixpoint of 'atom a is derivable in context R' over the facts asked.
 
     A context is the supply plus some of the rules that premises discharge.
-    Built in three steps:
+    Built in two steps:
 
     1. Number every rule: the supply and every rule nested in a discharged
        set (_Numbering).  A base's rules are numbered once, in the fixed
@@ -338,33 +344,46 @@ class _Saturation:
        and cost no numbering.  A context is then an int bitmask over those
        numbers, and a premise's target context is the current one OR'd
        with the premise's discharged-rule mask.
-    2. Ground applications from a worklist of goals, as tabled resolution
-       does (Tamaki & Sato 1986; Chen & Warren 1996).  The worklist starts
-       with every atom in the supply's context.  A goal (context c, atom a)
-       whose context holds a's axiom is met by the axiom alone; otherwise
-       it grounds the rules of c that conclude a, in rule-number order.
-       Each premise (b, discharged mask) of those rules asks for the fact
-       (c | mask, b), which joins the worklist the first time it is asked.
-       A context is opened only when some goal asks for a fact in it.
-    3. Propagate with counters, as in linear-time Horn satisfiability
-       (Dowling & Gallier 1984): each application counts its unmet
-       premises; a newly recorded fact decrements the applications that
-       watch it, and one whose count reaches zero records its conclusion.
+    2. Answer goals (context c, atom a) from a worklist, as tabled
+       resolution does (Tamaki & Sato 1986; Chen & Warren 1996), and pass
+       on the facts each goal completes before the next goal is taken.
+       The worklist starts with every atom in the supply's context.  A goal
+       whose fact is already recorded grounds nothing.  One whose context
+       holds a's axiom is met by the axiom alone; otherwise it grounds the
+       rules of c that conclude a, in rule-number order, and stops at the
+       first whose premises are all recorded already.  Each unmet premise
+       (b, discharged mask) asks for the fact (c | mask, b), which joins
+       the worklist the first time it is asked.  Facts are passed on with
+       counters, as in linear-time Horn satisfiability (Dowling & Gallier
+       1984): each application counts its unmet premises; a newly recorded
+       fact decrements the applications that watch it, and one whose count
+       reaches zero records its conclusion.
 
-    A fact never asked can feed only applications never asked, so the asked
-    facts propagate exactly as in the saturation of every reachable context.
-    Each fact is justified by the first of its applications that completes,
-    applications being numbered in the order goals were asked; each
-    justification references only facts recorded before it, so the trees
-    can be built in recorded order, each node after its premises' nodes,
-    even through cyclic rule supplies.  Every order followed comes from the
-    rule numbering, never from iterating a set, so the witness does not
-    depend on the hash seed.
+    Derivability is monotone in the context, and the worklist uses that
+    as call subsumption does in tabled evaluation (Swift & Warren 2012,
+    "XSB: Extending Prolog with tabled logic programming").  A context is
+    opened only when a goal of a smaller one asks for a fact in it, and it
+    starts with every atom recorded in the context that opened it.  Each
+    context keeps its ask edges, the larger contexts its goals have asked
+    into, and a fact recorded in it later is passed along each of them;
+    no context is ever scanned for its supersets.  A saturation that opens
+    one context keeps no edge and passes nothing.
+
+    A fact never asked can feed only applications never asked, and a fact
+    passed along an edge holds where it arrives, so the asked facts reach
+    the least fixpoint of every reachable context.  Each fact is justified
+    by the first way it is recorded: an axiom, the first of its
+    applications to complete, or the fact of the smaller context it was
+    passed on from, whose tree it shares.  Each justification references
+    only facts recorded before it, so the trees can be built in recorded
+    order, each node after its premises' nodes, even through cyclic rule
+    supplies.  Every order followed comes from the rule numbering, never
+    from iterating a set, so the witness does not depend on the hash seed.
 
     Kept afterwards: atoms, the frozenset of atoms derivable in the
     supply's context (context 0), and until the first tree() call the
     tables a tree is read from: the numbering, each recorded fact's
-    justifying rule, the contexts by number and by mask, and the recorded
+    justification, the contexts by number and by mask, and the recorded
     facts in order.  The first tree() call walks those tables, builds the
     DerivationNodes, keeps context 0's by atom and drops the tables; a
     saturation asked only for atoms walks nothing and builds no node.
@@ -380,20 +399,25 @@ class _Saturation:
         # a fact (context c, atom a) is the number c * n + a.  Application k
         # is rule app_rule[k] concluding fact app_head[k], with counts[k]
         # premises unmet.  goals lists the facts asked, in the order asked;
-        # watchers[f] lists the applications waiting on asked fact f (once
-        # per premise), just[f] the rule of the application that recorded
-        # it, and queue the recorded facts in order.
+        # watchers[f] lists the applications waiting on fact f (once per
+        # premise) until it is recorded, and bit t of asks[c] is set when c
+        # has asked into context t.  just[f] is the rule that recorded fact f, or ~g when
+        # f was passed on from fact g, itself recorded by a rule; queue
+        # lists the recorded facts in order, the first `done` passed on.
         ids = {initial: 0}
         masks = [initial]
+        asks = [0]
         goals = list(range(n))
-        watchers: dict[int, list[int]] = {f: [] for f in goals}
+        watchers: dict[int, list[int]] = {}
         just: dict[int, int] = {}
         app_rule: list[int] = []
         app_head: list[int] = []
         counts: list[int] = []
         queue: list[int] = []
-        steps = 0
+        done = steps = 0
         for f in goals:  # goals grows as premises ask for new facts
+            if f in just:
+                continue
             c, a = divmod(f, n)
             m = masks[c]
             bit = m & axioms.get(a, 0)
@@ -401,52 +425,92 @@ class _Saturation:
                 # the axiom: the other rules concluding a add nothing
                 just[f] = bit.bit_length() - 1
                 queue.append(f)
-                continue
-            rest = m & concluding.get(a, 0)
+                rest = 0
+            else:
+                rest = m & concluding.get(a, 0)
             while rest:
                 low = rest & -rest
                 rest ^= low
                 i = low.bit_length() - 1
                 prems = shapes[i]
+                steps += len(prems)
                 k = len(counts)
+                unmet = 0
+                for b, dmask in prems:
+                    tm = m | dmask
+                    if tm == m:
+                        t = c
+                    else:
+                        t = ids.get(tm)
+                        if t is None:
+                            # a new context starts with c's recorded atoms
+                            t = ids[tm] = len(masks)
+                            masks.append(tm)
+                            asks.append(0)
+                            for h in range(c * n, c * n + n):
+                                j = just.get(h)
+                                if j is not None:
+                                    steps += 1
+                                    moved = h + (t - c) * n
+                                    just[moved] = j if j < 0 else ~h
+                                    queue.append(moved)
+                        asks[c] |= 1 << t
+                    g = t * n + b
+                    if g in just:
+                        continue
+                    unmet += 1
+                    waiting = watchers.get(g)
+                    if waiting is None:
+                        watchers[g] = [k]
+                        if g >= n:  # the supply's context's atoms are goals
+                            goals.append(g)
+                    else:
+                        waiting.append(k)
+                if not unmet:
+                    # complete at once: the later rules for a add nothing
+                    just[f] = i
+                    queue.append(f)
+                    break
                 app_rule.append(i)
                 app_head.append(f)
-                counts.append(len(prems))
-                steps += len(prems)
+                counts.append(unmet)
+            if steps > max_steps:
+                raise ResourceLimitExceeded(f"saturation exceeded {max_steps} steps")
+            while done < len(queue):  # queue grows as facts are recorded
+                g = queue[done]
+                done += 1
+                waiting = watchers.get(g)
+                if waiting is not None:
+                    steps += len(waiting)
+                    for k in waiting:
+                        left = counts[k] - 1
+                        counts[k] = left
+                        if not left:
+                            head = app_head[k]
+                            if head not in just:
+                                just[head] = app_rule[k]
+                                queue.append(head)
+                # and along the ask edges of its context, in context order
+                c = g // n
+                to = asks[c]
+                if to:
+                    j = just[g]
+                    src = j if j < 0 else ~g
+                    while to:
+                        low = to & -to
+                        to ^= low
+                        h = g + (low.bit_length() - 1 - c) * n
+                        steps += 1
+                        if h not in just:
+                            just[h] = src
+                            queue.append(h)
                 if steps > max_steps:
                     raise ResourceLimitExceeded(
                         f"saturation exceeded {max_steps} steps"
                     )
-                for b, dmask in prems:
-                    tm = m | dmask
-                    t = ids.get(tm)
-                    if t is None:
-                        t = ids[tm] = len(masks)
-                        masks.append(tm)
-                    g = t * n + b
-                    waiting = watchers.get(g)
-                    if waiting is None:
-                        watchers[g] = [k]
-                        goals.append(g)
-                    else:
-                        waiting.append(k)
-
-        for f in queue:  # queue grows as facts are recorded
-            waiting = watchers[f]
-            steps += len(waiting)
-            if steps > max_steps:
-                raise ResourceLimitExceeded(f"saturation exceeded {max_steps} steps")
-            for k in waiting:
-                left = counts[k] - 1
-                counts[k] = left
-                if not left:
-                    head = app_head[k]
-                    if head not in just:
-                        just[head] = app_rule[k]
-                        queue.append(head)
 
         names = list(numbering.atoms)
-        self.atoms = frozenset(names[f] for f in queue if f < n)
+        self.atoms = frozenset(names[a] for a in range(n) if a in just)
         self._tables: tuple | None = (numbering, just, masks, ids, queue)
         self._trees: dict[str, DerivationNode] = {}
 
@@ -457,26 +521,33 @@ class _Saturation:
         their justifications to every fact their trees use, builds those
         facts' nodes in recorded order, so each premise's node exists
         before the nodes that use it, and then drops the saturation's
-        tables; later calls look the tree up.  Trees of one supply share
-        their common subtrees.
+        tables; later calls look the tree up.  A fact passed on from a
+        smaller context gets no node of its own: its tree is that
+        context's, the same object.  Trees of one supply share their
+        common subtrees.
         """
         if self._tables is not None:
             numbering, just, masks, ids, queue = self._tables
             order, shapes = numbering.order, numbering.shapes
             names = list(numbering.atoms)
             n = len(names)
-            # the kept facts, each with its rule and premise facts in the
-            # rule's premise order
+            # the kept facts, each recorded by a rule, with that rule and
+            # its premise facts in the rule's premise order; a premise fact
+            # passed on is replaced by the fact it was passed on from
             kept: dict[int, tuple[AtomicRule, tuple[int, ...]]] = {}
-            todo = [f for f in queue if f < n]
+            todo = [f for f in range(n) if f in just]
             while todo:
                 f = todo.pop()
                 if f in kept:
                     continue
                 m = masks[f // n]
                 i = just[f]
-                premises = tuple(ids[m | dmask] * n + b for b, dmask in shapes[i])
-                kept[f] = (order[i], premises)
+                premises = []
+                for b, dmask in shapes[i]:
+                    g = ids[m | dmask] * n + b
+                    j = just[g]
+                    premises.append(~j if j < 0 else g)
+                kept[f] = (order[i], tuple(premises))
                 todo.extend(premises)
             nodes: dict[int, DerivationNode] = {}
             trees = self._trees
@@ -531,16 +602,17 @@ def derive(
     A YES carries a derivation tree; replay it with check_derivation
     against the base's rules | assumed.  Budget exhaustion raises
     ResourceLimitExceeded rather than answering NO; a step is one grounded
-    premise (a premise of an application some goal asked for) or one
-    counter decrement (a recorded fact passed on to one application
-    watching it).  A NO builds no tree.  The 256 most recent saturations
-    are kept, so asking for each atom of one supply in turn saturates it
-    once, and the first YES builds every tree of the supply, once: a
-    repeated call returns the same tree object, and trees of one supply
-    share their common subtrees.  The numberings of the 256 most recent
-    bases are kept too, so one base under several assumed sets is numbered
-    once; an assumed axiom over an atom the base mentions costs no
-    numbering work at all.
+    premise (a premise of an application some goal asked for), one counter
+    decrement (a recorded fact passed on to one application watching it)
+    or one fact passed along an ask edge (from a context to a larger one
+    it has asked into, when that one is opened or later).  A NO builds no
+    tree.  The 256 most recent saturations are kept, so asking for each
+    atom of one supply in turn saturates it once, and the first YES builds
+    every tree of the supply, once: a repeated call returns the same tree
+    object, and trees of one supply share their common subtrees.  The
+    numberings of the 256 most recent bases are kept too, so one base under
+    several assumed sets is numbered once; an assumed axiom over an atom
+    the base mentions costs no numbering work at all.
     """
     sat = _saturate(base.rules, frozenset(assumed) - base.rules, max_steps)
     if goal not in sat.atoms:

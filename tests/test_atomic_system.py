@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -280,6 +281,76 @@ def test_derive_trees_replay_as_atomic_derivations(rs):
         assert is_atomic_derivation(structure, b)
 
 
+def _rule_at_level(rng, atoms, lvl, pools, dead=()):
+    """A rule of exactly level lvl over the atoms; a premise discharges
+    only rules from the pools, one per level below lvl - 1, so that a base
+    reaches few contexts however many rules it has.  A rule concluding a
+    dead atom needs a dead atom outright, so no dead atom is derivable
+    unless a discharged or assumed axiom gives one."""
+    if lvl == 0:
+        return axiom(rng.choice(atoms))
+    head = rng.choice(atoms)
+    prems = [premise(rng.choice(atoms)) for _ in range(rng.randint(0, 1))]
+    if head in dead:
+        prems.append(premise(rng.choice(dead)))
+    if lvl == 1:
+        prems.append(premise(rng.choice(atoms)))
+    else:
+        prems.append(premise(rng.choice(atoms), [rng.choice(pools[lvl - 2])]))
+        if rng.random() < 0.3:
+            low = pools[rng.randrange(lvl - 1)]
+            prems.append(premise(rng.choice(atoms), [rng.choice(low)]))
+    return AtomicRule(premises=tuple(prems), conclusion=head)
+
+
+def _frontier_supplies(seed, count=30, n_atoms=10, n_rules=64, top=4):
+    """count seeded bases of n_atoms atoms and n_rules rules, one of level
+    top, each under two assumed-axiom sets.  A base has one to four
+    axioms and up to three dead atoms, none of them assumed."""
+    rng = random.Random(seed)
+    atoms = [f"f{i}" for i in range(n_atoms)]
+    for _ in range(count):
+        dead = atoms[n_atoms - rng.randint(0, 3):]
+        live = [a for a in atoms if a not in dead]
+        pools = []
+        for lvl in range(top - 1):
+            pools.append([_rule_at_level(rng, atoms, lvl, pools) for _ in range(2)])
+        rules = {axiom(a) for a in rng.sample(live, rng.randint(1, 4))}
+        rules.add(_rule_at_level(rng, atoms, top, pools, dead))
+        while len(rules) < n_rules:
+            rules.add(_rule_at_level(rng, atoms, rng.randint(1, top), pools, dead))
+        b = Base(rules=frozenset(rules))
+        free = [a for a in live if axiom(a) not in b.rules]
+        for k in (1, 2):
+            yield atoms, b, frozenset(axiom(a) for a in rng.sample(free, k))
+
+
+def test_frontier_size_supplies_match_naive_fixpoint():
+    # the hypothesis tests draw at most four rules; here derived facts are
+    # passed on between contexts, and goals already met are skipped, at
+    # the largest benchmark tier's size.  A small budget may raise, but
+    # whatever answer comes back is the fixpoint's.
+    underivable = discharged = 0
+    for atoms, b, assumed in _frontier_supplies(20261019):
+        supply = b.rules | assumed
+        want = naive_derivable(supply)
+        assert derivable_atoms(b, assumed) == want
+        underivable += len(set(atoms) - want)
+        for a in atoms:
+            res = derive(b, assumed, a)
+            assert res.derivable == (a in want)
+            if res.derivable:
+                assert check_derivation(res.tree, supply)
+                discharged += any(p.discharged for p in res.tree.rule.premises)
+            for budget in (5, 50, 500):
+                try:
+                    small = derive(b, assumed, a, max_steps=budget)
+                except ResourceLimitExceeded:
+                    continue
+                assert small.derivable == (a in want)
+    assert underivable and discharged
+
+
 def discharge_fan(k: int) -> str:
     """a0 plus k rules ([x_i => y] => z): 2^k reachable contexts."""
     return "a0.\n" + "\n".join(f"([x{i} => y] => z)" for i in range(k))
@@ -413,9 +484,13 @@ def tree_lines(node, depth=0):
 
 
 def test_tied_supply_trees_are_pinned():
-    # a base's own trees follow its rule numbering; the first rule in key
-    # order breaks each tie.  Asking the saturations for atoms alone first,
-    # the base's and the ones with an assumed set, changes no tree.
+    # a base's own trees follow its rule numbering: the first way a fact is
+    # recorded wins.  r's goal stops at (p => r), whose premise is already
+    # recorded, and s's at (r => s).  t's premise s under the discharge of
+    # a is passed on from the supply's context, which records s before the
+    # context {a} is opened, so t reuses the supply's own s rather than
+    # (a => s).  Asking the saturations for atoms alone first, the base's and the ones
+    # with an assumed set, changes no tree.
     b = base(TIED_SUPPLY)
     assumed = frozenset(map(rule, TIED_ASSUMED))
     for atoms_first in (False, True):
@@ -434,8 +509,9 @@ def test_tied_supply_trees_are_pinned():
             "  r by (p => r)",
             "    p by p",
             "t by ([a => s] => t)",
-            "  s by (a => s)",
-            "    a by a",
+            "  s by (r => s)",
+            "    r by (p => r)",
+            "      p by p",
             "v by ([(p => u) => u] => v)",
             "  u by (p => u)",
             "    p by p",
@@ -445,9 +521,10 @@ def test_tied_supply_trees_are_pinned():
 def test_tie_under_an_assumed_axiom_the_base_numbers_is_pinned():
     # u is an atom the base mentions without an axiom, so its assumed axiom
     # is a bit of the base's numbering.  Under the discharge of (p => u)
-    # both that rule and the axiom conclude u, and the axiom wins.  These
-    # are the trees the supply gave when an assumed axiom was numbered in a
-    # copy of the base's numbering instead; atoms first changes none.
+    # both that rule and the axiom conclude u, and the axiom wins: the
+    # supply's context records u by its axiom before that context is
+    # opened, and v's premise reuses it.  t reuses the supply's s, as in
+    # the test above; atoms first changes no tree.
     b = base(TIED_SUPPLY)
     assumed = {axiom("u")}
     for atoms_first in (False, True):
@@ -466,12 +543,26 @@ def test_tie_under_an_assumed_axiom_the_base_numbers_is_pinned():
             "  r by (p => r)",
             "    p by p",
             "t by ([a => s] => t)",
-            "  s by (a => s)",
-            "    a by a",
+            "  s by (r => s)",
+            "    r by (p => r)",
+            "      p by p",
             "u by u",
             "v by ([(p => u) => u] => v)",
             "  u by u",
         ]
+
+
+def test_a_fact_passed_on_shares_the_smaller_contexts_tree():
+    # t's premise asks for s under the discharge of a; the supply's context
+    # has recorded s already, so the context {a} starts with it and t's
+    # tree holds the supply's own tree of s, the same object
+    b = base(TIED_SUPPLY)
+    assert derive(b, goal="t").tree.children[0] is derive(b, goal="s").tree
+    # goals are taken in atom-number order: pe_g's goal opens the context
+    # {pe_a} before pe_q's axiom is met, so the supply's context records
+    # pe_x only later and passes it along the ask edge to {pe_a}
+    b = base("pe_q.\n(pe_q => pe_x)\n([pe_a => pe_x] => pe_g)")
+    assert derive(b, goal="pe_g").tree.children[0] is derive(b, goal="pe_x").tree
 
 
 def test_repeated_derive_returns_the_same_tree():
@@ -518,8 +609,10 @@ def test_atoms_alone_build_no_tree(monkeypatch):
     # now, builds trees that replay
     for a in ("nb_a", "nb_b", "nb_d"):
         assert check_derivation(derive(b, assumed, a).tree, b.rules | assumed)
-    # in recorded order: the axioms as their goals are met, then nb_b
-    assert built == ["nb_a", "nb_b", "nb_a", "nb_d", "nb_b"]
+    # in recorded order: the facts each goal completes are passed on before
+    # the next goal is taken, so nb_b, completed by nb_a's axiom, comes
+    # before the axiom of nb_d, whose goal is taken later
+    assert built == ["nb_a", "nb_b", "nb_a", "nb_b", "nb_d"]
 
 
 def nested_rules(rs):
