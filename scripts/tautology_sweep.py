@@ -38,14 +38,9 @@ def main() -> None:
     )
     parser.add_argument("--max-atoms", type=int, default=3)
     parser.add_argument("--max-rules", type=int, default=4)
-    parser.add_argument("--max-level", type=int, default=2)
     args = parser.parse_args()
 
-    bounds = SearchBounds(
-        max_atoms=args.max_atoms,
-        max_rules=args.max_rules,
-        max_level=args.max_level,
-    )
+    bounds = SearchBounds(max_atoms=args.max_atoms, max_rules=args.max_rules)
     width = max(len(t) for t in args.formulas)
     for text in args.formulas:
         seq = parse_sequent(f"|- {text}")

@@ -698,7 +698,9 @@ def derivation_to_structure(
 ) -> ArgumentStructure:
     """Encode a derivation tree: applications of base rules are plain steps,
     applications of assumed rules are discharged at the node that made them
-    available (edge sets for proper rules, axiom leaves for axioms)."""
+    available (edge sets for proper rules, axiom leaves for axioms).  A
+    derivation deeper than MAX_NESTING levels fails before the recursion
+    goes any deeper, as a structure read from JSON does."""
     return _encode(tree, base.rules if isinstance(base, Base) else base, 0, {})
 
 
@@ -708,6 +710,8 @@ def _encode(
     depth: int,
     env: dict[AtomicRule, int],
 ) -> Node:
+    if depth > MAX_NESTING:
+        raise StructureError(f"derivation nested deeper than {MAX_NESTING} levels")
     formula: Formula = BOT if node.conclusion == "bot" else Atom(node.conclusion)
     bound = 0
     if node.rule not in base_rules:
@@ -878,17 +882,10 @@ def pretty(struct: ArgumentStructure) -> str:
         index.setdefault(_source(item), []).append(f"[{k}]")
         index.setdefault(target, []).append(f"({k})")
 
-    lines: list[str] = []
-    _pretty_lines(struct, (), index, lines)
-    return "\n".join(lines)
-
-
-def _pretty_lines(
-    node: Node, path: Path, index: Mapping[Path, list[str]], lines: list[str]
-) -> None:
-    """Append the lines of the subtree at path, indented by its depth."""
-    marks = "".join(index.get(path, []))
-    star = "*" if node.axiomatic else ""
-    lines.append("  " * len(path) + format_formula(node.formula) + star + marks)
-    for i, child in enumerate(node.children):
-        _pretty_lines(child, path + (i,), index, lines)
+    return "\n".join(
+        "  " * len(path)
+        + format_formula(node.formula)
+        + ("*" if node.axiomatic else "")
+        + "".join(index.get(path, []))
+        for path, node in _walk(struct, ())
+    )

@@ -34,7 +34,9 @@ validity checker's searches, for a derivation in the base and for a
 canonical reduct, both go through it.
 
 One more walk, normalize, follows a single path instead: it takes the
-leftmost-outermost rewrite until no redex is left.  The detour conversions
+first rewrite the same generator yields, the leftmost-outermost one, until
+no redex is left, under one memo for the whole path and the breadth-first
+walk's height budget.  The detour conversions
 normalize (Prawitz 1965); with the two derived steps the standard set is
 taken to terminate and be locally confluent too, which the tests check
 against the breadth-first walk on every closure they generate.  Then each
@@ -299,26 +301,6 @@ def _rewrites(
     memo[node] = found
 
 
-def _first_rewrite(
-    node: Node, reductions: Sequence[Reduction]
-) -> tuple[Path, str, Node] | None:
-    """The first rewrite _rewrites yields, found with no memo or list:
-    the node's own rewrites, reductions in the given order, then each
-    child's in turn, stopping at the first that applies."""
-    for red in reductions:
-        new = red.rewrite(node)
-        if new is not None:
-            return (), red.name, _graft(node, (), new)
-    kids = node.children
-    for i, child in enumerate(kids):
-        found = _first_rewrite(child, reductions)
-        if found is not None:
-            pos, name, new = found
-            rebuilt = _with_children(node, kids[:i] + (new,) + kids[i + 1 :])
-            return (i, *pos), name, rebuilt
-    return None
-
-
 @dataclass(frozen=True)
 class SearchOutcome:
     status: str  # "yes" | "no" | "inconclusive"
@@ -345,8 +327,9 @@ def search_reduct(
     exactly the standard set, a goal only a normal structure meets (a base,
     whose derivations have no connective, or a structure without a redex)
     is met by some reduct just when the normal form meets it; when the path
-    there holds at most budget structures, the answer is read off its end,
-    and visited counts the path.  Otherwise the closure is walked breadth
+    there holds at most budget structures, none taller than the height
+    budget, the answer is read off its end, and visited counts the path.
+    Otherwise the closure is walked breadth
     first, each structure tested as it is found, so a caller's predicate can
     stop the walk at the first structure it wants without the rest, which
     may be unbounded, being built; visited counts the structures found, the
@@ -375,7 +358,7 @@ def search_reduct(
     if (
         not callable(goal)
         and set(reductions) == set(_STANDARD)
-        and (isinstance(goal, Base) or _first_rewrite(goal, reductions) is None)
+        and (isinstance(goal, Base) or not any(_rewrites(goal, reductions, {})))
     ):
         end, path, why = normalize(start, reductions, budget - 1)
         if not why:
@@ -425,15 +408,20 @@ def normalize(
     """Rewrite leftmost-outermost, one redex at a time, until no redex is
     left or max_steps steps are taken: the structure it stopped at, the
     (position, rule name) steps that led there, and why it stopped short of
-    a normal form, empty when no redex was left.  A rewrite that returns its
-    input would be taken forever, so normalize stops there too, at a fixed
-    point with no normal form on this path."""
-    cur, path = start, []
-    while (found := _first_rewrite(cur, reductions)) is not None:
+    a normal form, empty when no redex was left.  Each step is the first
+    rewrite _rewrites yields, under one memo for the whole path.  Like the
+    breadth-first walk, normalize takes no reduct taller than MAX_NESTING
+    levels.  A rewrite that returns its input would be taken forever, so
+    normalize stops there too, at a fixed point with no normal form on this
+    path."""
+    cur, path, memo = start, [], {}
+    while (found := next(_rewrites(cur, reductions, memo), None)) is not None:
         if len(path) >= max_steps:
             why = f"step budget of {max_steps} exhausted before a normal form"
             return cur, tuple(path), why
         pos, name, new = found
+        if new.height > MAX_NESTING:
+            return cur, tuple(path), f"{_HEIGHT_BUDGET} exhausted before a normal form"
         # the cached hashes first, so a rewrite that changes the structure
         # costs no comparison of trees
         if hash(new) == hash(cur) and new == cur:

@@ -264,7 +264,13 @@ def _check_open(
 ) -> ValidityVerdict:
     struct = arg.structure
     if suite is None and provider is not None:
-        suite = provider(struct)
+        try:
+            suite = provider(struct)
+        except StructureError as exc:
+            # a witness no structure can hold: a derivation too deep
+            return ValidityVerdict(
+                Status.INCONCLUSIVE, f"no closing instance could be built: {exc}"
+            )
     if suite is None:
         return ValidityVerdict(
             Status.INCONCLUSIVE,

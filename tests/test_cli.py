@@ -853,6 +853,74 @@ def test_reduce_stops_at_a_fixed_point(tmp_path, capsys):
     assert payload["note"].startswith("fixed point after step 1")
 
 
+def test_reduce_stops_at_the_height_budget(tmp_path, capsys):
+    # the axiom leaf q* under a constant reduction of the zero-premise
+    # inference q to q / q*: each step rewrites the new leaf at the bottom,
+    # so the one path grows a level per step and never reaches a fixed point
+    grow = {
+        "kind": "constant",
+        "premises": [],
+        "conclusion": "q",
+        "target": structure_to_obj(GROWING),
+    }
+    path = argument_file(tmp_path, axiom_leaf(q), justifications=[grow])
+    start = time.perf_counter()
+    code = main(["reduce", "--argument", path, "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EX_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["note"] == (
+        f"height budget of {MAX_NESTING} levels exhausted before a normal form"
+    )
+    assert payload["stuck"] is False and len(payload["steps"]) == MAX_NESTING
+    assert payload["normal_form"] == node_chain(MAX_NESTING)
+    code = main(["reduce", "--argument", path])
+    assert code == EX_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert (
+        f"note: height budget of {MAX_NESTING} levels exhausted before a normal "
+        "form\nresult:\n" in out
+    )
+
+
+def chain_base(tmp_path, rules):
+    """p0. and (p{i-1} => p{i}) up to rules rules in all, as a base file:
+    the derivation of its last atom is rules levels deep."""
+    text = "p0.\n" + "".join(f"(p{i - 1} => p{i})\n" for i in range(1, rules))
+    path = tmp_path / f"chain{rules}.txt"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("rules", [250, 1200])
+def test_a_derivation_above_the_limit_is_inconclusive(tmp_path, capsys, rules):
+    # the witness of the chain's last atom would be an argument structure
+    # deeper than MAX_NESTING, for eval's alpha relation and for the closing
+    # instance check_valid gives an open argument alike
+    base = chain_base(tmp_path, rules)
+    top = Atom(f"p{rules - 1}")
+    argv = ["eval", "--base", base, "--semantics", "alpha"]
+    code = main([*argv, f"--sequent=|- {top.name}"])
+    captured = capsys.readouterr()
+    assert code == EX_INCONCLUSIVE
+    assert len(captured.err.splitlines()) <= 1
+    assert "status:    inconclusive\n" in captured.out
+    assert f"derivation nested deeper than {MAX_NESTING} levels" in captured.out
+    path = argument_file(tmp_path, assumption(top))
+    code = main(["check_valid", "--base", base, "--argument", path])
+    captured = capsys.readouterr()
+    assert code == EX_INCONCLUSIVE and captured.err == ""
+    assert (
+        "reason:     no closing instance could be built: derivation nested "
+        f"deeper than {MAX_NESTING} levels\n"
+    ) in captured.out
+    # a derivation at the limit still has its witness
+    assert main([*argv, f"--sequent=|- p{MAX_NESTING}"]) == EX_OK
+    assert "status:    valid\n" in capsys.readouterr().out
+
+
 def test_reduce_names_a_spent_step_budget(tmp_path, capsys):
     d, rules = detour_chain(3)
     path = argument_file(tmp_path, d)

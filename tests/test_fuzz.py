@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prooflab.arguments import axiom_leaf, structure_to_obj
+from prooflab.arguments import Node, axiom_leaf, structure_to_obj
 from prooflab.cli import main
 from prooflab.syntax import Atom
 from test_reductions import CHAIN_INNER, derivation_detours, detours
@@ -108,6 +108,10 @@ def justifications():
             st.sampled_from(["conj-detour", "imp-detour", "mystery"]),
             st.just({"kind": "constant", "premises": ["q"], "conclusion": "p",
                      "target": structure_to_obj(CHAIN_INNER)}),
+            # every axiom leaf p is an instance, and so is the leaf of the
+            # target it rewrites to: reduce's path grows a level per step
+            st.just({"kind": "constant", "premises": [], "conclusion": "p",
+                     "target": structure_to_obj(Node(p, (axiom_leaf(p),)))}),
             structures_obj().map(lambda t: {
                 "kind": "pointer", "source": t,
                 "target": structure_to_obj(axiom_leaf(p))}),

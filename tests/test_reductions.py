@@ -51,7 +51,6 @@ from prooflab.reductions import (
     PROJECT_DETOUR,
     WEAKEN_DETOUR,
     Reduction,
-    _first_rewrite,
     _rewrites,
     constant_reduction,
     normalize,
@@ -86,7 +85,7 @@ class Step(NamedTuple):
 
 def first_step(d, reductions):
     """The rewrite normalize takes first: outermost-first and leftmost."""
-    found = _first_rewrite(d, reductions)
+    found = next(_rewrites(d, reductions, {}), None)
     return Step(*found) if found else None
 
 
@@ -687,8 +686,6 @@ def reference_rewrites(d, reductions):
 def assert_rewrites_match_reference(d, reductions, budget=30):
     want = reference_rewrites(d, reductions)
     assert all_steps(d, reductions) == [Step(*w) for w in want]
-    first = first_step(d, reductions)
-    assert first == (Step(*want[0]) if want else None)
     # one memo shared by every structure of a walk, as search_reduct's walk
     # shares it
     memo = {}
@@ -925,33 +922,41 @@ def test_height_budget_cuts_a_growing_closure():
 
 
 # ---------------------------------------------------------------------------
-# the first rewrite, found without listing the rest
+# the rewrite normalize takes, against the reference
 
 
-def assert_first_rewrite_is_the_listed_first(d, reductions):
-    found = list(_rewrites(d, reductions, {}))
-    assert _first_rewrite(d, reductions) == (found[0] if found else None)
+def assert_normalize_takes_the_listed_first(d, reductions, max_steps=40):
+    """Each step of normalize's path, taken under the one memo it keeps
+    along the path, is the first rewrite reference_rewrites lists for the
+    structure it stands at, and a path normalize reports complete ends at
+    a structure the reference finds no rewrite of."""
+    end, path, why = normalize(d, reductions, max_steps)
+    cur = d
+    for pos, name in path:
+        want = reference_rewrites(cur, reductions)
+        assert want and want[0][:2] == (pos, name)
+        cur = want[0][2]
+    assert cur == end
+    if not why:
+        assert reference_rewrites(end, reductions) == []
+    return end, path, why
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(structures(), detours()), st.permutations(STD))
 def test_first_rewrite_is_the_listed_first(d, reductions):
-    assert_first_rewrite_is_the_listed_first(d, reductions)
+    assert_normalize_takes_the_listed_first(d, reductions)
     for step in all_steps(d, reductions):
-        assert_first_rewrite_is_the_listed_first(step.result, reductions)
+        assert_normalize_takes_the_listed_first(step.result, reductions)
 
 
 @pytest.mark.parametrize("depth", range(1, 9))
 def test_first_rewrite_on_detour_chains(depth):
     # every structure on the way to normal form, as reduce takes it
     d, rules = detour_chain(depth)
-    taken = []
-    while (step := first_step(d, STD)) is not None:
-        assert_first_rewrite_is_the_listed_first(d, STD)
-        taken.append(step.rule)
-        d = step.result
-    assert d == CHAIN_INNER and taken == rules
-    assert _first_rewrite(d, STD) is None and not list(_rewrites(d, STD, {}))
+    end, path, why = assert_normalize_takes_the_listed_first(d, STD)
+    assert not why and end == CHAIN_INNER
+    assert path == tuple(((), name) for name in rules)
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +983,7 @@ def complete_closure(d):
 
 
 def assert_normal_form_route_agrees(d, closure):
-    normal = [e for e in closure if _first_rewrite(e, STD) is None]
+    normal = [e for e in closure if first_step(e, STD) is None]
     assert len(normal) == 1
     (nf,) = normal
     end, path, why = normalize(d, STD, len(closure))
@@ -1030,6 +1035,40 @@ def test_normalize_stops_at_the_step_bound():
     done = not why
     assert done and end == CHAIN_INNER and len(path) == 3
     assert normalize(CHAIN_INNER, STD, 0) == (CHAIN_INNER, (), "")
+
+
+def test_normalize_stops_at_the_height_budget():
+    # the zero-premise inference q rewritten to q / q*: the one path grows a
+    # level per step, at its bottom leaf, and never meets a fixed point
+    grow = constant_reduction([], q, Node(q, (axiom_leaf(q),)), name="grow")
+    end, path, why = normalize(axiom_leaf(q), [grow], DEFAULT_BUDGET)
+    assert why == (
+        f"height budget of {MAX_NESTING} levels exhausted before a normal form"
+    )
+    assert end.height == MAX_NESTING and len(path) == MAX_NESTING
+    assert path[-1] == ((0,) * (MAX_NESTING - 1), "grow")
+
+
+def test_normal_form_route_falls_back_past_the_height_budget():
+    # modus ponens on p -> p, introduced over 98 steps concluding p above
+    # the assumption p it discharges, with a minor premise of 97 such steps
+    # over p*: the start is 100 levels tall, its one reduct 195
+    def steps(n, node):
+        for _ in range(n):
+            node = Node(p, (node,))
+        return node
+
+    d = impl_elim(impl_intro(steps(98, assumption(p)), p), steps(97, axiom_leaf(p)))
+    assert d.height == MAX_NESTING and first_step(d, STD).result.height == 195
+    end, path, why = normalize(d, STD, DEFAULT_BUDGET)
+    assert (end, path) == (d, ())
+    assert why == (
+        f"height budget of {MAX_NESTING} levels exhausted before a normal form"
+    )
+    out = search_reduct(d, CHAIN_BASE, STD)
+    assert not out.by_normal_form
+    assert (out.status, out.visited) == ("inconclusive", 1)
+    assert out.note == f"height budget of {MAX_NESTING} levels exhausted"
 
 
 def test_normal_form_route_declines():
