@@ -115,12 +115,13 @@ def _atomic_formula(f: Formula) -> bool:
     return isinstance(f, (Atom, Absurdity))
 
 
-def _atom_name(f: Formula) -> str:
+def _atom_name(f: Formula) -> str | None:
+    """The atom an atomic label names, None for a compound formula."""
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Absurdity):
         return "bot"
-    raise StructureError(f"not an atomic label: {format_formula(f)}")
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -741,75 +742,68 @@ def _encode(
 def is_atomic_derivation(struct: ArgumentStructure, base: Base) -> bool:
     """Replay a structure as a derivation over the base: every label atomic,
     every leaf an available axiom, every step an available rule, where
-    availability flows from the base and from discharged rule premises."""
-    return _replays(struct, base.rules, ())
+    availability flows from the base and from discharged rule premises.
+    Memoized, and matching a step's children to its rule's premises, the
+    replay runs in polynomial time."""
+    return _replays(struct, base.rules, (), {})
 
 
 def _replays(
     node: Node,
     base_rules: frozenset[AtomicRule],
     avail: tuple[frozenset[AtomicRule], ...],
+    memo: dict,
 ) -> bool:
     """The replay of the subtree at node, len(avail) levels down; avail[d]
     is the discharged set of the premise the way down takes at its node d
     levels down, so a node bound k levels up is assumed from
-    avail[len(avail) - k]."""
-    if not _atomic_formula(node.formula):
-        return False
+    avail[len(avail) - k].  memo keeps an inner node's answer under the
+    node and the entries of avail its free bits name: all the subtree reads."""
     name = _atom_name(node.formula)
+    if name is None:
+        return False
     depth = len(avail)
     assumed = 0 < node.bound <= depth
+    rules = avail[depth - node.bound] if assumed else base_rules
     if not node.children:
-        if not node.axiomatic:
-            return False
-        if assumed:
-            return axiom(name) in avail[depth - node.bound]
-        return axiom(name) in base_rules
-    if assumed:
-        rule = node.rule
+        return node.axiomatic and axiom(name) in rules
+    read = (avail[depth - 1 - i] for i in range(depth) if node.free >> i & 1)
+    key = (node, tuple(read))
+    if key in memo:
+        return memo[key]
+    memo[key] = False
+    for rule in (node.rule,) if assumed else base_rules:
         if (
-            rule not in avail[depth - node.bound]
+            rule not in rules
             or rule.conclusion != name
             or len(rule.premises) != len(node.children)
         ):
-            return False
-        candidates = [rule]
-    else:
-        candidates = [
-            r
-            for r in base_rules
-            if r.conclusion == name and len(r.premises) == len(node.children)
-        ]
-    return any(
-        _assign(node, base_rules, avail, rule, 0, frozenset()) for rule in candidates
-    )
-
-
-def _assign(
-    node: Node,
-    base_rules: frozenset[AtomicRule],
-    avail: tuple[frozenset[AtomicRule], ...],
-    rule: AtomicRule,
-    i: int,
-    used: frozenset[int],
-) -> bool:
-    """Whether the rule's premises not in used can be assigned to node's
-    children from the i-th on, by conclusion name, each child replaying;
-    backtracks over ties, because different premises may open different
-    rule sets."""
-    if i == len(node.children):
-        return True
-    child = node.children[i]
-    if not _atomic_formula(child.formula):
-        return False
-    cname = _atom_name(child.formula)
-    for j, prem in enumerate(rule.premises):
-        if j in used or prem.conclusion != cname:
             continue
-        if _replays(child, base_rules, avail + (prem.discharged,)) and _assign(
-            node, base_rules, avail, rule, i + 1, used | {j}
-        ):
-            return True
+        fits = [
+            [
+                j
+                for j, prem in enumerate(rule.premises)
+                if prem.conclusion == _atom_name(child.formula)
+                and _replays(child, base_rules, avail + (prem.discharged,), memo)
+            ]
+            for child in node.children
+        ]
+        owner: list[int | None] = [None] * len(fits)
+        if all(_augment(i, fits, owner, set()) for i in range(len(fits))):
+            memo[key] = True
+            break
+    return memo[key]
+
+
+def _augment(i: int, fits: list[list[int]], owner: list, seen: set[int]) -> bool:
+    """Kuhn's augmenting path: whether child i gets a premise j it fits, one
+    not in seen taken over from its holder owner[j] if that one gets another."""
+    for j in fits[i]:
+        if j not in seen:
+            seen.add(j)
+            if owner[j] is None or _augment(owner[j], fits, owner, seen):
+                owner[j] = i
+                return True
     return False
 
 

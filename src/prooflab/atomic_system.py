@@ -651,25 +651,30 @@ class DerivationCheckError(ValueError):
 def check_derivation(node: DerivationNode, available: frozenset[AtomicRule]) -> bool:
     """Replay a derivation tree against a rule supply; raises on any defect.
 
-    Deliberately independent of the search: a plain structural recursion
-    that re-checks rule membership and premise alignment at every node.
+    Deliberately independent of the search: it re-checks rule membership
+    and premise alignment at every node, depth first in premise order, on
+    a stack of its own, so a tree of any depth replays.
     """
-    if node.rule not in available:
-        raise DerivationCheckError(f"rule not available: {format_rule(node.rule)}")
-    if node.rule.conclusion != node.conclusion:
-        raise DerivationCheckError(
-            f"conclusion mismatch: node {node.conclusion}, rule {node.rule.conclusion}"
-        )
-    if len(node.children) != len(node.rule.premises):
-        raise DerivationCheckError(
-            f"premise count mismatch for {format_rule(node.rule)}"
-        )
-    for p, child in zip(node.rule.premises, node.children):
-        if child.conclusion != p.conclusion:
+    stack = [(node, available, node.conclusion)]
+    while stack:
+        node, available, want = stack.pop()
+        if node.conclusion != want:
+            raise DerivationCheckError(f"premise {want} proved as {node.conclusion}")
+        if node.rule not in available:
+            raise DerivationCheckError(f"rule not available: {format_rule(node.rule)}")
+        if node.rule.conclusion != node.conclusion:
             raise DerivationCheckError(
-                f"premise {p.conclusion} proved as {child.conclusion}"
+                f"conclusion mismatch: node {node.conclusion}, "
+                f"rule {node.rule.conclusion}"
             )
-        check_derivation(child, available | p.discharged)
+        if len(node.children) != len(node.rule.premises):
+            raise DerivationCheckError(
+                f"premise count mismatch for {format_rule(node.rule)}"
+            )
+        for p, child in reversed(tuple(zip(node.rule.premises, node.children))):
+            # shared when nothing is discharged: a copy per level is quadratic
+            supply = available | p.discharged if p.discharged else available
+            stack.append((child, supply, p.conclusion))
     return True
 
 

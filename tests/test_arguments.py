@@ -1,14 +1,16 @@
 """Tests for argument structures, discharge validation, and the
 derivation encoding."""
 
+import contextlib
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prooflab.arguments import (
@@ -48,13 +50,21 @@ from prooflab.arguments import (
     sub_structures,
     validate,
     weaken,
+    _atom_name,
+    _atomic_formula,
+    _with_children,
+    _with_subtree,
 )
 from prooflab.atomic_system import (
+    AtomicRule,
     Base,
     atoms_of_rule,
+    axiom,
+    derivable_atoms,
     derive,
     parse_base_text,
     parse_rule,
+    premise,
 )
 from prooflab.syntax import Atom, BOT, Conj, Disj, Impl, parse_formula
 
@@ -538,6 +548,238 @@ def test_atomic_replay_matches_engine_on_sample_bases():
             for a in atoms_of_base(base)
             if derive(base, frozenset(), a).derivable
         }
+
+
+# the backtracking replay is_atomic_derivation had before it was memoized
+# and matched children to premises, kept as the reference it must agree with
+
+
+def _replays(
+    node: Node,
+    base_rules: frozenset[AtomicRule],
+    avail: tuple[frozenset[AtomicRule], ...],
+) -> bool:
+    """The replay of the subtree at node, len(avail) levels down; avail[d]
+    is the discharged set of the premise the way down takes at its node d
+    levels down, so a node bound k levels up is assumed from
+    avail[len(avail) - k]."""
+    if not _atomic_formula(node.formula):
+        return False
+    name = _atom_name(node.formula)
+    depth = len(avail)
+    assumed = 0 < node.bound <= depth
+    if not node.children:
+        if not node.axiomatic:
+            return False
+        if assumed:
+            return axiom(name) in avail[depth - node.bound]
+        return axiom(name) in base_rules
+    if assumed:
+        rule = node.rule
+        if (
+            rule not in avail[depth - node.bound]
+            or rule.conclusion != name
+            or len(rule.premises) != len(node.children)
+        ):
+            return False
+        candidates = [rule]
+    else:
+        candidates = [
+            r
+            for r in base_rules
+            if r.conclusion == name and len(r.premises) == len(node.children)
+        ]
+    return any(
+        _assign(node, base_rules, avail, rule, 0, frozenset()) for rule in candidates
+    )
+
+
+def _assign(
+    node: Node,
+    base_rules: frozenset[AtomicRule],
+    avail: tuple[frozenset[AtomicRule], ...],
+    rule: AtomicRule,
+    i: int,
+    used: frozenset[int],
+) -> bool:
+    """Whether the rule's premises not in used can be assigned to node's
+    children from the i-th on, by conclusion name, each child replaying;
+    backtracks over ties, because different premises may open different
+    rule sets."""
+    if i == len(node.children):
+        return True
+    child = node.children[i]
+    if not _atomic_formula(child.formula):
+        return False
+    cname = _atom_name(child.formula)
+    for j, prem in enumerate(rule.premises):
+        if j in used or prem.conclusion != cname:
+            continue
+        if _replays(child, base_rules, avail + (prem.discharged,)) and _assign(
+            node, base_rules, avail, rule, i + 1, used | {j}
+        ):
+            return True
+    return False
+
+
+REPLAY_ATOMS = ["p", "q", "r", "s"]
+
+
+@st.composite
+def replay_rules(draw):
+    """A few small rules: an axiom, a plain step, a step whose premises
+    discharge an axiom or a one-premise rule, or a tie, whose premises all
+    conclude one atom and each discharge a different axiom, with a step
+    from each discharged axiom to that atom."""
+    atoms = st.sampled_from(REPLAY_ATOMS)
+    kind = draw(st.sampled_from(["tie", "discharging", "plain", "axiom"]))
+    if kind == "axiom":
+        return [axiom(draw(atoms))]
+    if kind == "tie":
+        shared = draw(atoms)
+        names = draw(st.lists(atoms, min_size=2, max_size=3, unique=True))
+        tie = AtomicRule(
+            premises=tuple(premise(shared, [axiom(a)]) for a in names),
+            conclusion=draw(atoms),
+        )
+        return [tie, *(parse_rule(f"({a} => {shared})") for a in names)]
+    pool = [axiom(a) for a in REPLAY_ATOMS] + [
+        parse_rule(f"({a} => {b})") for a in "pr" for b in "qs"
+    ]
+    discharged = st.lists(st.sampled_from(pool), max_size=0 if kind == "plain" else 2)
+    prems = st.lists(st.builds(premise, atoms, discharged), min_size=1, max_size=3)
+    return [AtomicRule(premises=tuple(draw(prems)), conclusion=draw(atoms))]
+
+
+@st.composite
+def replay_cases(draw):
+    """A base and a structure: one of its derivations, then up to three edits,
+    each permuting a node's children, copying a sibling over a child,
+    relabelling a leaf, shifting a bound, or cutting out a sub-structure
+    whose discharges may reach above its root."""
+    rules = draw(st.lists(replay_rules(), min_size=2, max_size=5))
+    base = Base(rules=frozenset(r for more in rules for r in more))
+    derivations = [
+        derivation_to_structure(derive(base, goal=a).tree, base)
+        for a in sorted(derivable_atoms(base))
+    ]
+    assume(derivations)
+    # the tallest first, where examples shrink to
+    struct = draw(st.sampled_from(sorted(derivations, key=lambda d: -d.height)))
+    for _ in range(draw(st.integers(0, 3))):
+        path, node = draw(st.sampled_from(list(iter_nodes(struct))))
+        edit = draw(st.sampled_from(["permute", "copy", "relabel", "shift", "cut"]))
+        kids = list(node.children)
+        if edit == "permute" and kids:
+            kids = [kids[k] for k in draw(st.permutations(range(len(kids))))]
+        elif edit == "copy" and len(kids) > 1:
+            i, j = draw(st.permutations(range(len(kids))))[:2]
+            kids[i] = kids[j]
+        elif edit == "relabel":
+            label = draw(st.sampled_from([*map(Atom, REPLAY_ATOMS), Impl(p, q)]))
+            node = Node(label, node.children, node.axiomatic, node.bound, node.rule)
+        elif edit == "shift":
+            bound = max(0, node.bound + draw(st.sampled_from([-1, 1, 2])))
+            node = Node(node.formula, node.children, node.axiomatic, bound, node.rule)
+        elif edit == "cut":
+            struct = node
+            continue
+        struct = _with_subtree(struct, path, _with_children(node, tuple(kids)))
+    return base, struct
+
+
+@settings(max_examples=300, deadline=None)
+@given(replay_cases())
+def test_replay_agrees_with_backtracking_reference(case):
+    base, struct = case
+    assert is_atomic_derivation(struct, base) == _replays(struct, base.rules, ())
+
+
+class _Expired(BaseException):
+    # not an Exception, so that no handler in the code under test takes it
+    pass
+
+
+def _expire(signum, frame):
+    raise _Expired
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test once its body has run for seconds, so that a call that
+    would run for minutes fails instead of hanging the suite."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _Expired:
+        # the traceback from deep in the interrupted call is of no use
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def tie_case(k, last="r"):
+    """The rule ([a0 => q], ..., [a(k-1) => q] => t) with q., and t over
+    k - 1 axiom leaves q and one axiom leaf last: with last = r a replay
+    that backtracks tries every assignment of the q's to the premises."""
+    rules = ["(" + ", ".join(f"[a{i} => q]" for i in range(k)) + " => t)", "q."]
+    leaves = [leaf(q, axiomatic=True)] * (k - 1) + [leaf(Atom(last), axiomatic=True)]
+    return rules, Node(Atom("t"), tuple(leaves))
+
+
+def chain_case(depth, bottom=None):
+    """The rules ([a => q] => q) and ([b => q] => q), and a chain of depth
+    q-nodes over bottom, by default the axiom leaf r: a replay without a
+    memo tries both rules at every level, 2 ** depth ways."""
+    rules = ["([a => q] => q)", "([b => q] => q)"]
+    node = bottom or leaf(r, axiomatic=True)
+    for _ in range(depth):
+        node = Node(q, (node,))
+    return rules, node
+
+
+def _base(rules):
+    return Base(rules=frozenset(map(parse_rule, rules)))
+
+
+@pytest.mark.parametrize("k", [10, 30])
+def test_replay_of_a_premise_tie_is_polynomial(k):
+    rules, bad = tie_case(k)
+    _, good = tie_case(k, last="q")
+    with time_limit(5):
+        assert not is_atomic_derivation(bad, _base(rules))
+        assert is_atomic_derivation(good, _base(rules))
+
+
+@pytest.mark.parametrize("depth", [25, 90])
+def test_replay_of_a_two_rule_chain_is_polynomial(depth):
+    rules, bad = chain_case(depth)
+    with time_limit(5):
+        assert not is_atomic_derivation(bad, _base(rules))
+    # a q-leaf assumed where ([q => q] => q) discharges it, one level up,
+    # makes the same chain a derivation: a premise [a => q] asks for q, so
+    # no leaf a could stand there
+    good_rules = ["([q => q] => q)", "([b => q] => q)"]
+    _, good = chain_case(depth - 1, Node(q, (Node(q, axiomatic=True, bound=1),)))
+    with time_limit(5):
+        assert is_atomic_derivation(good, _base(good_rules))
+        assert not is_atomic_derivation(good, _base(rules))
+
+
+def test_replay_matches_children_along_an_augmenting_path():
+    # the q-leaf fits both premises, the q derived from the axiom a
+    # discharged at the root only [a => q]: taking children in order, the
+    # q-leaf must give [a => q] up to the derived q
+    base = _base(["([a => q], [b => q] => t)", "q.", "(a => q)"])
+    plain = leaf(q, axiomatic=True)
+    from_a = Node(q, (Node(Atom("a"), axiomatic=True, bound=2),))
+    for kids in ((plain, from_a), (from_a, plain)):
+        assert is_atomic_derivation(Node(Atom("t"), kids), base)
+    # two copies of the derived q want the one premise [a => q]: the answer
+    # for a subtree depends on the premise it sits under
+    assert not is_atomic_derivation(Node(Atom("t"), (from_a, from_a)), base)
 
 
 def _cycle_cases():

@@ -188,6 +188,48 @@ def test_witness_trees_replay():
         check_derivation(bad, frozenset())
 
 
+def _chain_tree(n, bottom=None):
+    """The chain base p0., (p{i-1} => p{i}) for 0 < i < n, and its
+    derivation of p{n-1}, built bottom up over bottom (the axiom p0 by
+    default)."""
+    rules = [axiom("p0")] + [rule(f"(p{i - 1} => p{i})") for i in range(1, n)]
+    node = bottom or DerivationNode("p0", rules[0], ())
+    for i in range(1, n):
+        node = DerivationNode(f"p{i}", rules[i], (node,))
+    return frozenset(rules), node
+
+
+def test_check_derivation_replays_a_chain_deeper_than_the_python_stack():
+    rules, tree = _chain_tree(5000)
+    assert check_derivation(tree, rules)
+    assert check_derivation(derive(Base(rules=rules), goal="p4999").tree, rules)
+
+
+def test_check_derivation_finds_a_defect_near_the_bottom_of_a_deep_chain():
+    rules, tree = _chain_tree(5000)
+    missing = r"^rule not available: \(p1 => p2\)$"
+    with pytest.raises(DerivationCheckError, match=missing):
+        check_derivation(tree, rules - {rule("(p1 => p2)")})
+    rules, tree = _chain_tree(5000, bottom=DerivationNode("q", axiom("q"), ()))
+    with pytest.raises(DerivationCheckError, match="^premise p0 proved as q$"):
+        check_derivation(tree, rules | {axiom("q")})
+
+
+def test_check_derivation_raises_the_first_defect_in_premise_order():
+    # the first premise's subtree fails two levels down, the second premise
+    # at once: depth first in premise order meets the deep one first
+    x = DerivationNode("x", axiom("x"), ())
+    deep = DerivationNode("a", rule("(x => a)"), (x,))
+    top = DerivationNode(
+        "c", rule("(a, b => c)"), (deep, DerivationNode("z", axiom("z"), ()))
+    )
+    supply = frozenset({rule("(a, b => c)"), rule("(x => a)"), axiom("z")})
+    with pytest.raises(DerivationCheckError, match=r"^rule not available: x\.?$"):
+        check_derivation(top, supply)
+    with pytest.raises(DerivationCheckError, match="^premise b proved as z$"):
+        check_derivation(top, supply | {axiom("x")})
+
+
 def test_consistency_guard():
     with pytest.raises(InconsistentBaseError):
         base("p.\n(p => bot)")

@@ -37,7 +37,13 @@ from prooflab.cli import (
     main,
 )
 from prooflab.syntax import MAX_NESTING, Atom
-from test_arguments import BAD_DISCHARGES, bad_discharge_obj
+from test_arguments import (
+    BAD_DISCHARGES,
+    bad_discharge_obj,
+    chain_case,
+    tie_case,
+    time_limit,
+)
 from test_reductions import CHAIN_INNER, detour_chain
 from test_syntax import NESTED, nested_obj
 
@@ -380,6 +386,26 @@ def test_invalid_reason_names_the_normal_form(tmp_path, capsys):
     argv = ["check_valid", "--rule", "p.", "--argument", path, "--budget", "1"]
     assert main(argv) == EX_INCONCLUSIVE
     assert "budget of 1 distinct structures exhausted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "case", [tie_case(10), chain_case(25)], ids=["premise-tie", "two-rule-chain"]
+)
+@pytest.mark.parametrize(
+    "budget", [[], ["--budget", "3"]], ids=["unbounded", "budget-3"]
+)
+def test_replay_of_a_normal_form_answers_at_once(case, budget, tmp_path, capsys):
+    # the replay runs as the goal test of the reduction walk, which a
+    # budget of structures does not bound
+    rules, struct = case
+    argv = ["check_valid", *(x for r in rules for x in ("--rule", r))]
+    argv += ["--argument", argument_file(tmp_path, struct), *budget]
+    with time_limit(5):
+        assert main(argv) == EX_FAILS
+    assert capsys.readouterr().out.endswith(
+        "reason:     no reduct is a derivation in the base; the only normal "
+        "form in its reduction closure, reached in 0 steps, is not one\n"
+    )
 
 
 def test_reduce_under_binder(tmp_path, capsys):
