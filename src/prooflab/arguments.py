@@ -13,9 +13,8 @@ non-axiomatic; f may send
 
 to a node strictly nearer the root.  Following the letter of the defining
 clause, no assumption leaf may be discharged at the parent node of such an
-edge set, nor at that edge set's own target; the validator enforces this and
-validate() additionally flags the readings the clause leaves open (an
-axiomatic leaf discharged there).
+edge set, nor at that edge set's own target; bind enforces this, and accepts
+an axiomatic leaf discharged there, a reading the clause leaves open.
 
 Each discharge is stored on its source node as the distance up to its
 target, in the manner of de Bruijn indices, so a subtree is a value of its
@@ -78,7 +77,6 @@ __all__ = [
     "is_closed",
     "sub_structures",
     "instantiate",
-    "replace",
     "Inference",
     "structure_of_inference",
     "and_intro",
@@ -96,7 +94,6 @@ __all__ = [
     "is_canonical",
     "derivation_to_structure",
     "is_atomic_derivation",
-    "validate",
     "structure_to_obj",
     "structure_from_obj",
     "pretty",
@@ -346,12 +343,18 @@ def bind(
     out = _mark(root, (), marks)
     # the defining clause forbids discharging an assumption at the parent
     # node of a discharged edge set or at that edge set's target
-    clash = _on_rule_anchors(tuple(_entries(out)), AssumptionDischarge)
-    if clash:
-        raise StructureError(
-            f"assumption discharged at {clash[0][1]}, which anchors a "
-            "discharged rule application"
-        )
+    entries = tuple(_entries(out))
+    anchors = set()
+    for item, target in entries:
+        if isinstance(item, RuleDischarge):
+            anchors.add(item.node)
+            anchors.add(target)
+    for item, target in entries:
+        if isinstance(item, AssumptionDischarge) and target in anchors:
+            raise StructureError(
+                f"assumption discharged at {target}, which anchors a "
+                "discharged rule application"
+            )
     return out
 
 
@@ -368,30 +371,6 @@ def _mark(
     bound, rule = marks.get(path, (node.bound, node.rule))
     children = tuple(_mark(c, path + (i,), marks) for i, c in enumerate(node.children))
     return Node(node.formula, children, node.axiomatic, bound, rule)
-
-
-def _on_rule_anchors(
-    entries: Sequence[tuple[DischargeItem, Path]], kind: type
-) -> list[tuple[DischargeItem, Path]]:
-    """The entries of the given kind whose target is a rule-discharged node
-    or the target of one."""
-    anchors = set()
-    for item, target in entries:
-        if isinstance(item, RuleDischarge):
-            anchors.add(item.node)
-            anchors.add(target)
-    return [(item, t) for item, t in entries if isinstance(item, kind) and t in anchors]
-
-
-def validate(struct: ArgumentStructure) -> list[str]:
-    """Hard checks run when a structure is built from a discharge table;
-    returns the soft warnings."""
-    return [
-        f"axiom leaf {item.leaf} discharged at {target}, a node "
-        "anchoring a discharged rule application; the defining "
-        "clause leaves this reading open"
-        for item, target in _on_rule_anchors(struct.discharge, AxiomDischarge)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +452,6 @@ def _moved(
     return Node(node.formula, children, node.axiomatic, bound, node.rule)
 
 
-def _with_subtree(node: Node, path: Path, new: Node) -> Node:
-    if not path:
-        return new
-    i = path[0]
-    children = list(node.children)
-    children[i] = _with_subtree(children[i], path[1:], new)
-    return _with_children(node, tuple(children))
-
-
 def instantiate(
     struct: ArgumentStructure, sigma: Mapping[Formula, ArgumentStructure]
 ) -> ArgumentStructure:
@@ -510,33 +480,6 @@ def _fill(
         # no leaf of the subtree is open in the structure
         return node
     return _with_children(node, tuple(_fill(c, depth + 1, sigma) for c in node.children))
-
-
-def replace(
-    struct: ArgumentStructure, at: Path, replacement: ArgumentStructure
-) -> ArgumentStructure:
-    """Swap the subtree at a position for a structure with the same
-    conclusion.  A node in the hole discharged above it would leave its
-    binder without it and is rejected; discharges wholly inside the hole
-    vanish with it, and the replacement's discharges that reach above its
-    root land on the ancestors of the position."""
-    if struct.node_at(at).free:
-        raise StructureError(f"the hole at {at} holds a node discharged above it")
-    return _graft(struct, at, replacement)
-
-
-def _graft(
-    struct: ArgumentStructure, at: Path, replacement: ArgumentStructure
-) -> ArgumentStructure:
-    """replace without the check on the hole: discharges of nodes in it
-    vanish with them, as when a reduction drops a discharged leaf."""
-    old = struct.node_at(at)
-    if conclusion(replacement) != old.formula:
-        raise StructureError(
-            f"replacement concludes {format_formula(conclusion(replacement))}, "
-            f"hole is {format_formula(old.formula)}"
-        )
-    return _with_subtree(struct, at, replacement)
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +670,9 @@ def _encode(
         return Node(formula=formula, axiomatic=True, bound=bound)
     children = []
     for prem, child in zip(node.rule.premises, node.children):
-        inner = dict(env)
-        for s in prem.discharged:
-            inner[s] = depth
+        inner = env  # shared when nothing is discharged: env is only read
+        if prem.discharged:
+            inner = {**env, **dict.fromkeys(prem.discharged, depth)}
         children.append(_encode(child, base_rules, depth + 1, inner))
     return Node(
         formula=formula,

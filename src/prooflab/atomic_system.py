@@ -34,9 +34,9 @@ tree of the smaller context's fact, so the tree does not depend on the hash
 seed.  A saturation keeps the set of atoms derivable in the supply's
 context and the tables a tree is read from, and builds no tree until one is
 asked for: a query for atoms alone, or a NO, costs no tree work.  The first
-tree asked for walks the justifications and builds the nodes of every tree
-of that context, once, and the trees of one supply share their common
-subtrees.
+tree asked for builds, in one pass over the recorded facts, a node for each
+fact a rule recorded, so every tree of that context is built once, and the
+trees of one supply share their common subtrees.
 
 Concrete rule syntax, one rule per line in base files:
 
@@ -384,9 +384,9 @@ class _Saturation:
     supply's context (context 0), and until the first tree() call the
     tables a tree is read from: the numbering, each recorded fact's
     justification, the contexts by number and by mask, and the recorded
-    facts in order.  The first tree() call walks those tables, builds the
-    DerivationNodes, keeps context 0's by atom and drops the tables; a
-    saturation asked only for atoms walks nothing and builds no node.
+    facts in order.  The first tree() call builds the DerivationNodes from
+    those tables in one pass, keeps context 0's by atom and drops the
+    tables; a saturation asked only for atoms builds no node.
     """
 
     __slots__ = ("atoms", "_tables", "_trees")
@@ -517,49 +517,35 @@ class _Saturation:
     def tree(self, goal: str) -> DerivationNode:
         """The derivation of a derivable atom of the supply's context.
 
-        The first call walks from the supply's context's facts through
-        their justifications to every fact their trees use, builds those
-        facts' nodes in recorded order, so each premise's node exists
-        before the nodes that use it, and then drops the saturation's
-        tables; later calls look the tree up.  A fact passed on from a
-        smaller context gets no node of its own: its tree is that
-        context's, the same object.  Trees of one supply share their
-        common subtrees.
+        The first call builds a node for each fact a rule recorded, in
+        recorded order, so each premise's node exists before the nodes
+        that use it, and then drops the saturation's tables; later calls
+        look the tree up.  A fact passed on from a smaller context gets no
+        node of its own: its tree is that context's, the same object.
+        Trees of one supply share their common subtrees.
         """
         if self._tables is not None:
             numbering, just, masks, ids, queue = self._tables
             order, shapes = numbering.order, numbering.shapes
             names = list(numbering.atoms)
             n = len(names)
-            # the kept facts, each recorded by a rule, with that rule and
-            # its premise facts in the rule's premise order; a premise fact
-            # passed on is replaced by the fact it was passed on from
-            kept: dict[int, tuple[AtomicRule, tuple[int, ...]]] = {}
-            todo = [f for f in range(n) if f in just]
-            while todo:
-                f = todo.pop()
-                if f in kept:
-                    continue
-                m = masks[f // n]
-                i = just[f]
-                premises = []
-                for b, dmask in shapes[i]:
-                    g = ids[m | dmask] * n + b
-                    j = just[g]
-                    premises.append(~j if j < 0 else g)
-                kept[f] = (order[i], tuple(premises))
-                todo.extend(premises)
             nodes: dict[int, DerivationNode] = {}
             trees = self._trees
             for f in queue:
-                entry = kept.get(f)
-                if entry is not None:
-                    rule, premises = entry
-                    node = nodes[f] = DerivationNode(
-                        names[f % n], rule, tuple(nodes[g] for g in premises)
-                    )
-                    if f < n:
-                        trees[names[f]] = node
+                i = just[f]
+                if i < 0:
+                    continue  # passed on: premises use the node of ~i
+                m = masks[f // n]
+                children = []
+                for b, dmask in shapes[i]:
+                    g = ids[m | dmask] * n + b
+                    j = just[g]
+                    children.append(nodes[~j if j < 0 else g])
+                node = nodes[f] = DerivationNode(
+                    names[f % n], order[i], tuple(children)
+                )
+                if f < n:
+                    trees[names[f]] = node
             self._tables = None
         return self._trees[goal]
 

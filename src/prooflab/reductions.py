@@ -62,7 +62,6 @@ from prooflab.arguments import (
     StructureError,
     _binds,
     _bound_at,
-    _graft,
     _moved,
     _with_children,
     assumptions,
@@ -277,7 +276,8 @@ def _rewrites(
     depends on its value alone: memo maps each distinct subtree whose
     rewrites were all enumerated to their list, which a later call replays,
     and is shared by every call for the same reductions.  A caller that
-    stops early leaves the unfinished subtrees out of memo."""
+    stops early leaves the unfinished subtrees out of memo.  A reduct that
+    changes its subtree's conclusion raises StructureError."""
     found = memo.get(node)
     if found is not None:
         yield from found
@@ -286,9 +286,12 @@ def _rewrites(
     for red in reductions:
         new = red.rewrite(node)
         if new is not None:
-            # grafting at the root only checks that the reduct keeps the
-            # conclusion
-            step = ((), red.name, _graft(node, (), new))
+            if new.formula != node.formula:
+                raise StructureError(
+                    f"{red.name} changes the conclusion "
+                    f"{format_formula(node.formula)} to {format_formula(new.formula)}"
+                )
+            step = ((), red.name, new)
             found.append(step)
             yield step
     kids = node.children

@@ -623,6 +623,75 @@ def test_tied_supply_trees_share_subtrees():
     assert r.children[0] is derive(b, goal="p").tree
 
 
+def pruned_trees(sat):
+    """The trees of a saturation's supply context as the two-pass builder
+    made them, read off the tables tree() has not dropped yet: walk from
+    the supply's context's facts through their justifications to every
+    fact their trees use (the kept facts), then build those facts' nodes
+    in recorded order."""
+    numbering, just, masks, ids, queue = sat._tables
+    order, shapes = numbering.order, numbering.shapes
+    names = list(numbering.atoms)
+    n = len(names)
+    # the kept facts, each recorded by a rule, with that rule and its
+    # premise facts in the rule's premise order; a premise fact passed on
+    # is replaced by the fact it was passed on from
+    kept = {}
+    todo = [f for f in range(n) if f in just]
+    while todo:
+        f = todo.pop()
+        if f in kept:
+            continue
+        m = masks[f // n]
+        i = just[f]
+        premises = []
+        for b, dmask in shapes[i]:
+            g = ids[m | dmask] * n + b
+            j = just[g]
+            premises.append(~j if j < 0 else g)
+        kept[f] = (order[i], tuple(premises))
+        todo.extend(premises)
+    nodes, trees = {}, {}
+    for f in queue:
+        entry = kept.get(f)
+        if entry is not None:
+            rule, premises = entry
+            node = nodes[f] = DerivationNode(
+                names[f % n], rule, tuple(nodes[g] for g in premises)
+            )
+            if f < n:
+                trees[names[f]] = node
+    return trees
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(rule_sets(), st.lists(rules(max_level=4), max_size=4).map(frozenset)),
+    st.sets(st.sampled_from(["p", "q", "r", "s"])),
+)
+def test_one_pass_trees_match_the_pruning_pass(rs, assumed):
+    # a fresh saturation, past the cache; an assumed axiom over s, which no
+    # drawn rule mentions, numbers the union of base and assumed rules
+    extra = frozenset(map(axiom, assumed)) - rs
+    sat = _saturate.__wrapped__(rs, extra, atomic_system.DEFAULT_MAX_STEPS)
+    want = pruned_trees(sat)
+    got = {a: sat.tree(a) for a in sorted(sat.atoms)}
+    assert got.keys() == want.keys()
+    # a walk of both at once, each reference node once: equal by value, and
+    # a subtree the reference shares is the same object here too
+    paired = {}
+    todo = [(want[a], got[a]) for a in sorted(want)]
+    while todo:
+        ref, node = todo.pop()
+        if id(ref) in paired:
+            assert paired[id(ref)] is node
+            continue
+        paired[id(ref)] = node
+        assert (node.conclusion, node.rule) == (ref.conclusion, ref.rule)
+        assert len(node.children) == len(ref.children)
+        todo += zip(ref.children, node.children)
+
+
 def test_atoms_alone_build_no_tree(monkeypatch):
     built = []
 

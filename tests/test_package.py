@@ -1,5 +1,5 @@
-"""Every name a prooflab module exports resolves, and no module imports a
-name it never uses."""
+"""Every name a prooflab module exports resolves, no module imports a name
+it never uses, and none raises the interpreter's recursion limit."""
 
 import ast
 import importlib
@@ -71,13 +71,32 @@ def _unused_imports(tree):
     )
 
 
-def test_no_module_imports_a_name_it_never_uses():
+def _module_trees():
+    """(file name, parsed module) for every module of the package."""
     package = os.path.join(SRC, "prooflab")
-    unused = {}
     for filename in sorted(os.listdir(package)):
         if filename.endswith(".py"):
             with open(os.path.join(package, filename), encoding="utf-8") as fh:
-                found = _unused_imports(ast.parse(fh.read(), filename))
-            if found:
-                unused[filename] = found
+                yield filename, ast.parse(fh.read(), filename)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {}
+    for filename, tree in _module_trees():
+        found = _unused_imports(tree)
+        if found:
+            unused[filename] = found
     assert unused == {}
+
+
+def test_no_module_raises_the_recursion_limit():
+    # a deep input must meet a documented budget, never a larger stack
+    calls = [
+        f"{filename} line {node.lineno}"
+        for filename, tree in _module_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "setrecursionlimit"
+        in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert calls == []

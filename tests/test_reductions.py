@@ -14,7 +14,6 @@ from prooflab.arguments import (
     Inference,
     Node,
     StructureError,
-    _graft,
     and_elim,
     and_intro,
     assumption,
@@ -36,7 +35,6 @@ from prooflab.arguments import (
     or_intro_left,
     or_intro_right,
     or_project,
-    replace,
     structure_from_obj,
     structure_of_inference,
     structure_to_obj,
@@ -518,6 +516,19 @@ def test_constant_reduction_needs_closed_target():
         constant_reduction([p], q, assumption(q))
 
 
+def test_walks_refuse_a_reduct_that_changes_the_conclusion():
+    # a hand-built reduction has none of the guards pointer_reduction and
+    # constant_reduction apply; both walks refuse its reduct, at the root
+    # and below it
+    bad = Reduction("p-to-q", lambda d: axiom_leaf(q) if d.formula == p else None)
+    refused = "p-to-q changes the conclusion p to q"
+    for start in (assumption(p), and_intro(assumption(p), assumption(r))):
+        with pytest.raises(StructureError, match=refused):
+            search_reduct(start, lambda d: False, [bad])
+        with pytest.raises(StructureError, match=refused):
+            normalize(start, [bad], 10)
+
+
 def test_justification_reductions_in_search():
     red = constant_reduction([p], q, axiom_leaf(q), name="kappa")
     start = structure_of_inference(
@@ -671,12 +682,24 @@ def test_reachable_yields_each_once_and_its_paths_replay(d, budget):
         assert cur == e
 
 
+def graft(d, path, new):
+    """d with its subtree at path swapped for new, which keeps that
+    subtree's conclusion; discharges of nodes in the hole vanish with
+    them."""
+    if not path:
+        assert new.formula == d.formula
+        return new
+    kids = list(d.children)
+    kids[path[0]] = graft(kids[path[0]], path[1:], new)
+    return Node(d.formula, tuple(kids), d.axiomatic, d.bound, d.rule)
+
+
 def reference_rewrites(d, reductions):
     """The one-step rewrites computed directly: every position in preorder,
     the reductions in the given order at each, each rewrite grafted into
     the whole structure."""
     return [
-        (path, red.name, _graft(d, path, new))
+        (path, red.name, graft(d, path, new))
         for path, sub in iter_nodes(d)
         for red in reductions
         if (new := red.rewrite(sub)) is not None
@@ -798,7 +821,7 @@ def test_hash_of_equal_values_built_apart_agrees(f, d):
     built.append(instantiate(d, {a: stand_in(a) for a in assumptions(d)}))
     for path, node in iter_nodes(d):
         if not node.free:
-            built.append(replace(d, path, stand_in(node.formula)))
+            built.append(graft(d, path, stand_in(node.formula)))
     for e in built:
         rebuilt = structure_from_obj(structure_to_obj(e))
         assert rebuilt == e and hash(rebuilt) == hash(e)
