@@ -174,11 +174,11 @@ class BaseContext:
     holds a fresh atom, which the base never derives, so the clause fails
     exactly when both disjuncts fail.  Truth values are memoized per
     formula.  validity is the validity layer's state for the base (its
-    witness arguments, their verdicts and its suite provider), made by that
-    layer on first use.  Nothing here references the base itself: the
-    context is a value of the weak mapping keyed by the base, and a
-    reference to that key would keep both alive for good.  Get the context
-    of a base from base_context().
+    witness arguments, its verdicts per sequent and budget and its suite
+    provider), made by that layer on first use.  Nothing here references
+    the base itself: the context is a value of the weak mapping keyed by
+    the base, and a reference to that key would keep both alive for good.
+    Get the context of a base from base_context().
     """
 
     def __init__(self, base: Base) -> None:

@@ -27,19 +27,23 @@ relation by its classical valuation, and its saturation's trees are the
 atomic derivations the witnesses are built from.  The same context keeps
 this layer's state for the base, for as long as the base lives: one closed
 witness argument per formula, built once, so the same justification
-objects come back on every call; the verdict of each witness argument per
-budget, used wherever that exact argument is checked again (as a closing
-instance, and as models_alpha's argument for a sequent without premises);
-and the suite provider built on those witnesses.  One step builder makes
-both synthesized one-step arguments: the body of an implication's witness
-and the argument for a sequent with premises, each an inference from its
-assumptions justified by a constant reduction to the conclusion's witness.
-Nothing is kept per sequent, and the checks of sub-arguments under a
-parent's justifications are made afresh.
+objects come back on every call; one verdict per sequent and budget,
+witnesses and premise arguments alike, keyed by the sequent's premise set,
+conclusion and the budget (a witness's premise set is empty), which
+answers every later check of that synthesized argument (a witness as a
+closing instance of the provider's own suite, and models_alpha's argument
+for the sequent); and the suite provider built on those witnesses.  One
+step builder makes both synthesized one-step arguments: the body of an
+implication's witness and the argument for a sequent with premises, each
+an inference from its assumptions justified by a constant reduction to the
+conclusion's witness.  The one-step arguments are rebuilt on each call,
+not kept, equal verdicts are one object, and the checks of sub-arguments
+under a parent's justifications are made afresh.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -263,6 +267,9 @@ def _check_open(
     budget: int,
 ) -> ValidityVerdict:
     struct = arg.structure
+    # the closings of the witnesses' own suite over their own base are
+    # witnesses, whose verdicts the witnesses keep
+    memo: _Witnesses | None = None
     if suite is None and provider is not None:
         try:
             suite = provider(struct)
@@ -271,6 +278,8 @@ def _check_open(
             return ValidityVerdict(
                 Status.INCONCLUSIVE, f"no closing instance could be built: {exc}"
             )
+        if isinstance(provider, _Witnesses) and provider.ctx is base_context(base):
+            memo = provider
     if suite is None:
         return ValidityVerdict(
             Status.INCONCLUSIVE,
@@ -306,10 +315,10 @@ def _check_open(
         # only closings by arguments that are themselves valid count: an
         # instance built from an invalid one proves nothing either way
         for f, closing in sigma.items():
-            if isinstance(provider, _Witnesses):
-                v = provider.verdict(closing, base, budget)
-            else:
+            if memo is None:
                 v = _check_closed(closing, base, provider, budget)
+            else:
+                v = memo.verdict(_NO_PREMISES, f, closing, base, budget)
             if v.status is Status.INVALID:
                 notes.append(
                     f"closing instance {k} skipped: its argument for "
@@ -360,20 +369,33 @@ def _check_open(
 # witnesses and the consequence evaluator
 
 
+_NO_PREMISES: frozenset[Formula] = frozenset()
+# one object per distinct verdict the memos keep, by its fields: the
+# thousands of sequents a family of bases is asked about meet about a
+# hundred verdicts.  An entry goes with the last memo that keeps its
+# verdict (a verdict as its own key would keep itself alive).
+_SHARED: weakref.WeakValueDictionary[
+    tuple[Status, str, tuple[str, ...]], ValidityVerdict
+] = weakref.WeakValueDictionary()
+
+
 class _Witnesses:
     """The validity layer's state for one base, kept in the base's context:
     one closed witness argument per formula that holds, each built once, so
-    the same justification objects come back every time; the verdict of
-    each witness argument, per budget, checked once; and, by calling it,
-    the suite provider that closes open arguments with those witnesses.
-    Its step builder makes the one-step arguments synthesized over the
-    base, for implication witnesses and for sequents with premises alike.
-    It references the context, never the base."""
+    the same justification objects come back every time; one verdict per
+    sequent and budget, witnesses and premise arguments alike, checked
+    once; and, by calling it, the suite provider that closes open
+    arguments with those witnesses.  Its step builder makes the one-step
+    arguments synthesized over the base, for implication witnesses and for
+    sequents with premises alike; they are rebuilt on each call, and only
+    their verdicts are kept.  It references the context, never the base."""
 
     def __init__(self, ctx: BaseContext) -> None:
         self.ctx = ctx
         self.args: dict[Formula, Argument] = {}
-        self.verdicts: dict[tuple[Argument, int], ValidityVerdict] = {}
+        self.verdicts: dict[
+            tuple[frozenset[Formula], Formula, int], ValidityVerdict
+        ] = {}
 
     def witness(self, f: Formula) -> Argument:
         """A canonical closed argument for a formula that holds over the
@@ -430,19 +452,23 @@ class _Witnesses:
         return Argument(struct, target.justifications + (close,))
 
     def verdict(
-        self, arg: Argument, base: Base, budget: int
+        self,
+        prems: frozenset[Formula],
+        concl: Formula,
+        arg: Argument,
+        base: Base,
+        budget: int,
     ) -> ValidityVerdict:
-        """check_valid of an argument with this provider, remembered when
-        the argument is one of the witnesses over this base."""
-        if self.args.get(conclusion(arg.structure)) is not arg or (
-            base_context(base) is not self.ctx
-        ):
-            return check_valid(arg, base, suite_provider=self, budget=budget)
-        key = (arg, budget)
+        """check_valid, with this provider, of arg, the argument synthesized
+        over base (this context's base) for prems |- concl: the witness of
+        concl when prems is empty, else the one-step argument from prems.
+        Checked once per sequent and budget; equal verdicts are shared."""
+        key = (prems, concl, budget)
         got = self.verdicts.get(key)
         if got is None:
             got = check_valid(arg, base, suite_provider=self, budget=budget)
-            self.verdicts[key] = got
+            fields = (got.status, got.reason, got.notes)
+            got = self.verdicts[key] = _SHARED.setdefault(fields, got)
         return got
 
     def __call__(self, struct: ArgumentStructure) -> Suite:
@@ -502,6 +528,9 @@ def _synthesize(state: _Witnesses, sequent: Sequent, strict: bool) -> Argument:
     return arg
 
 
+_HOLDS = {Status.VALID: True, Status.INVALID: False}
+
+
 @dataclass(frozen=True)
 class AlphaResult:
     verdict: ValidityVerdict
@@ -541,9 +570,8 @@ def models_alpha(
             witness=None,
             holds=None,
         )
-    verdict = state.verdict(arg, base, budget)
-    holds = {Status.VALID: True, Status.INVALID: False}.get(verdict.status)
-    return AlphaResult(verdict=verdict, witness=arg, holds=holds)
+    verdict = state.verdict(sequent.premises, sequent.conclusion, arg, base, budget)
+    return AlphaResult(verdict=verdict, witness=arg, holds=_HOLDS.get(verdict.status))
 
 
 def compare_consequence_notions(

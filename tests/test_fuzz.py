@@ -8,6 +8,7 @@ a few edits of their JSON objects or text.  Every call runs in-process.
 """
 
 import contextlib
+import copy
 import io
 import json
 
@@ -97,12 +98,15 @@ def mutate(data, obj):
     return obj
 
 
+P = Atom("p")
+ONE_STEP = Node(P, (axiom_leaf(P),))
+
+
 def structures_obj():
     return st.one_of(detours(), derivation_detours()).map(structure_to_obj)
 
 
 def justifications():
-    p = Atom("p")
     return st.lists(
         st.one_of(
             st.sampled_from(["conj-detour", "imp-detour", "mystery"]),
@@ -111,21 +115,41 @@ def justifications():
             # every axiom leaf p is an instance, and so is the leaf of the
             # target it rewrites to: reduce's path grows a level per step
             st.just({"kind": "constant", "premises": [], "conclusion": "p",
-                     "target": structure_to_obj(Node(p, (axiom_leaf(p),)))}),
+                     "target": structure_to_obj(ONE_STEP)}),
             structures_obj().map(lambda t: {
                 "kind": "pointer", "source": t,
-                "target": structure_to_obj(axiom_leaf(p))}),
+                "target": structure_to_obj(axiom_leaf(P))}),
         ),
         max_size=2,
     )
+
+
+def light_edit(data, obj):
+    """obj's JSON text after mutate, and one time in five a few edits of
+    that text."""
+    text = json.dumps(mutate(data, obj))
+    return edit(data, text) if data.draw(st.integers(0, 4)) == 0 else text
 
 
 def argument_text(data):
     obj = {"structure": data.draw(structures_obj())}
     if data.draw(st.booleans()):
         obj["justifications"] = data.draw(justifications())
-    text = json.dumps(mutate(data, obj))
-    return edit(data, text) if data.draw(st.integers(0, 4)) == 0 else text
+    return light_edit(data, obj)
+
+
+# constants whose targets hold their own inference, each over a structure it
+# rewrites; reduce without --target follows one normalization path over them
+SELF_FEEDING = [
+    # the axiom leaf p rewritten to p / p*: each step rewrites the new leaf
+    # at the bottom, so the path grows a level per step
+    (axiom_leaf(P), {"kind": "constant", "premises": [], "conclusion": "p",
+                     "target": structure_to_obj(ONE_STEP)}),
+    # p / p* rewritten to p / (p / p*): after one step every rewrite returns
+    # the structure it was given
+    (ONE_STEP, {"kind": "constant", "premises": ["p"], "conclusion": "p",
+                "target": structure_to_obj(Node(P, (ONE_STEP,)))}),
+]
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,16 +177,28 @@ def folder(tmp_path_factory):
 @given(data=st.data())
 def test_argument_commands_exit_with_a_documented_code(folder, data):
     arg = folder / "arg.json"
-    arg.write_text(argument_text(data), encoding="utf-8")
-    if data.draw(st.booleans()):
-        argv = ["check_valid", *rule_args(data), "--argument", str(arg)]
-    else:
+    if data.draw(st.integers(0, 9)) == 0:
+        # about one example in ten: reduce with no --target and the default
+        # budget over a self-feeding constant, where it once recursed
+        # without end
+        start, kappa = data.draw(st.sampled_from(SELF_FEEDING))
+        obj = {"structure": structure_to_obj(start),
+               "justifications": [copy.deepcopy(kappa)]}
+        arg.write_text(light_edit(data, obj), encoding="utf-8")
         argv = ["reduce", "--argument", str(arg)]
+    else:
+        arg.write_text(argument_text(data), encoding="utf-8")
         if data.draw(st.booleans()):
-            target = folder / "target.json"
-            text = json.dumps(mutate(data, data.draw(structures_obj())))
-            target.write_text(text, encoding="utf-8")
-            argv += ["--target", str(target)]
-    argv += data.draw(st.sampled_from([[], ["--budget", "3"], ["--budget", "0"]]))
+            argv = ["check_valid", *rule_args(data), "--argument", str(arg)]
+        else:
+            argv = ["reduce", "--argument", str(arg)]
+            if data.draw(st.booleans()):
+                target = folder / "target.json"
+                text = json.dumps(mutate(data, data.draw(structures_obj())))
+                target.write_text(text, encoding="utf-8")
+                argv += ["--target", str(target)]
+        argv += data.draw(
+            st.sampled_from([[], ["--budget", "3"], ["--budget", "0"]])
+        )
     argv += data.draw(st.sampled_from([[], ["--format", "json"]]))
     assert run(argv) in DOCUMENTED, (argv, arg.read_text(encoding="utf-8"))

@@ -30,7 +30,14 @@ from prooflab.arguments import (
     structure_to_obj,
     weaken,
 )
-from prooflab.atomic_system import Base, derive, format_rule, parse_base_text, parse_rule
+from prooflab.atomic_system import (
+    Base,
+    check_consistency,
+    derive,
+    format_rule,
+    parse_base_text,
+    parse_rule,
+)
 from prooflab.base_semantics import (
     SemanticsKind,
     Sequent,
@@ -40,6 +47,7 @@ from prooflab.base_semantics import (
     parse_sequent,
 )
 from prooflab.reductions import (
+    DEFAULT_BUDGET,
     PROJECT_DETOUR,
     constant_reduction,
     search_reduct,
@@ -52,6 +60,7 @@ from prooflab.validity import (
     Instantiation,
     Status,
     Suite,
+    ValidityVerdict,
     check_valid,
     compare_consequence_notions,
     models_alpha,
@@ -59,7 +68,9 @@ from prooflab.validity import (
     synthesize_witness,
 )
 from test_acceptance import base_family, sequent_pool
+from test_atomic_system import rule_sets
 from test_reductions import CHAIN_BASE, derivation_detours
+from test_syntax import formulas
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -542,13 +553,13 @@ def _renamed(text):
     # atoms no other test uses: contexts are keyed by the base's value, and
     # the family's own bases stay alive, with warm contexts, for the whole
     # test run
-    return re.sub(r"\b([pq])\b", r"memo_\1", text)
+    return re.sub(r"\b([pqrst])\b", r"memo_\1", text)
 
 
-def _alpha_rows(base, seqs):
+def _alpha_rows(base, seqs, budget=DEFAULT_BUDGET):
     rows = []
     for seq in seqs:
-        res = models_alpha(base, seq)
+        res = models_alpha(base, seq, budget=budget)
         w = res.witness
         rows.append(
             (
@@ -562,9 +573,22 @@ def _alpha_rows(base, seqs):
     return rows
 
 
+def _premise_kinds(base, seqs):
+    """For each premise sequent whose consequence holds (so models_alpha
+    keeps its verdict): True when every premise holds, False when one
+    fails.  A function, so that no reference to the context outlives it."""
+    ctx = base_context(base)
+    return {
+        all(map(ctx.holds, seq.premises))
+        for seq in seqs
+        if seq.premises and ctx.entails(seq.premises, seq.conclusion)
+    }
+
+
 def test_context_memo_changes_nothing_and_leaks_nothing():
     rng = random.Random(20261018)
     pool = sequent_pool()
+    kinds = set()
     for family_base in rng.sample(base_family(), 12):
         rules = [_renamed(format_rule(r)) for r in sorted(family_base.rules, key=str)]
         seqs = [
@@ -574,6 +598,7 @@ def test_context_memo_changes_nothing_and_leaks_nothing():
         base = Base(frozenset(map(parse_rule, rules)))
         assert base not in base_semantics._CONTEXTS
         cold = _alpha_rows(base, seqs)
+        kinds |= _premise_kinds(base, seqs)
         ctx = weakref.ref(base_context(base))
         assert semantic_suite_provider(base) is semantic_suite_provider(base)
         order = rng.sample(range(len(seqs)), len(seqs))
@@ -587,6 +612,14 @@ def test_context_memo_changes_nothing_and_leaks_nothing():
         assert rebuilt not in base_semantics._CONTEXTS
         assert _alpha_rows(rebuilt, seqs) == cold
         assert base_context(rebuilt) is not None
+    # the verdicts dropped with each base covered premise sequents of both
+    # kinds: every premise holds, and some premise fails
+    assert kinds == {True, False}
+    # and the shared verdicts go with the last memo that kept them
+    assert any("memo_" in v.reason for v in validity._SHARED.values())
+    del rebuilt
+    gc.collect()
+    assert not any("memo_" in v.reason for v in validity._SHARED.values())
 
 
 def test_witness_verdict_is_checked_once_per_budget(monkeypatch):
@@ -608,3 +641,136 @@ def test_witness_verdict_is_checked_once_per_budget(monkeypatch):
     # another budget is another verdict
     assert models_alpha(base, seq, budget=50).verdict.status is Status.VALID
     assert calls
+
+
+def _count_checks(monkeypatch):
+    """The names of the check_valid and _check_closed calls made from here
+    on, in order."""
+    calls = []
+    for name in ("check_valid", "_check_closed"):
+        real = getattr(validity, name)
+
+        def counting(*args, _real=real, _name=name, **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(validity, name, counting)
+    return calls
+
+
+MEMO_BASE = "memo_t.\n(memo_t => memo_u)\n"
+
+
+@pytest.mark.parametrize(
+    "seq_text, reason",
+    [
+        # every premise holds: a constant reduction justifies the step
+        ("memo_t |- memo_u", "all 1 usable closing instances yield valid"),
+        # a premise fails: no closed valid argument can close the step
+        ("memo_v |- memo_u", "no way of closing it exists"),
+    ],
+    ids=["live", "vacuous"],
+)
+def test_premise_verdict_is_checked_once_per_budget(monkeypatch, seq_text, reason):
+    base = parse_base_text(MEMO_BASE)
+    first = models_alpha(base, parse_sequent(seq_text))
+    assert first.holds is True and first.verdict.reason.startswith(reason)
+    calls = _count_checks(monkeypatch)
+    # an equal sequent, parsed anew, asks the same question
+    again = models_alpha(base, parse_sequent(seq_text))
+    assert calls == []
+    assert again.verdict is first.verdict
+    # the argument is rebuilt, equal by value
+    assert again.witness.structure == first.witness.structure
+    names = [j.name for j in again.witness.justifications]
+    assert names == [j.name for j in first.witness.justifications]
+    # another budget is checked anew
+    other = models_alpha(base, parse_sequent(seq_text), budget=50)
+    assert other.verdict == first.verdict
+    assert "check_valid" in calls
+
+
+def test_strict_answers_are_unchanged_by_kept_verdicts():
+    # the answers strict mode gives on a cold context, pinned
+    refused = {
+        "memo_t |- memo_u": "a one-step argument from live premises needs a "
+        "justification beyond the standard reductions",
+        "|- memo_t -> memo_t": "the witness needs justifications beyond the "
+        "standard reductions",
+    }
+    allowed = {
+        "memo_v |- memo_u": "no way of closing it exists: memo_v has no "
+        "closed valid argument over this base",
+        "|- memo_u": "reduces to a derivation of memo_u in the base (0 steps)",
+    }
+    base = parse_base_text(MEMO_BASE)
+    for warm in (False, True):
+        for text, reason in refused.items():
+            res = models_alpha(base, parse_sequent(text), strict=True)
+            want = ValidityVerdict(Status.INCONCLUSIVE, reason)
+            assert res == AlphaResult(verdict=want, witness=None, holds=None)
+            with pytest.raises(StructureError, match=reason):
+                synthesize_witness(base, parse_sequent(text), strict=True)
+        for text, reason in allowed.items():
+            res = models_alpha(base, parse_sequent(text), strict=True)
+            assert res.verdict == ValidityVerdict(Status.VALID, reason)
+            assert res.holds is True and res.witness.justifications == ()
+        if not warm:
+            # the same sequents, unrestricted, fill the memo
+            for text in [*refused, *allowed]:
+                assert models_alpha(base, parse_sequent(text)).holds is True
+
+
+def test_another_bases_provider_keeps_no_verdict_for_this_base():
+    home, other = parse_base_text("memo_t.\n"), parse_base_text("memo_w.\n")
+    assert models_alpha(home, parse_sequent("|- memo_t")).holds is True
+    # home's witness for memo_t, valid over home, closes the assumption
+    # over a base that does not derive memo_t
+    got = check_valid(
+        Argument(assumption(parse_formula("memo_t"))),
+        other,
+        suite_provider=semantic_suite_provider(home),
+    )
+    assert got.status is Status.INCONCLUSIVE
+    assert got.notes == (
+        "closing instance 0 skipped: its argument for memo_t is not valid",
+    )
+
+
+def _sequents(min_premises, max_premises):
+    return st.builds(
+        lambda prems, concl: Sequent(frozenset(prems), concl),
+        st.lists(formulas(2), min_size=min_premises, max_size=max_premises),
+        formulas(2),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rule_sets(),
+    st.lists(_sequents(0, 0), min_size=1, max_size=3),
+    st.lists(_sequents(1, 2), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_warm_rows_equal_cold_rows_of_an_equal_base(rs, bare, premised, rnd):
+    # B_EMPTY keeps the empty base's context warm for the whole module
+    assume(rs and check_consistency(rs))
+    rules = [_renamed(format_rule(r)) for r in sorted(rs, key=str)]
+    seqs = [parse_sequent(_renamed(format_sequent(s))) for s in bare + premised]
+    # a budget of 1 leaves an implication's witness unsettled
+    asked = [(seq, budget) for seq in seqs for budget in (DEFAULT_BUDGET, 1)]
+
+    def fresh():
+        base = Base(frozenset(map(parse_rule, rules)))
+        assert base not in base_semantics._CONTEXTS
+        return base
+
+    base = fresh()
+    for seq, budget in asked:
+        models_alpha(base, seq, budget=budget)
+    rnd.shuffle(asked)
+    warm = [_alpha_rows(base, [seq], budget) for seq, budget in asked]
+    del base
+    # each row on its own equal base, dropped before the next is built
+    cold = [_alpha_rows(fresh(), [seq], budget) for seq, budget in asked]
+    assert warm == cold
