@@ -258,9 +258,16 @@ def iter_nodes(struct: ArgumentStructure) -> Iterator[tuple[Path, Node]]:
 
 
 def _walk(node: Node, path: Path) -> Iterator[tuple[Path, Node]]:
-    yield path, node
-    for i, child in enumerate(node.children):
-        yield from _walk(child, path + (i,))
+    """Every node of the subtree at node with its path, in preorder, node's
+    own path being path; one frame however deep the tree."""
+    todo = [(path, node)]
+    while todo:
+        path, node = todo.pop()
+        yield path, node
+        kids = node.children
+        # pushed last child first, so the first child comes out next
+        for i in range(len(kids) - 1, -1, -1):
+            todo.append((path + (i,), kids[i]))
 
 
 def _entries(root: Node) -> Iterator[tuple[DischargeItem, Path]]:

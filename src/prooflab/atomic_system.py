@@ -53,7 +53,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Any, Iterable
 
 from prooflab.syntax import (
     BOT,
@@ -214,9 +214,11 @@ class Base:
     """A finite, consistent set of atomic rules."""
 
     rules: frozenset[AtomicRule] = field(default_factory=frozenset)
-    # computed once, the value the generated hash gives: bases key the
-    # per-base evaluation contexts
+    # computed once, the value the generated hash gives
     _hash: int = field(init=False, repr=False, compare=False)
+    # the base's evaluation context, set by base_semantics.base_context on
+    # first use, so a later lookup is one attribute read
+    _context: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", frozenset(self.rules))

@@ -14,7 +14,8 @@ The trailing formula of the variant disjunction clause is read as the
 quantified atom itself (the natural reading; traces carry a note).
 
 How a sequent is evaluated: each base gets one BaseContext, built on first
-use and dropped with the base.  It holds the derivable atoms and decides
+use, kept in the base and shared by the equal bases alive with it, and
+dropped with the last of them.  It holds the derivable atoms and decides
 truth for both relations by one classical valuation: read materially, the
 clauses collapse to it, and the variant's fresh atom, which no base
 derives, makes its disjunction clause collapse too.  models() answers from
@@ -175,10 +176,11 @@ class BaseContext:
     exactly when both disjuncts fail.  Truth values are memoized per
     formula.  validity is the validity layer's state for the base (its
     witness arguments, its verdicts per sequent and budget and its suite
-    provider), made by that layer on first use.  Nothing here references
-    the base itself: the context is a value of the weak mapping keyed by
-    the base, and a reference to that key would keep both alive for good.
-    Get the context of a base from base_context().
+    provider), made by that layer on first use.  holders counts the live
+    bases that hold the context in their slot.  Nothing here references a
+    base: a base holds its context, and a reference back would keep both
+    alive until the next cyclic collection, not just as long as a base
+    does.  Get the context of a base from base_context().
     """
 
     def __init__(self, base: Base) -> None:
@@ -188,6 +190,7 @@ class BaseContext:
         self.atoms = atoms_of_base(base)
         self._truth: dict[Formula, bool] = {}
         self.validity: Any = None
+        self.holders = 0
 
     def holds(self, f: Formula) -> bool:
         """Does the closed formula f hold over the base?"""
@@ -212,17 +215,34 @@ class BaseContext:
         return not all(map(self.holds, premises)) or self.holds(goal)
 
 
-# one context per live base, dropped with the base; bases are keyed by
-# value, so equal bases alive at once share one context
-_CONTEXTS: weakref.WeakKeyDictionary[Base, BaseContext] = weakref.WeakKeyDictionary()
+# the context of each rule set that some live base holds in its slot: a
+# base whose own slot is empty finds here the context of an equal base that
+# is still alive.  Each holder counts itself in the context's holders and
+# is counted out when it dies, and the entry goes with the last of them.
+_CONTEXTS: dict[frozenset[AtomicRule], BaseContext] = {}
 
 
 def base_context(base: Base) -> BaseContext:
-    """The evaluation context of the base, built on first use."""
-    ctx = _CONTEXTS.get(base)
+    """The evaluation context of the base: one attribute read once the base
+    holds it, built on first use; equal bases alive at the same time share
+    one."""
+    ctx = base._context
     if ctx is None:
-        ctx = _CONTEXTS[base] = BaseContext(base)
+        ctx = _CONTEXTS.get(base.rules)
+        if ctx is None:
+            ctx = _CONTEXTS[base.rules] = BaseContext(base)
+        ctx.holders += 1
+        weakref.finalize(base, _release, base.rules).atexit = False
+        object.__setattr__(base, "_context", ctx)
     return ctx
+
+
+def _release(rules: frozenset[AtomicRule]) -> None:
+    """A base holding the context of rules has died."""
+    ctx = _CONTEXTS[rules]
+    ctx.holders -= 1
+    if not ctx.holders:
+        del _CONTEXTS[rules]
 
 
 class Evaluator:

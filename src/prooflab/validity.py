@@ -36,9 +36,13 @@ for the sequent); and the suite provider built on those witnesses.  One
 step builder makes both synthesized one-step arguments: the body of an
 implication's witness and the argument for a sequent with premises, each
 an inference from its assumptions justified by a constant reduction to the
-conclusion's witness.  The one-step arguments are rebuilt on each call,
-not kept, equal verdicts are one object, and the checks of sub-arguments
-under a parent's justifications are made afresh.
+conclusion's witness.  The inference itself, its assumption leaves in
+format_formula order, depends on no base: one bounded module-wide cache
+keeps it for every base.  Per base, the context keeps only witnesses and
+verdicts; a call that asks again builds the constant reduction and the
+Argument around the shared inference, and no argument structure.  Equal
+verdicts are one object, and the checks of sub-arguments under a parent's
+justifications are made afresh.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from prooflab.arguments import (
@@ -387,8 +392,10 @@ class _Witnesses:
     once; and, by calling it, the suite provider that closes open
     arguments with those witnesses.  Its step builder makes the one-step
     arguments synthesized over the base, for implication witnesses and for
-    sequents with premises alike; they are rebuilt on each call, and only
-    their verdicts are kept.  It references the context, never the base."""
+    sequents with premises alike: the inference comes from the cache
+    every base shares, and only the constant reduction and the Argument
+    are built on each call; only their verdicts are kept.  It references
+    the context, never the base."""
 
     def __init__(self, ctx: BaseContext) -> None:
         self.ctx = ctx
@@ -430,25 +437,23 @@ class _Witnesses:
             sub = self.witness(f.right)
             return Argument(or_intro_right(sub.structure, f.left), sub.justifications)
         if isinstance(f, Impl):
-            body = self.step([f.left], f.right, f"close[{f}]")
+            body = self.step(frozenset((f.left,)), f.right, f"close[{f}]")
             return Argument(impl_intro(body.structure, f.left), body.justifications)
         raise StructureError(f"no witness for {format_formula(f)}")
 
     def step(
-        self, prems: Sequence[Formula], concl: Formula, name: str
+        self, prems: frozenset[Formula], concl: Formula, name: str
     ) -> Argument:
         """The one-step inference from assumptions prems to concl.  When all
         of prems hold it is justified by a constant reduction, named name,
         to concl's witness, so every closing of it reduces to that witness;
         otherwise no closed valid argument can close it and it needs no
         justification."""
-        struct = structure_of_inference(
-            Inference(subs=tuple(assumption(g) for g in prems), conclusion=concl)
-        )
-        if not all(map(self.ctx.holds, prems)):
+        order, struct = _inference(prems, concl)
+        if not all(map(self.ctx.holds, order)):
             return Argument(struct)
         target = self.witness(concl)
-        close = constant_reduction(prems, concl, target.structure, name=name)
+        close = constant_reduction(order, concl, target.structure, name=name)
         return Argument(struct, target.justifications + (close,))
 
     def verdict(
@@ -488,6 +493,19 @@ class _Witnesses:
         return Suite(instances=(Instantiation(assignment=tuple(sigma)),))
 
 
+@lru_cache(maxsize=1024)
+def _inference(
+    prems: frozenset[Formula], concl: Formula
+) -> tuple[tuple[Formula, ...], ArgumentStructure]:
+    """The premises in format_formula order, and the one-step inference from
+    them, as assumptions, to concl.  It depends on no base, so every base
+    shares it; bounded, as the sequents asked about are not."""
+    order = tuple(sorted(prems, key=format_formula))
+    return order, structure_of_inference(
+        Inference(subs=tuple(map(assumption, order)), conclusion=concl)
+    )
+
+
 def _witnesses(ctx: BaseContext) -> _Witnesses:
     if ctx.validity is None:
         ctx.validity = _Witnesses(ctx)
@@ -513,13 +531,12 @@ def synthesize_witness(
 
 def _synthesize(state: _Witnesses, sequent: Sequent, strict: bool) -> Argument:
     if sequent.premises:
-        prems = sorted(sequent.premises, key=format_formula)
-        if strict and all(map(state.ctx.holds, prems)):
+        if strict and all(map(state.ctx.holds, sequent.premises)):
             raise StructureError(
                 "a one-step argument from live premises needs a "
                 "justification beyond the standard reductions"
             )
-        return state.step(prems, sequent.conclusion, "close[premises]")
+        return state.step(sequent.premises, sequent.conclusion, "close[premises]")
     arg = state.witness(sequent.conclusion)
     if strict and arg.justifications:
         raise StructureError(
@@ -538,6 +555,18 @@ class AlphaResult:
     holds: bool | None  # None when the verdict is inconclusive
 
 
+# models_alpha's answer whenever the underlying consequence fails
+_FAILS = AlphaResult(
+    verdict=ValidityVerdict(
+        Status.INVALID,
+        "the underlying consequence fails, so no argument from these "
+        "assumptions is valid over this base",
+    ),
+    witness=None,
+    holds=False,
+)
+
+
 def models_alpha(
     base: Base,
     sequent: Sequent,
@@ -553,15 +582,7 @@ def models_alpha(
     witness and the closing suite."""
     state = _witnesses(base_context(base))
     if not state.ctx.entails(sequent.premises, sequent.conclusion):
-        return AlphaResult(
-            verdict=ValidityVerdict(
-                Status.INVALID,
-                "the underlying consequence fails, so no argument from these "
-                "assumptions is valid over this base",
-            ),
-            witness=None,
-            holds=False,
-        )
+        return _FAILS
     try:
         arg = _synthesize(state, sequent, strict)
     except StructureError as exc:

@@ -824,6 +824,33 @@ def test_iter_nodes_preorder():
     assert paths == [(), (0,), (1,)]
 
 
+def _walk_reference(node, path=()):
+    """The recursive preorder walk, the reference for iter_nodes."""
+    yield path, node
+    for i, child in enumerate(node.children):
+        yield from _walk_reference(child, path + (i,))
+
+
+def trees():
+    """Bare trees of any shape: up to three children a node."""
+    return st.recursive(
+        st.sampled_from([p, q, BOT]).map(leaf),
+        lambda kids: st.tuples(
+            small_formulas(), st.lists(kids, min_size=1, max_size=3)
+        ).map(lambda t: Node(t[0], tuple(t[1]))),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=150)
+@given(st.one_of(structures(), trees()))
+def test_iter_nodes_matches_the_recursive_walk(d):
+    got = list(iter_nodes(d))
+    want = list(_walk_reference(d))
+    assert [path for path, _ in got] == [path for path, _ in want]
+    assert all(a is b for (_, a), (_, b) in zip(got, want))
+
+
 _PICKLED_VALUES = """
 import pickle, sys
 from prooflab.arguments import and_intro, assumption, axiom_leaf, impl_intro

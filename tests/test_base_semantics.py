@@ -16,7 +16,7 @@ from oracles import (
     ref_standard,
     ref_variant,
 )
-from prooflab import atomic_system, base_semantics
+from prooflab import atomic_system, base_semantics, validity
 from prooflab.arguments import StructureError, conclusion
 from prooflab.atomic_system import (
     Base,
@@ -272,6 +272,39 @@ def test_context_lives_exactly_as_long_as_its_base():
     del b, twin, ctx
     gc.collect()
     assert gone() is None
+
+
+def test_shared_inferences_keep_no_context_alive():
+    b = parse_base_text("gc_u.\n(gc_u => gc_v)")
+    # a premise argument and an implication's witness: both one-step
+    # inferences, which every base shares
+    assert models_alpha(b, seq("gc_u |- gc_v")).holds
+    assert models_alpha(b, seq("|- gc_u -> gc_v")).holds
+    assert models_alpha(b, seq("gc_w |- gc_v")).holds
+    assert validity._inference.cache_info().currsize > 0
+    gone = weakref.ref(base_context(b))
+    del b
+    gc.collect()
+    assert gone() is None
+
+
+def test_a_twin_keeps_the_context_for_the_next_equal_base():
+    text = "gc_x.\n(gc_x => gc_y)"
+    first = parse_base_text(text)
+    ctx = weakref.ref(base_context(first))
+    assert models_alpha(first, seq("|- gc_y")).holds
+    twin = parse_base_text(text)
+    assert base_context(twin) is ctx()
+    # the base the context was made for dies; the twin still holds it
+    del first
+    gc.collect()
+    assert ctx() is not None
+    third = parse_base_text(text)
+    assert base_context(third) is ctx()
+    assert Atom("gc_y") in base_context(third).validity.args
+    del twin, third
+    gc.collect()
+    assert ctx() is None
 
 
 def test_building_a_context_does_not_revalidate_its_base(monkeypatch):

@@ -100,3 +100,59 @@ def test_no_module_raises_the_recursion_limit():
         in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     ]
     assert calls == []
+
+
+def _caches(tree):
+    """(line, bounded) for every functools cache a module makes: bounded
+    when it is an lru_cache given an integer maxsize.  A bare lru_cache
+    holds 128 entries by a default nobody chose, and maxsize=None and
+    functools.cache grow for the life of the process."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, False) for a in node.names if a.name == "cache"]
+            continue
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            name = node.attr
+        else:
+            continue
+        if name == "cache" and isinstance(node, ast.Attribute):
+            found.append((node.lineno, False))
+        elif name == "lru_cache":
+            call = calls.get(id(node))
+            sizes = [] if call is None else [
+                *(k.value for k in call.keywords if k.arg == "maxsize"),
+                *call.args[:1],
+            ]
+            size = sizes[0].value if sizes and isinstance(sizes[0], ast.Constant) else None
+            found.append((node.lineno, type(size) is int))
+    return found
+
+
+def test_every_cache_is_bounded():
+    caches = {
+        f"{filename} line {line}": bounded
+        for filename, tree in _module_trees()
+        for line, bounded in _caches(tree)
+    }
+    assert caches
+    assert [where for where, bounded in caches.items() if not bounded] == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from functools import lru_cache\n@lru_cache\ndef f(x): return x",
+        "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x): return x",
+        "from functools import lru_cache\n@lru_cache(None)\ndef f(x): return x",
+        "import functools\n@functools.lru_cache()\ndef f(x): return x",
+        "from functools import cache\n@cache\ndef f(x): return x",
+        "import functools\n@functools.cache\ndef f(x): return x",
+        "from functools import lru_cache\nf = lru_cache(len)",
+    ],
+)
+def test_an_unbounded_cache_is_caught(source):
+    assert [bounded for _, bounded in _caches(ast.parse(source))][-1:] == [False]

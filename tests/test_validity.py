@@ -596,7 +596,7 @@ def test_context_memo_changes_nothing_and_leaks_nothing():
             for seq in rng.sample(pool, 15)
         ]
         base = Base(frozenset(map(parse_rule, rules)))
-        assert base not in base_semantics._CONTEXTS
+        assert base.rules not in base_semantics._CONTEXTS
         cold = _alpha_rows(base, seqs)
         kinds |= _premise_kinds(base, seqs)
         ctx = weakref.ref(base_context(base))
@@ -609,7 +609,7 @@ def test_context_memo_changes_nothing_and_leaks_nothing():
         gc.collect()
         assert gone() is None and ctx() is None
         rebuilt = Base(frozenset(map(parse_rule, rules)))
-        assert rebuilt not in base_semantics._CONTEXTS
+        assert rebuilt.rules not in base_semantics._CONTEXTS
         assert _alpha_rows(rebuilt, seqs) == cold
         assert base_context(rebuilt) is not None
     # the verdicts dropped with each base covered premise sequents of both
@@ -620,6 +620,52 @@ def test_context_memo_changes_nothing_and_leaks_nothing():
     del rebuilt
     gc.collect()
     assert not any("memo_" in v.reason for v in validity._SHARED.values())
+
+
+def test_a_warm_pass_builds_no_node(monkeypatch):
+    rng = random.Random(20261020)
+    pool = sequent_pool()
+    bases = [
+        Base(frozenset(parse_rule(_renamed(format_rule(r))) for r in b.rules))
+        for b in rng.sample(base_family(), 6)
+    ]
+    seqs = [parse_sequent(_renamed(format_sequent(s))) for s in pool]
+    kinds = set()
+    for base in bases:
+        kinds |= _premise_kinds(base, seqs)
+    # premise sequents of both kinds: every premise holds, some premise fails
+    assert kinds == {True, False}
+    built = []
+    real = Node.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Node, "__post_init__", counting)
+
+    def rows():
+        out = []
+        for base in bases:
+            for seq in seqs:
+                res = models_alpha(base, seq)
+                w = res.witness
+                out.append(
+                    (
+                        res.verdict.status,
+                        res.holds,
+                        None if w is None else w.structure,
+                        None if w is None else [j.name for j in w.justifications],
+                    )
+                )
+        return out
+
+    cold = rows()
+    assert built
+    built.clear()
+    warm = rows()
+    assert built == []
+    assert warm == cold
 
 
 def test_witness_verdict_is_checked_once_per_budget(monkeypatch):
@@ -762,7 +808,7 @@ def test_warm_rows_equal_cold_rows_of_an_equal_base(rs, bare, premised, rnd):
 
     def fresh():
         base = Base(frozenset(map(parse_rule, rules)))
-        assert base not in base_semantics._CONTEXTS
+        assert base.rules not in base_semantics._CONTEXTS
         return base
 
     base = fresh()
