@@ -20,7 +20,10 @@ truth for both relations by one classical valuation: read materially, the
 clauses collapse to it, and the variant's fresh atom, which no base
 derives, makes its disjunction clause collapse too.  models() answers from
 the context; only when a trace is asked for does an Evaluator replay the
-clauses to render the trace's entries.  The validity layer builds its
+clauses to render the trace's entries.  An untraced call builds nothing: it
+returns one shared, immutable result per relation, universe and answer,
+and the variant's universe comes from a cache keyed by the base's atoms and
+the sequent's, which a sequent computes once.  The validity layer builds its
 atomic witness arguments from the trees of the context's saturation and
 keeps them in the context; this module builds no argument structures.
 
@@ -92,9 +95,20 @@ __all__ = [
 class Sequent:
     premises: frozenset[Formula] = field(default_factory=frozenset)
     conclusion: Formula = BOT
+    # the named atoms of the conclusion and the premises, computed once
+    _atoms: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "premises", frozenset(self.premises))
+        premises = frozenset(self.premises)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(
+            self, "_atoms", atoms_of(self.conclusion).union(*map(atoms_of, premises))
+        )
+
+    def __reduce__(self):
+        # rebuilt through __init__, as the formulas are; the kept atoms are
+        # left out
+        return (Sequent, (self.premises, self.conclusion))
 
     def __str__(self) -> str:
         return format_sequent(self)
@@ -115,13 +129,6 @@ def format_sequent(s: Sequent) -> str:
     return f"{left} |- {format_formula(s.conclusion)}" if left else f"|- {format_formula(s.conclusion)}"
 
 
-def atoms_of_sequent(s: Sequent) -> frozenset[str]:
-    out = atoms_of(s.conclusion)
-    for g in s.premises:
-        out |= atoms_of(g)
-    return out
-
-
 class SemanticsKind(Enum):
     STANDARD = "standard"
     SANDQVIST = "sandqvist"
@@ -137,12 +144,21 @@ def fresh_atom(used: Iterable[str]) -> str:
     return f"c{i}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalTrace:
+    """What an evaluation records: the relation, the variant's universe,
+    the notes on its readings and, when a trace was asked for, one entry per
+    (premises, goal) pair in the order the clauses reached them.  An
+    untraced call's trace is shared by every untraced call with the same
+    relation, universe and answer, so it is immutable and its entries are
+    the empty tuple; a traced call's trace is its own, with a fresh list."""
+
     kind: str
     universe: tuple[str, ...] | None
     notes: tuple[str, ...]
-    entries: list[tuple[str, str, str, bool]] = field(default_factory=list)
+    entries: list[tuple[str, str, str, bool]] | tuple[()] = field(
+        default_factory=list
+    )
     # entry: (clause, premises rendered, formula rendered, result)
 
 
@@ -265,11 +281,12 @@ class Evaluator:
         self.context = context
         self.universe = universe
         self.seen: set[tuple[frozenset[Formula], Formula]] = set()
-        self.trace = EvalTrace(kind.value, universe, _notes(kind))
+        self.entries: list[tuple[str, str, str, bool]] = []
+        self.trace = EvalTrace(kind.value, universe, _notes(kind), self.entries)
 
     def _log(self, clause: str, premises: frozenset[Formula], goal: Formula, result: bool) -> None:
         rendered = ", ".join(sorted(format_formula(g) for g in premises))
-        self.trace.entries.append((clause, rendered, format_formula(goal), result))
+        self.entries.append((clause, rendered, format_formula(goal), result))
 
     def entails(self, premises: frozenset[Formula], goal: Formula) -> bool:
         result = self.context.entails(premises, goal)
@@ -319,30 +336,46 @@ class Evaluator:
             self._log("disj-elim", none, goal, result)
 
 
-def _universe_for(
-    kind: SemanticsKind, ctx: BaseContext, sequent: Sequent
-) -> tuple[str, ...] | None:
-    if kind is not SemanticsKind.SANDQVIST:
-        return None
-    used = ctx.atoms | atoms_of_sequent(sequent)
+@lru_cache(maxsize=4096)
+def _variant_universe(
+    base_atoms: frozenset[str], sequent_atoms: frozenset[str]
+) -> tuple[str, ...]:
+    """The variant's universe: the atoms of the base and the sequent, sorted,
+    then one fresh atom."""
+    used = base_atoms | sequent_atoms
     return tuple(sorted(used)) + (fresh_atom(used),)
+
+
+@lru_cache(maxsize=1024)
+def _untraced(
+    kind: SemanticsKind, universe: tuple[str, ...] | None, holds: bool
+) -> EvalResult:
+    """The one result every untraced call with this relation, universe and
+    answer returns."""
+    trace = EvalTrace(kind.value, universe, _notes(kind), ())
+    return EvalResult(holds=holds, trace=trace)
 
 
 def models(
     kind: SemanticsKind, base: Base, sequent: Sequent, *, trace: bool = True
 ) -> EvalResult:
-    """Does the sequent hold over the base under the chosen relation?  The
-    trace's entries are rendered only when trace is True."""
+    """Does the sequent hold over the base under the chosen relation?
+
+    The trace's entries are rendered only when trace is True, into a trace
+    of the call's own.  An untraced call builds nothing: it returns the
+    shared, immutable result of its relation, universe and answer, whose
+    entries are the empty tuple."""
     ctx = base_context(base)
-    universe = _universe_for(kind, ctx, sequent)
+    universe = (
+        _variant_universe(ctx.atoms, sequent._atoms)
+        if kind is SemanticsKind.SANDQVIST
+        else None
+    )
     if trace:
         ev = Evaluator(kind, ctx, universe)
         holds = ev.entails(sequent.premises, sequent.conclusion)
         return EvalResult(holds=holds, trace=ev.trace)
-    return EvalResult(
-        holds=ctx.entails(sequent.premises, sequent.conclusion),
-        trace=EvalTrace(kind.value, universe, _notes(kind)),
-    )
+    return _untraced(kind, universe, ctx.entails(sequent.premises, sequent.conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +416,7 @@ def search_counterexample(
     vacuously satisfied) or indistinguishable from the fresh atom.  Rules of
     higher level therefore cannot refute anything the axiom sets cannot.
     """
-    names = sorted(atoms_of_sequent(sequent))[: bounds.max_atoms]
+    names = sorted(sequent._atoms)[: bounds.max_atoms]
     examined = 0
     limit = min(bounds.max_rules, len(names))
     for size in range(0, limit + 1):

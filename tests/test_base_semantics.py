@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import gc
+import pickle
+import random
+import re
 import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     enum_derivable_atoms,
@@ -23,11 +27,13 @@ from prooflab.atomic_system import (
     atoms_of_base,
     axiom,
     check_consistency,
+    format_rule,
     parse_base_text,
     parse_rule,
 )
 from prooflab.base_semantics import (
     EvalResult,
+    EvalTrace,
     ExportReport,
     SearchBounds,
     SemanticsKind,
@@ -46,7 +52,9 @@ from prooflab.base_semantics import (
 )
 from prooflab.syntax import Atom, BOT, Conj, Disj, Impl, atoms_of, parse_formula
 from prooflab.validity import _witnesses, models_alpha
-from test_acceptance import base_family
+from test_acceptance import base_family, sequent_pool
+from test_atomic_system import rule_sets
+from test_syntax import formulas
 
 STD = SemanticsKind.STANDARD
 SDQ = SemanticsKind.SANDQVIST
@@ -344,6 +352,100 @@ def test_evaluation_is_stable_under_memoization():
     first = models(STD, b, s)
     second = models(STD, b, s)
     assert first.holds == second.holds
+
+
+def test_a_warm_untraced_pass_builds_no_result(monkeypatch):
+    # atoms no other test uses, so the variant's universes are new ones
+    def renamed(text):
+        return re.sub(r"\b([pqrst])\b", r"shared_\1", text)
+
+    rng = random.Random(20261020)
+    bases = [
+        Base(frozenset(parse_rule(renamed(format_rule(r))) for r in b.rules))
+        for b in rng.sample(base_family(), 6)
+    ]
+    seqs = [parse_sequent(renamed(format_sequent(s))) for s in sequent_pool()]
+    built = []
+    for cls in (EvalTrace, EvalResult):
+        real = cls.__init__
+
+        def counting(self, *args, real=real, **kwargs):
+            built.append(type(self))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def rows():
+        out = []
+        for b in bases:
+            for s in seqs:
+                for kind in (STD, SDQ):
+                    res = models(kind, b, s, trace=False)
+                    t = res.trace
+                    out.append((res.holds, t.universe, t.notes, t.kind))
+        return out
+
+    cold = rows()
+    built.clear()
+    warm = rows()
+    assert built == []
+    assert warm == cold
+    assert len(warm) == 2 * len(bases) * len(seqs)
+
+
+def test_the_shared_untraced_result_is_immutable_and_isolated():
+    b = base("iso_p.\n(iso_q => iso_r)")
+    s = seq("iso_q |- (iso_p | iso_q) & (iso_q -> iso_r)")
+    for kind in (STD, SDQ):
+        plain = models(kind, b, s, trace=False)
+        assert plain.trace.entries == ()
+        for name, value in (("entries", []), ("universe", None), ("kind", "x")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(plain.trace, name, value)
+        traced = models(kind, b, s)
+        assert isinstance(traced.trace.entries, list)
+        assert traced.trace.entries[-1] == ("premises", "iso_q", str(s.conclusion), True)
+        # a traced call after it still renders its whole trace, into a list
+        # of its own, and its entries never reach the shared result
+        again = models(kind, b, s)
+        assert again.trace.entries == traced.trace.entries
+        assert again.trace.entries is not traced.trace.entries
+        traced.trace.entries.append(("extra", "", "", True))
+        later = models(kind, b, s, trace=False)
+        assert later is plain and later.trace.entries == ()
+        assert (later.holds, later.trace.universe, later.trace.notes) == (
+            traced.holds,
+            traced.trace.universe,
+            traced.trace.notes,
+        )
+
+
+_c_atoms = st.sampled_from(["c", "c1", "c2"]).map(Atom)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rule_sets(),
+    st.frozensets(st.one_of(formulas(2), _c_atoms), max_size=3),
+    st.one_of(formulas(2), _c_atoms),
+)
+def test_the_variant_universe_and_the_kept_atoms_match_their_recipes(
+    rs, premises, conclusion
+):
+    assume(check_consistency(rs))
+    b = Base(rs)
+    s = Sequent(premises=premises, conclusion=conclusion)
+    atoms = atoms_of(conclusion).union(*(atoms_of(g) for g in premises))
+    assert s._atoms == atoms
+    ctx = base_context(b)
+    used = ctx.atoms | atoms
+    want = tuple(sorted(used)) + (fresh_atom(used),)
+    assert base_semantics._variant_universe(ctx.atoms, s._atoms) == want
+    assert models(SDQ, b, s, trace=False).trace.universe == want
+    assert models(SDQ, b, s).trace.universe == want
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and hash(back) == hash(s)
+    assert back._atoms == atoms
 
 
 # ---------------------------------------------------------------------------
