@@ -73,7 +73,6 @@ __all__ = [
     "axiom_leaf",
     "conclusion",
     "assumptions",
-    "assumption_paths",
     "is_closed",
     "sub_structures",
     "instantiate",
@@ -405,15 +404,6 @@ def _is_open(node: Node, depth: int) -> bool:
     """A non-axiomatic leaf at the given depth that nothing inside the
     structure discharges."""
     return not (node.children or node.axiomatic or 0 < node.bound <= depth)
-
-
-def assumption_paths(struct: ArgumentStructure) -> dict[Path, Formula]:
-    """Undischarged non-axiomatic leaves, in preorder."""
-    return {
-        path: node.formula
-        for path, node in iter_nodes(struct)
-        if _is_open(node, len(path))
-    }
 
 
 def assumptions(struct: ArgumentStructure) -> frozenset[Formula]:

@@ -91,7 +91,7 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(eq=False, frozen=True, slots=True)
 class Reduction:
     """A named partial rewrite: rewrite returns the reduct of a structure,
     or None where the reduction does not apply."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 __all__ = [
     "Formula",
@@ -38,7 +38,6 @@ __all__ = [
     "substitute",
     "atoms_of",
     "depth",
-    "subformulas",
     "formula_to_obj",
     "formula_from_obj",
 ]
@@ -359,13 +358,6 @@ def depth(f: Formula) -> int:
         return 0
     assert isinstance(f, (Conj, Disj, Impl))
     return 1 + max(depth(f.left), depth(f.right))
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, (Conj, Disj, Impl)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
 
 
 _OPS = {"and": Conj, "or": Disj, "imp": Impl}

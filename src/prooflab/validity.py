@@ -27,22 +27,27 @@ relation by its classical valuation, and its saturation's trees are the
 atomic derivations the witnesses are built from.  The same context keeps
 this layer's state for the base, for as long as the base lives: one closed
 witness argument per formula, built once, so the same justification
-objects come back on every call; one verdict per sequent and budget,
-witnesses and premise arguments alike, keyed by the sequent's premise set,
-conclusion and the budget (a witness's premise set is empty), which
-answers every later check of that synthesized argument (a witness as a
-closing instance of the provider's own suite, and models_alpha's argument
-for the sequent); and the suite provider built on those witnesses.  One
-step builder makes both synthesized one-step arguments: the body of an
-implication's witness and the argument for a sequent with premises, each
-an inference from its assumptions justified by a constant reduction to the
-conclusion's witness.  The inference itself, its assumption leaves in
-format_formula order, depends on no base: one bounded module-wide cache
-keeps it for every base.  Per base, the context keeps only witnesses and
-verdicts; a call that asks again builds the constant reduction and the
-Argument around the shared inference, and no argument structure.  Equal
-verdicts are one object, and the checks of sub-arguments under a parent's
-justifications are made afresh.
+objects come back on every call; one table of answers, one per sequent and
+budget, keyed by the sequent's premise set, conclusion and the budget (a
+witness's premise set is empty); and the suite provider built on those
+witnesses.  An answer is models_alpha's whole result: the synthesized
+argument, its verdict, checked once, and whether the sequent holds.  The
+table answers every later check of that argument: a witness closing an
+instance of the provider's own suite reads its entry's verdict, and a warm
+models_alpha call is one lookup that builds nothing.  Its memory cost is
+the argument each entry keeps: for a sequent with premises an Argument of
+its own and, when every premise holds, a constant reduction; the answer,
+the Argument and the Reduction have slots, so each entry is small.  One step builder makes both
+synthesized one-step arguments: the body of an implication's witness and
+the argument for a sequent with premises, each an inference from its
+assumptions justified by a constant reduction to the conclusion's witness.
+The inference itself, its assumption leaves in format_formula order,
+depends on no base: one bounded module-wide cache keeps it for every base.
+Equal verdicts are one object, and the checks of sub-arguments under a
+parent's justifications are made afresh.  A strict call skips the lookup:
+it synthesizes, and so refuses, on every call; an argument it lets through
+is the one an unrestricted call builds, so its answer is kept and shared
+as that call's is.
 """
 
 from __future__ import annotations
@@ -107,7 +112,6 @@ __all__ = [
     "check_valid",
     "AlphaResult",
     "models_alpha",
-    "synthesize_witness",
     "semantic_suite_provider",
     "compare_consequence_notions",
 ]
@@ -126,7 +130,7 @@ class ValidityVerdict:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Argument:
     """A structure with its justifications; the standard reductions are
     always in force and need not be listed."""
@@ -273,7 +277,7 @@ def _check_open(
 ) -> ValidityVerdict:
     struct = arg.structure
     # the closings of the witnesses' own suite over their own base are
-    # witnesses, whose verdicts the witnesses keep
+    # witnesses, whose answers the witnesses keep
     memo: _Witnesses | None = None
     if suite is None and provider is not None:
         try:
@@ -323,7 +327,7 @@ def _check_open(
             if memo is None:
                 v = _check_closed(closing, base, provider, budget)
             else:
-                v = memo.verdict(_NO_PREMISES, f, closing, base, budget)
+                v = memo.result(_NO_PREMISES, f, closing, base, budget).verdict
             if v.status is Status.INVALID:
                 notes.append(
                     f"closing instance {k} skipped: its argument for "
@@ -387,21 +391,21 @@ _SHARED: weakref.WeakValueDictionary[
 class _Witnesses:
     """The validity layer's state for one base, kept in the base's context:
     one closed witness argument per formula that holds, each built once, so
-    the same justification objects come back every time; one verdict per
-    sequent and budget, witnesses and premise arguments alike, checked
-    once; and, by calling it, the suite provider that closes open
-    arguments with those witnesses.  Its step builder makes the one-step
-    arguments synthesized over the base, for implication witnesses and for
-    sequents with premises alike: the inference comes from the cache
-    every base shares, and only the constant reduction and the Argument
-    are built on each call; only their verdicts are kept.  It references
-    the context, never the base."""
+    the same justification objects come back every time; one answer per
+    sequent and budget, the synthesized argument with its verdict, checked
+    once, for witnesses and premise arguments alike; and, by calling it,
+    the suite provider that closes open arguments with those witnesses.
+    Its step builder makes the one-step arguments synthesized over the
+    base, for implication witnesses and for sequents with premises alike:
+    the inference comes from the cache every base shares, and the constant
+    reduction and the Argument around it are built once per answer kept.
+    It references the context, never the base."""
 
     def __init__(self, ctx: BaseContext) -> None:
         self.ctx = ctx
         self.args: dict[Formula, Argument] = {}
-        self.verdicts: dict[
-            tuple[frozenset[Formula], Formula, int], ValidityVerdict
+        self.results: dict[
+            tuple[frozenset[Formula], Formula, int], AlphaResult
         ] = {}
 
     def witness(self, f: Formula) -> Argument:
@@ -456,24 +460,29 @@ class _Witnesses:
         close = constant_reduction(order, concl, target.structure, name=name)
         return Argument(struct, target.justifications + (close,))
 
-    def verdict(
+    def result(
         self,
         prems: frozenset[Formula],
         concl: Formula,
         arg: Argument,
         base: Base,
         budget: int,
-    ) -> ValidityVerdict:
-        """check_valid, with this provider, of arg, the argument synthesized
-        over base (this context's base) for prems |- concl: the witness of
-        concl when prems is empty, else the one-step argument from prems.
-        Checked once per sequent and budget; equal verdicts are shared."""
+    ) -> AlphaResult:
+        """models_alpha's answer for prems |- concl over base (this
+        context's base), where arg is the argument synthesized for it: the
+        witness of concl when prems is empty, else the one-step argument
+        from prems.  arg is checked by check_valid, with this provider, once
+        per sequent and budget, and the answer is kept with arg in it;
+        equal verdicts are shared."""
         key = (prems, concl, budget)
-        got = self.verdicts.get(key)
+        got = self.results.get(key)
         if got is None:
-            got = check_valid(arg, base, suite_provider=self, budget=budget)
-            fields = (got.status, got.reason, got.notes)
-            got = self.verdicts[key] = _SHARED.setdefault(fields, got)
+            verdict = check_valid(arg, base, suite_provider=self, budget=budget)
+            fields = (verdict.status, verdict.reason, verdict.notes)
+            verdict = _SHARED.setdefault(fields, verdict)
+            got = self.results[key] = AlphaResult(
+                verdict=verdict, witness=arg, holds=_HOLDS.get(verdict.status)
+            )
         return got
 
     def __call__(self, struct: ArgumentStructure) -> Suite:
@@ -520,16 +529,10 @@ def semantic_suite_provider(base: Base) -> SuiteProvider:
     return _witnesses(base_context(base))
 
 
-def synthesize_witness(
-    base: Base, sequent: Sequent, *, strict: bool = False
-) -> Argument:
+def _synthesize(state: _Witnesses, sequent: Sequent, strict: bool) -> Argument:
     """An argument for the sequent read off the semantics, assuming the
     underlying consequence holds.  With strict=True only the standard
     reductions may be used, and synthesis refuses where that is not enough."""
-    return _synthesize(_witnesses(base_context(base)), sequent, strict)
-
-
-def _synthesize(state: _Witnesses, sequent: Sequent, strict: bool) -> Argument:
     if sequent.premises:
         if strict and all(map(state.ctx.holds, sequent.premises)):
             raise StructureError(
@@ -548,7 +551,7 @@ def _synthesize(state: _Witnesses, sequent: Sequent, strict: bool) -> Argument:
 _HOLDS = {Status.VALID: True, Status.INVALID: False}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlphaResult:
     verdict: ValidityVerdict
     witness: Argument | None
@@ -579,10 +582,18 @@ def models_alpha(
     base.  Evaluates the clause-defined consequence first; a positive
     answer is then backed by a synthesized argument that is rechecked.
     The base's evaluation context answers the consequence and serves the
-    witness and the closing suite."""
+    witness and the closing suite, and keeps the answer: a later call for
+    the same sequent and budget returns the same AlphaResult object.  With
+    strict=True the argument is synthesized, and refused where it needs
+    more than the standard reductions, on every call."""
     state = _witnesses(base_context(base))
-    if not state.ctx.entails(sequent.premises, sequent.conclusion):
+    prems, concl = sequent.premises, sequent.conclusion
+    if not state.ctx.entails(prems, concl):
         return _FAILS
+    if not strict:
+        got = state.results.get((prems, concl, budget))
+        if got is not None:
+            return got
     try:
         arg = _synthesize(state, sequent, strict)
     except StructureError as exc:
@@ -591,8 +602,7 @@ def models_alpha(
             witness=None,
             holds=None,
         )
-    verdict = state.verdict(sequent.premises, sequent.conclusion, arg, base, budget)
-    return AlphaResult(verdict=verdict, witness=arg, holds=_HOLDS.get(verdict.status))
+    return state.result(prems, concl, arg, base, budget)
 
 
 def compare_consequence_notions(

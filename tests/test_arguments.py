@@ -22,7 +22,6 @@ from prooflab.arguments import (
     and_elim,
     and_intro,
     assumption,
-    assumption_paths,
     assumptions,
     axiom_leaf,
     bind,
@@ -66,6 +65,15 @@ from prooflab.atomic_system import (
 from prooflab.syntax import Atom, BOT, Conj, Disj, Impl, parse_formula
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
+
+
+def assumption_paths(struct):
+    """Undischarged non-axiomatic leaves, in preorder."""
+    return {
+        path: node.formula
+        for path, node in iter_nodes(struct)
+        if not (node.children or node.axiomatic or 0 < node.bound <= len(path))
+    }
 
 
 # ---------------------------------------------------------------------------

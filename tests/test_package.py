@@ -156,3 +156,91 @@ def test_every_cache_is_bounded():
 )
 def test_an_unbounded_cache_is_caught(source):
     assert [bounded for _, bounded in _caches(ast.parse(source))][-1:] == [False]
+
+
+# Public names whose callers are the package's users rather than its own
+# code: each is documented API, kept though nothing in the repo outside the
+# tests calls it.
+USERS_ONLY = {
+    # simultaneous substitution of formulas for atoms, exported by the
+    # package itself (prooflab.substitute)
+    "substitute",
+    # derive's docstring and the README name it as the independent
+    # checker a derivation tree is replayed with
+    "check_derivation",
+    # constructors of the two derived steps the standard reductions unwind;
+    # the acceptance gate builds with them
+    "weaken",
+    "or_project",
+}
+CALLER_DIRS = ("src", "scripts", "perfbench")
+
+
+def _exported(tree):
+    """The names a module's __all__ lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _read_names(tree):
+    """Every name a module reads, bare or as an attribute.  A definition
+    reading its own name (a recursive call) does not count, nor does an
+    import, an assignment or a string such as an __all__ entry."""
+    read = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                read.add(name)
+    return read
+
+
+def _without_caller(exporters, callers):
+    """The names some exporter's __all__ lists that no caller reads."""
+    read = set().union(*map(_read_names, callers))
+    return sorted({n for tree in exporters for n in _exported(tree)} - read)
+
+
+def test_every_public_name_has_a_caller():
+    root = os.path.dirname(SRC)
+    callers = []
+    for top in CALLER_DIRS:
+        for folder, _, names in os.walk(os.path.join(root, top)):
+            for filename in sorted(names):
+                if filename.endswith(".py"):
+                    path = os.path.join(folder, filename)
+                    with open(path, encoding="utf-8") as fh:
+                        callers.append(ast.parse(fh.read(), path))
+    exporters = [tree for _, tree in _module_trees()]
+    assert _without_caller(exporters, callers) == sorted(USERS_ONLY)
+
+
+@pytest.mark.parametrize(
+    "exporter, caller, flagged",
+    [
+        ("__all__ = ['f']\ndef f(): pass", "", True),
+        # a recursive call is the definition reading itself
+        ("__all__ = ['f']\ndef f(n): return f(n - 1) if n else 0", "", True),
+        ("__all__ = ['F']\nclass F:\n    def copy(self): return F()", "", True),
+        # a re-export, another __all__ or a string is no call
+        ("__all__ = ['f']\ndef f(): pass", "from m import f\n__all__ = ['f']", True),
+        ("__all__ = ['f']\ndef f(): pass\nNAME = 'f'", "", True),
+        ("__all__ = ['f', 'g']\ndef f(): pass\ndef g(): return f()", "", True),
+        ("__all__ = ['f']\ndef f(): pass", "from m import f\nf()", False),
+        ("__all__ = ['f']\ndef f(): pass", "import m\nm.f()", False),
+        ("__all__ = ['f']\ndef f(): pass\ndef g(): return f()", "", False),
+    ],
+)
+def test_a_public_name_without_a_caller_is_caught(exporter, caller, flagged):
+    got = _without_caller([ast.parse(exporter)], [ast.parse(exporter), ast.parse(caller)])
+    assert bool(got) is flagged

@@ -17,7 +17,6 @@ from prooflab.arguments import (
     and_elim,
     and_intro,
     assumption,
-    assumption_paths,
     assumptions,
     axiom_leaf,
     bind,
@@ -64,13 +63,19 @@ from prooflab.syntax import (
     Impl,
     format_formula,
     parse_formula,
-    subformulas,
 )
-from test_arguments import structures
+from test_arguments import assumption_paths, structures
 from test_syntax import formulas
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 STD = standard_reductions()
+
+
+def subformulas(f):
+    yield f
+    if isinstance(f, (Conj, Disj, Impl)):
+        yield from subformulas(f.left)
+        yield from subformulas(f.right)
 
 
 class Step(NamedTuple):

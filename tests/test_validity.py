@@ -49,6 +49,7 @@ from prooflab.base_semantics import (
 from prooflab.reductions import (
     DEFAULT_BUDGET,
     PROJECT_DETOUR,
+    Reduction,
     constant_reduction,
     search_reduct,
     standard_reductions,
@@ -65,7 +66,6 @@ from prooflab.validity import (
     compare_consequence_notions,
     models_alpha,
     semantic_suite_provider,
-    synthesize_witness,
 )
 from test_acceptance import base_family, sequent_pool
 from test_atomic_system import rule_sets
@@ -78,6 +78,13 @@ B_PQ = parse_base_text("p.\nq.\n")
 B_P = parse_base_text("p.\n")
 B_EMPTY = Base(frozenset())
 B_CHAIN = parse_base_text("p.\n(p => q)\n")
+
+
+def synthesize_witness(base, sequent, *, strict=False):
+    """An argument for the sequent read off the semantics, assuming the
+    underlying consequence holds.  With strict=True only the standard
+    reductions may be used, and synthesis refuses where that is not enough."""
+    return validity._synthesize(validity._witnesses(base_context(base)), sequent, strict)
 
 
 def valid(arg, base, **kw):
@@ -643,12 +650,23 @@ def test_a_warm_pass_builds_no_node(monkeypatch):
         real(self)
 
     monkeypatch.setattr(Node, "__post_init__", counting)
+    # and no answer, argument or reduction either
+    made = []
+    for cls in (AlphaResult, Argument, Reduction):
+
+        def init(self, *args, _real=cls.__init__, **kw):
+            made.append(type(self))
+            _real(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    answers = []
 
     def rows():
         out = []
         for base in bases:
             for seq in seqs:
                 res = models_alpha(base, seq)
+                answers.append(res)
                 w = res.witness
                 out.append(
                     (
@@ -662,10 +680,84 @@ def test_a_warm_pass_builds_no_node(monkeypatch):
 
     cold = rows()
     assert built
+    assert set(made) == {AlphaResult, Argument, Reduction}
     built.clear()
+    made.clear()
+    cold_answers = answers[:]
+    answers.clear()
     warm = rows()
     assert built == []
+    assert made == []
+    # every pair's answer is the very object the cold pass returned
+    assert len(answers) == len(cold_answers)
+    assert all(w is c for w, c in zip(answers, cold_answers))
     assert warm == cold
+
+
+def test_the_table_keeps_one_answer_per_sequent_and_budget():
+    base = parse_base_text("memo_t.\n(memo_t => memo_u)\n(memo_w => memo_x)\n")
+    texts = [
+        "|- memo_u",
+        "|- memo_t -> memo_u",
+        "|- memo_u -> memo_t",
+        "|- (memo_t -> memo_t) & memo_u",
+        "memo_t |- memo_u",
+        "memo_t, memo_u |- memo_u & memo_t",
+        "memo_v |- memo_u",
+        "memo_w |- memo_x",
+        "|- memo_x",  # fails: no answer kept
+    ]
+    table = semantic_suite_provider(base).results
+    ctx = base_context(base)
+    asked, first = set(), {}
+    for budget in (DEFAULT_BUDGET, 1):
+        for text in texts:
+            seq = parse_sequent(text)
+            res = models_alpha(base, seq, budget=budget)
+            key = (seq.premises, seq.conclusion, budget)
+            first[key] = res
+            if ctx.entails(seq.premises, seq.conclusion):
+                asked.add(key)
+            else:
+                assert res.holds is False and key not in table
+    assert asked <= table.keys()
+    # every other entry is a witness closing: a closed sequent for a
+    # formula that holds, at a budget that was asked
+    closings = table.keys() - asked
+    assert closings
+    for prems, concl, budget in closings:
+        assert prems == frozenset() and ctx.holds(concl)
+        assert budget in (DEFAULT_BUDGET, 1)
+    # each entry is the answer models_alpha gives for it, closings included
+    for (prems, concl, budget), kept in table.items():
+        again = models_alpha(base, Sequent(prems, concl), budget=budget)
+        assert again is kept
+        assert again.witness is not None
+        if not prems:
+            assert again.witness is semantic_suite_provider(base).witness(concl)
+    for key in asked:
+        assert first[key] is table[key]
+    # a budget of 1 leaves an implication's witness unsettled: its own entry
+    impl = parse_sequent("|- memo_u -> memo_t")
+    full = table[(impl.premises, impl.conclusion, DEFAULT_BUDGET)]
+    low = table[(impl.premises, impl.conclusion, 1)]
+    assert full.holds is True and low.holds is None
+    assert models_alpha(base, impl, budget=1) is low
+    assert models_alpha(base, impl) is full
+    # strict mode after the unrestricted answers were kept: still refused,
+    # and the kept answer stays as it was
+    live = parse_sequent("memo_t |- memo_u")
+    kept = table[(live.premises, live.conclusion, DEFAULT_BUDGET)]
+    res = models_alpha(base, live, strict=True)
+    assert res.holds is None and res.witness is None
+    assert "needs a justification beyond the standard" in res.verdict.reason
+    assert table[(live.premises, live.conclusion, DEFAULT_BUDGET)] is kept
+    assert models_alpha(base, live) is kept
+    size = len(table)
+    for budget in (DEFAULT_BUDGET, 1):
+        for text in texts:
+            models_alpha(base, parse_sequent(text), budget=budget)
+    assert len(table) == size
 
 
 def test_witness_verdict_is_checked_once_per_budget(monkeypatch):
