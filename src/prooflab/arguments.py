@@ -252,10 +252,6 @@ def _is_proper_prefix(short: Path, long: Path) -> bool:
     return len(short) < len(long) and long[: len(short)] == short
 
 
-def iter_nodes(struct: ArgumentStructure) -> Iterator[tuple[Path, Node]]:
-    return _walk(struct, ())
-
-
 def _walk(node: Node, path: Path) -> Iterator[tuple[Path, Node]]:
     """Every node of the subtree at node with its path, in preorder, node's
     own path being path; one frame however deep the tree."""

@@ -753,7 +753,14 @@ class _RuleParser(_Scanner):
 def parse_rule(text: str) -> AtomicRule:
     """The rule a text denotes, an axiom's trailing dot optional;
     RuleSyntaxError if it is malformed or nested deeper than MAX_NESTING
-    discharges."""
+    discharges.  Memoized per text, bounded, as parse_formula is: equal
+    texts give the same rule, a malformed text raises on every call, and
+    anything but a string is parsed uncached."""
+    return (_parsed_rule if isinstance(text, str) else _parsed_rule.__wrapped__)(text)
+
+
+@lru_cache(maxsize=4096)
+def _parsed_rule(text: str) -> AtomicRule:
     parser = _RuleParser(text, _RULE_TOKEN_RE, RuleSyntaxError)
     r = parser.rule()
     if parser.peek()[0] == "dot":

@@ -12,6 +12,10 @@ reduct was reached), 1 it definitely does not, 2 the run was inconclusive
 or hit a resource limit, 64 usage error, 65 malformed input, 70 internal
 error.  The default budget comes from PROOFLAB_BUDGET when set; like
 --budget, it must be an integer of at least 1.
+
+Each distinct text is decoded once per process, through bounded memos that
+keep no error: formula and rule text by parse_formula and parse_rule, an
+argument file by its content.
 """
 
 from __future__ import annotations
@@ -107,23 +111,15 @@ def _load_base(args: argparse.Namespace) -> Base:
 def _load_argument(path: str) -> Argument:
     """The argument in a JSON file: a structure, or an object holding one
     under "structure" and optional "justifications".  A file that does not
-    have that shape, or nests too deeply to read, is malformed input."""
+    have that shape, or nests too deeply to read, is malformed input.  The
+    file is read on every call and decoded once per distinct text (keyed by
+    content, not path, in a bounded memo); an error is never kept, so a
+    malformed file fails on every call, with its path in the message."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:
-            raise StructureError(
-                f"malformed argument file {path}: nested too deeply"
-            ) from None
+        text = fh.read()
     try:
-        if isinstance(obj, dict) and "structure" in obj:
-            struct = structure_from_obj(obj["structure"])
-            justs = tuple(
-                _parse_justification(j) for j in obj.get("justifications", [])
-            )
-            return Argument(structure=struct, justifications=justs)
-        return Argument(structure=structure_from_obj(obj), justifications=())
-    except (StructureError, FormulaSyntaxError, RuleSyntaxError):
+        return _decode_argument(text)
+    except (StructureError, FormulaSyntaxError, RuleSyntaxError, json.JSONDecodeError):
         raise
     except KeyError as exc:
         raise StructureError(
@@ -135,6 +131,19 @@ def _load_argument(path: str) -> Argument:
         raise StructureError(
             f"malformed argument file {path}: structure nested too deeply"
         ) from None
+
+
+@lru_cache(maxsize=256)
+def _decode_argument(text: str) -> Argument:
+    try:
+        obj = json.loads(text)
+    except RecursionError:  # told apart from a structure too deep to build
+        raise ValueError("nested too deeply") from None
+    if isinstance(obj, dict) and "structure" in obj:
+        struct = structure_from_obj(obj["structure"])
+        justs = tuple(_parse_justification(j) for j in obj.get("justifications", []))
+        return Argument(structure=struct, justifications=justs)
+    return Argument(structure=structure_from_obj(obj), justifications=())
 
 
 _BY_NAME = {r.name: r for r in standard_reductions()}

@@ -12,13 +12,16 @@ its hash once, at construction, from its children's cached hashes, so a
 lookup never walks the tree; the value is the one the generated dataclass
 hash would give.  A compound formula also keeps its printed text once it
 has been printed, and its set of atoms once it has been asked for, outside
-comparison, repr, hash and pickle.
+comparison, repr, hash and pickle.  Decoding is memoized per text in a
+bounded cache that never keeps an error: equal texts give the same formula
+object, and a malformed text raises afresh on every call.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping
 
 __all__ = [
@@ -274,7 +277,15 @@ class _Parser(_Scanner):
 
 def parse_formula(text: str) -> Formula:
     """The formula a text denotes; FormulaSyntaxError if it is malformed or
-    nested deeper than MAX_NESTING."""
+    nested deeper than MAX_NESTING.  Memoized per text, bounded: equal texts
+    give one object, and a malformed text raises on every call, since no
+    error is kept.  A non-string (a JSON list, say) is parsed uncached, to
+    fail as it always did rather than as unhashable."""
+    return (_parsed if isinstance(text, str) else _parsed.__wrapped__)(text)
+
+
+@lru_cache(maxsize=4096)
+def _parsed(text: str) -> Formula:
     parser = _Parser(text, _TOKEN_RE, FormulaSyntaxError)
     f, _ = parser.implication()
     parser.end()

@@ -33,7 +33,6 @@ from prooflab.arguments import (
     is_atomic_derivation,
     is_canonical,
     is_closed,
-    iter_nodes,
     leaf,
     match_and_intro,
     match_impl_intro,
@@ -49,6 +48,7 @@ from prooflab.arguments import (
     weaken,
     _atom_name,
     _atomic_formula,
+    _walk,
     _with_children,
 )
 from prooflab.atomic_system import (
@@ -65,6 +65,11 @@ from prooflab.atomic_system import (
 from prooflab.syntax import Atom, BOT, Conj, Disj, Impl, parse_formula
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
+
+
+def iter_nodes(struct):
+    """Every node of a structure with its path, in preorder."""
+    return _walk(struct, ())
 
 
 def assumption_paths(struct):

@@ -42,7 +42,7 @@ from prooflab.atomic_system import (
     _numbering,
     _saturate,
 )
-from prooflab.syntax import FormulaSyntaxError, parse_formula
+from prooflab.syntax import MAX_NESTING, FormulaSyntaxError, parse_formula
 
 
 def rule(text: str) -> AtomicRule:
@@ -944,6 +944,37 @@ def test_rule_and_formula_errors_are_distinct_classes():
         parse_rule("(p => q")
     assert str(info.value) == "expected ')' at position 7: '(p => q'"
     assert (info.value.message, info.value.pos) == ("expected ')'", 7)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_rule, "(p => q"),
+        (parse_rule, "([" * (MAX_NESTING + 1) + "p"),
+        (parse_rule, []),
+        (parse_base_text, "p.\n  (p => q  # a comment\n"),
+        (parse_base_text, "p.\n(p q => r)\n"),
+    ],
+    ids=["unclosed", "too-deep", "empty-list", "base-line-2", "base-missing-comma"],
+)
+def test_a_rule_error_is_raised_on_every_call(parse, text):
+    # the rule memo keeps no error; a value that is not a string fails as it
+    # would unmemoized, not as unhashable
+    errors = []
+    for _ in range(2):
+        with pytest.raises(RuleSyntaxError) as info:
+            parse(text)
+        errors.append((str(info.value), info.value.message, info.value.pos))
+    assert errors[0] == errors[1]
+
+
+def test_equal_rule_texts_parse_to_one_rule():
+    text = "([p => q], r => s)"
+    # an equal string that is a different object
+    assert parse_rule(text) is parse_rule("".join(list(text)))
+    first, second = (parse_base_text(f"p.\n{text}\n") for _ in range(2))
+    assert first == second
+    assert all(any(a is b for b in second.rules) for a in first.rules)
 
 
 def test_atoms_and_subrules():

@@ -768,6 +768,8 @@ def test_deeply_nested_argument_json_is_a_data_error(tmp_path, capsys, monkeypat
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(cli, "structure_from_obj", too_deep)
+    # earlier tests decoded this text; the memo would answer around the patch
+    cli._decode_argument.cache_clear()
     path = argument_file(tmp_path, DETOUR)
     assert main(["check_valid", "--argument", path]) == EX_DATA
     err = capsys.readouterr().err
@@ -1066,6 +1068,78 @@ def test_malformed_argument_is_a_data_error(tmp_path, capsys, obj):
     # one line, no traceback
     assert err.startswith(f"prooflab: malformed argument file {path}: ")
     assert err.count("\n") == 1
+
+
+def _constant_premise(premise):
+    """An argument file's text whose constant justification has one premise."""
+    kappa = {
+        "kind": "constant",
+        "premises": [premise],
+        "conclusion": "p",
+        "target": structure_to_obj(axiom_leaf(p)),
+    }
+    return json.dumps({"structure": structure_to_obj(DETOUR), "justifications": [kappa]})
+
+
+# (file text, whether the message names the file): each malformed text fails
+# the same way on every call, since the decoding memo keeps no error
+MALFORMED_TEXTS = {
+    **{name: (json.dumps(obj), True) for name, obj in MALFORMED_ARGUMENTS.items()},
+    "json-too-deep": ('{"a":' * 1100 + "1" + "}" * 1100, True),
+    "not-json": ("{not json", False),
+    "unknown-reduction": (
+        json.dumps({"structure": structure_to_obj(DETOUR), "justifications": ["x"]}),
+        False,
+    ),
+    "premise-text-malformed": (_constant_premise("p &"), False),
+    "premise-an-empty-list": (_constant_premise([]), False),
+    "premise-a-list": (_constant_premise(["p"]), True),
+}
+
+
+@pytest.mark.parametrize(
+    "text, with_path", MALFORMED_TEXTS.values(), ids=list(MALFORMED_TEXTS)
+)
+def test_a_malformed_argument_fails_alike_on_every_call(
+    tmp_path, capsys, text, with_path
+):
+    bad = tmp_path / "arg.json"
+    bad.write_text(text, encoding="utf-8")
+    runs = []
+    for _ in range(2):
+        code = main(["check_valid", "--argument", str(bad)])
+        runs.append((code, capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    code, err = runs[0]
+    assert code == EX_DATA and err.count("\n") == 1
+    assert err.startswith(f"prooflab: malformed argument file {bad}: ") == with_path
+    assert "unhashable" not in err
+
+
+def test_an_argument_file_rewritten_in_place_is_decoded_again(tmp_path, capsys):
+    argv = ["check_valid", "--rule", "p.", "--rule", "q.", "--argument"]
+    path = argument_file(tmp_path, DETOUR)
+    assert main(argv + [path]) == EX_OK
+    argument_file(tmp_path, axiom_leaf(Atom("r")))
+    assert main(argv + [path]) == EX_FAILS
+    assert "conclusion: r" in capsys.readouterr().out
+    write_json(tmp_path / "arg.json", {"structure": {"root": {}}})
+    assert main(argv + [path]) == EX_DATA
+    assert capsys.readouterr().err.startswith(
+        f"prooflab: malformed argument file {path}: "
+    )
+    argument_file(tmp_path, DETOUR)
+    assert main(argv + [path]) == EX_OK
+    assert "status:     valid" in capsys.readouterr().out
+
+
+def test_equal_argument_texts_load_one_argument(tmp_path):
+    a = argument_file(tmp_path, DETOUR, name="a.json")
+    b = argument_file(tmp_path, DETOUR, name="b.json")
+    other = argument_file(tmp_path, BINDER, name="c.json")
+    assert cli._load_argument(a) is cli._load_argument(b)
+    assert cli._load_argument(a) is cli._load_argument(a)
+    assert cli._load_argument(other) is not cli._load_argument(a)
 
 
 def _not_utf8(tmp_path):

@@ -27,7 +27,6 @@ from prooflab.arguments import (
     instantiate,
     is_atomic_derivation,
     is_closed,
-    iter_nodes,
     leaf,
     match_impl_intro,
     or_elim,
@@ -64,7 +63,7 @@ from prooflab.syntax import (
     format_formula,
     parse_formula,
 )
-from test_arguments import assumption_paths, structures
+from test_arguments import assumption_paths, iter_nodes, structures
 from test_syntax import formulas
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")

@@ -73,6 +73,34 @@ def test_parse_errors_carry_position():
     assert err is not None and err.pos == 4
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["", "p &", "p & ?", "(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1), []],
+    ids=["empty", "trailing-operator", "bad-character", "too-deep", "empty-list"],
+)
+def test_a_parse_error_is_raised_on_every_call(text):
+    # the parse memo keeps no error; a value that is not a string fails as it
+    # would unmemoized, not as unhashable
+    errors = []
+    for _ in range(2):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(text)
+        errors.append((str(info.value), info.value.message, info.value.pos))
+    assert errors[0] == errors[1]
+
+
+def test_a_non_string_is_not_refused_as_unhashable():
+    with pytest.raises(TypeError, match="string"):
+        parse_formula(["p"])
+
+
+def test_equal_texts_parse_to_one_formula():
+    text = "p & (q | ~r) -> s"
+    # an equal string that is a different object
+    assert parse_formula(text) is parse_formula("".join(list(text)))
+    assert parse_formula(text) == Impl(Conj(p, Disj(q, neg(r))), s)
+
+
 def test_atom_name_bot_rejected():
     with pytest.raises(ValueError):
         Atom("bot")
