@@ -20,12 +20,15 @@ truth for both relations by one classical valuation: read materially, the
 clauses collapse to it, and the variant's fresh atom, which no base
 derives, makes its disjunction clause collapse too.  models() answers from
 the context; only when a trace is asked for does an Evaluator replay the
-clauses to render the trace's entries.  An untraced call builds nothing: it
-returns one shared, immutable result per relation, universe and answer,
-and the variant's universe comes from a cache keyed by the base's atoms and
-the sequent's, which a sequent computes once.  The validity layer builds its
-atomic witness arguments from the trees of the context's saturation and
-keeps them in the context; this module builds no argument structures.
+clauses to render the trace's entries.  The context also keeps the answer
+per sequent, so over one base the two relations and the validity layer's
+models_alpha decide a sequent once.  An untraced call builds nothing: it
+reads that answer and returns one shared, immutable result per relation,
+universe and answer, and the variant's universe comes from a cache keyed
+by the base's atoms and the sequent's, which a sequent computes once.  The
+validity layer builds its atomic witness arguments from the trees of the
+context's saturation and keeps them in the context; this module builds no
+argument structures.
 
 Also here: counterexample search over bases, a bounded monotone variant of
 the relations, the export-principle harness, and a decision procedure for
@@ -95,8 +98,10 @@ __all__ = [
 class Sequent:
     premises: frozenset[Formula] = field(default_factory=frozenset)
     conclusion: Formula = BOT
-    # the named atoms of the conclusion and the premises, computed once
+    # the named atoms of the conclusion and the premises, and the value the
+    # generated hash gives, each computed once
     _atoms: frozenset[str] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         premises = frozenset(self.premises)
@@ -104,10 +109,15 @@ class Sequent:
         object.__setattr__(
             self, "_atoms", atoms_of(self.conclusion).union(*map(atoms_of, premises))
         )
+        object.__setattr__(self, "_hash", hash((premises, self.conclusion)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __reduce__(self):
-        # rebuilt through __init__, as the formulas are; the kept atoms are
-        # left out
+        # rebuilt through __init__, as the formulas are; the kept atoms and
+        # hash are left out, as a pickled hash would be stale in a process
+        # with another hash seed
         return (Sequent, (self.premises, self.conclusion))
 
     def __str__(self) -> str:
@@ -190,13 +200,17 @@ class BaseContext:
     the variant's disjunction clause this is because the universe always
     holds a fresh atom, which the base never derives, so the clause fails
     exactly when both disjuncts fail.  Truth values are memoized per
-    formula.  validity is the validity layer's state for the base (its
-    witness arguments, its verdicts per sequent and budget and its suite
-    provider), made by that layer on first use.  holders counts the live
-    bases that hold the context in their slot.  Nothing here references a
-    base: a base holds its context, and a reference back would keep both
-    alive until the next cyclic collection, not just as long as a base
-    does.  Get the context of a base from base_context().
+    formula, and the consequence answer per sequent: answers is filled on
+    the first ask through entails, and the untraced models() of both
+    relations and the validity layer's models_alpha all read it.  Like the
+    truth memo it is unbounded, one bool per distinct sequent asked, and it
+    dies with the context.  validity is the validity layer's state for the
+    base (its witness arguments, its answers per sequent and budget and its
+    suite provider), made by that layer on first use.  holders counts the
+    live bases that hold the context in their slot.  Nothing here
+    references a base: a base holds its context, and a reference back would
+    keep both alive until the next cyclic collection, not just as long as a
+    base does.  Get the context of a base from base_context().
     """
 
     def __init__(self, base: Base) -> None:
@@ -205,6 +219,7 @@ class BaseContext:
         self.derivable = self.saturation.atoms
         self.atoms = atoms_of_base(base)
         self._truth: dict[Formula, bool] = {}
+        self.answers: dict[Sequent, bool] = {}
         self.validity: Any = None
         self.holders = 0
 
@@ -229,6 +244,16 @@ class BaseContext:
     def entails(self, premises: frozenset[Formula], goal: Formula) -> bool:
         """The premises, read materially, entail the goal."""
         return not all(map(self.holds, premises)) or self.holds(goal)
+
+    def consequence(self, sequent: Sequent) -> bool:
+        """The sequent's premises, read materially, entail its conclusion:
+        the kept answer, decided through entails on the first ask."""
+        got = self.answers.get(sequent)
+        if got is None:
+            got = self.answers[sequent] = self.entails(
+                sequent.premises, sequent.conclusion
+            )
+        return got
 
 
 # the context of each rule set that some live base holds in its slot: a
@@ -356,16 +381,27 @@ def _untraced(
     return EvalResult(holds=holds, trace=trace)
 
 
+# the standard relation's two untraced results, indexed by the answer
+_STANDARD = (
+    _untraced(SemanticsKind.STANDARD, None, False),
+    _untraced(SemanticsKind.STANDARD, None, True),
+)
+
+
 def models(
     kind: SemanticsKind, base: Base, sequent: Sequent, *, trace: bool = True
 ) -> EvalResult:
     """Does the sequent hold over the base under the chosen relation?
 
     The trace's entries are rendered only when trace is True, into a trace
-    of the call's own.  An untraced call builds nothing: it returns the
-    shared, immutable result of its relation, universe and answer, whose
-    entries are the empty tuple."""
+    of the call's own.  An untraced call builds nothing: it reads the
+    answer the base's context keeps for the sequent (unbounded, one per
+    distinct sequent, gone with the context) and returns the shared,
+    immutable result of its relation, universe and answer, whose entries
+    are the empty tuple."""
     ctx = base_context(base)
+    if kind is SemanticsKind.STANDARD and not trace:
+        return _STANDARD[ctx.consequence(sequent)]
     universe = (
         _variant_universe(ctx.atoms, sequent._atoms)
         if kind is SemanticsKind.SANDQVIST
@@ -375,7 +411,7 @@ def models(
         ev = Evaluator(kind, ctx, universe)
         holds = ev.entails(sequent.premises, sequent.conclusion)
         return EvalResult(holds=holds, trace=ev.trace)
-    return _untraced(kind, universe, ctx.entails(sequent.premises, sequent.conclusion))
+    return _untraced(kind, universe, ctx.consequence(sequent))
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             )
         _emit(args, "\n".join(lines), payload)
         return _status_exit(res.verdict.status)
-    res = models(SemanticsKind(args.semantics), base, sequent)
+    # text output prints the trace only under --trace; JSON always carries it
+    res = models(
+        SemanticsKind(args.semantics),
+        base,
+        sequent,
+        trace=args.trace or args.fmt == "json",
+    )
     payload["holds"] = res.holds
     payload["trace"] = [list(entry) for entry in res.trace.entries]
     payload["notes"] = list(res.trace.notes)

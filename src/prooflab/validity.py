@@ -23,8 +23,9 @@ the clause-defined consequence relation: it evaluates that relation first
 and then synthesizes and rechecks a concrete witness argument, so a
 positive answer always comes with an argument in hand.  The base's
 evaluation context (base_semantics.base_context) answers the clause-defined
-relation by its classical valuation, and its saturation's trees are the
-atomic derivations the witnesses are built from.  The same context keeps
+relation by its classical valuation, once per sequent, an answer the
+untraced models() of both relations share, and its saturation's trees are
+the atomic derivations the witnesses are built from.  The same context keeps
 this layer's state for the base, for as long as the base lives: one closed
 witness argument per formula, built once, so the same justification
 objects come back on every call; one table of answers, one per sequent and
@@ -581,15 +582,18 @@ def models_alpha(
     conclusion when some argument with those assumptions is valid over the
     base.  Evaluates the clause-defined consequence first; a positive
     answer is then backed by a synthesized argument that is rechecked.
-    The base's evaluation context answers the consequence and serves the
-    witness and the closing suite, and keeps the answer: a later call for
-    the same sequent and budget returns the same AlphaResult object.  With
-    strict=True the argument is synthesized, and refused where it needs
-    more than the standard reductions, on every call."""
+    The base's evaluation context answers the consequence from the answer
+    it keeps per sequent, which the untraced models() of both relations
+    read too (unbounded, like its truth memo, and gone with the context).
+    It serves the witness and the closing suite, and keeps this layer's
+    answer: a later call for the same sequent and budget returns the same
+    AlphaResult object.  With strict=True the argument is synthesized, and
+    refused where it needs more than the standard reductions, on every
+    call."""
     state = _witnesses(base_context(base))
-    prems, concl = sequent.premises, sequent.conclusion
-    if not state.ctx.entails(prems, concl):
+    if not state.ctx.consequence(sequent):
         return _FAILS
+    prems, concl = sequent.premises, sequent.conclusion
     if not strict:
         got = state.results.get((prems, concl, budget))
         if got is not None:

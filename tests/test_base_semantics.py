@@ -276,10 +276,19 @@ def test_context_lives_exactly_as_long_as_its_base():
     assert Atom("gc_t") in ctx.validity.args
     with pytest.raises(StructureError):
         ctx.validity.witness(Atom("r"))
+    # so does the kept consequence answer: the table is the only holder of
+    # a sequent asked about once its caller drops it
+    asked = seq("gc_t |- gc_s")
+    assert models(STD, twin, asked, trace=False).holds
+    # (the traced call above renders its trace and keeps no answer)
+    assert ctx.answers == {seq("|- gc_s & gc_t"): True, asked: True}
+    kept = weakref.ref(asked)
     gone = weakref.ref(ctx)
-    del b, twin, ctx
+    del b, twin, ctx, asked
+    assert kept() is not None
     gc.collect()
     assert gone() is None
+    assert kept() is None
 
 
 def test_shared_inferences_keep_no_context_alive():
@@ -374,6 +383,14 @@ def test_a_warm_untraced_pass_builds_no_result(monkeypatch):
             real(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
+    asked = []
+    entails = BaseContext.entails
+
+    def counting_entails(self, premises, goal):
+        asked.append((self, premises, goal))
+        return entails(self, premises, goal)
+
+    monkeypatch.setattr(BaseContext, "entails", counting_entails)
 
     def rows():
         out = []
@@ -383,14 +400,25 @@ def test_a_warm_untraced_pass_builds_no_result(monkeypatch):
                     res = models(kind, b, s, trace=False)
                     t = res.trace
                     out.append((res.holds, t.universe, t.notes, t.kind))
+                out.append(models_alpha(b, s).holds)
         return out
 
     cold = rows()
+    # the first ask over each base decides each distinct sequent once, and
+    # the context keeps one answer per distinct sequent, shared by all three
+    # relations
+    assert len(asked) == len(bases) * len(set(seqs))
+    for b in bases:
+        answers = base_context(b).answers
+        assert answers.keys() == set(seqs)
+        assert all(answers[s] is models(STD, b, s, trace=False).holds for s in seqs)
     built.clear()
+    asked.clear()
     warm = rows()
     assert built == []
+    assert asked == []
     assert warm == cold
-    assert len(warm) == 2 * len(bases) * len(seqs)
+    assert len(warm) == 3 * len(bases) * len(seqs)
 
 
 def test_the_shared_untraced_result_is_immutable_and_isolated():
@@ -443,6 +471,7 @@ def test_the_variant_universe_and_the_kept_atoms_match_their_recipes(
     assert base_semantics._variant_universe(ctx.atoms, s._atoms) == want
     assert models(SDQ, b, s, trace=False).trace.universe == want
     assert models(SDQ, b, s).trace.universe == want
+    assert hash(s) == hash((s.premises, s.conclusion))
     back = pickle.loads(pickle.dumps(s))
     assert back == s and hash(back) == hash(s)
     assert back._atoms == atoms

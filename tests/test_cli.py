@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from prooflab import cli
+from prooflab import base_semantics, cli
 from prooflab.arguments import (
     Node,
     and_elim,
@@ -100,6 +100,31 @@ def test_eval_trace_lines(capsys):
     assert code == EX_OK
     assert "trace:" in out
     assert "[conj]" in out
+
+
+@pytest.mark.parametrize("semantics", ["standard", "sandqvist"])
+def test_a_text_eval_without_trace_renders_none(semantics, capsys, monkeypatch):
+    argv = ["eval", "--semantics", semantics, "--rule", "p."]
+    argv += ["--sequent", "q |- (p | q) & (q -> p)"]
+    assert main([*argv, "--trace"]) == EX_OK
+    traced = capsys.readouterr().out
+    built = []
+    real = base_semantics.Evaluator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(base_semantics.Evaluator, "__init__", counting)
+    assert main(argv) == EX_OK
+    plain = capsys.readouterr().out
+    assert built == []
+    # the trace block is the last: "trace:" and its indented entries
+    head, block = traced.split("trace:\n")
+    assert block and all(ln.startswith("  [") for ln in block.splitlines())
+    assert plain == head
+    if semantics == "sandqvist":
+        assert "note:" in plain
 
 
 def test_eval_alpha_valid_with_witness(capsys):
