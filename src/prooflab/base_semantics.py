@@ -24,8 +24,10 @@ clauses to render the trace's entries.  The context also keeps the answer
 per sequent, so over one base the two relations and the validity layer's
 models_alpha decide a sequent once.  An untraced call builds nothing: it
 reads that answer and returns one shared, immutable result per relation,
-universe and answer, and the variant's universe comes from a cache keyed
-by the base's atoms and the sequent's, which a sequent computes once.  The
+universe and answer.  Over one base the variant's universe depends only on
+the sequent's atoms, which a sequent computes once, so the context keeps
+the variant's two results per atom set, and a warm untraced call of
+either relation makes no cache lookup.  The
 validity layer builds its atomic witness arguments from the trees of the
 context's saturation and keeps them in the context; this module builds no
 argument structures.
@@ -128,10 +130,17 @@ def parse_sequent(text: str) -> Sequent:
     if text.count("|-") != 1:
         raise FormulaSyntaxError("expected exactly one '|-'", text, 0)
     left, right = text.split("|-")
-    premises = frozenset(
-        parse_formula(part) for part in left.split(",") if part.strip()
-    )
-    return Sequent(premises=premises, conclusion=parse_formula(right))
+    premises = []
+    if left.strip():
+        # a blank left side means no premises; a blank premise is an error,
+        # reported at the offset of its part in the whole text
+        pos = 0
+        for part in left.split(","):
+            if not part.strip():
+                raise FormulaSyntaxError("expected a formula", text, pos)
+            premises.append(parse_formula(part))
+            pos += len(part) + 1
+    return Sequent(premises=frozenset(premises), conclusion=parse_formula(right))
 
 
 def format_sequent(s: Sequent) -> str:
@@ -204,7 +213,12 @@ class BaseContext:
     the first ask through entails, and the untraced models() of both
     relations and the validity layer's models_alpha all read it.  Like the
     truth memo it is unbounded, one bool per distinct sequent asked, and it
-    dies with the context.  validity is the validity layer's state for the
+    dies with the context.  _variant keeps the variant relation's two
+    untraced results, for answers False and True, per sequent atom set: the
+    variant's universe depends only on the base's atoms, fixed here, and
+    the sequent's.  It is unbounded too, but holds one pair per distinct
+    atom set, not per sequent, and each pair comes from the caches every
+    base shares.  validity is the validity layer's state for the
     base (its witness arguments, its answers per sequent and budget and its
     suite provider), made by that layer on first use.  holders counts the
     live bases that hold the context in their slot.  Nothing here
@@ -220,6 +234,7 @@ class BaseContext:
         self.atoms = atoms_of_base(base)
         self._truth: dict[Formula, bool] = {}
         self.answers: dict[Sequent, bool] = {}
+        self._variant: dict[frozenset[str], tuple[EvalResult, EvalResult]] = {}
         self.validity: Any = None
         self.holders = 0
 
@@ -398,20 +413,31 @@ def models(
     answer the base's context keeps for the sequent (unbounded, one per
     distinct sequent, gone with the context) and returns the shared,
     immutable result of its relation, universe and answer, whose entries
-    are the empty tuple."""
+    are the empty tuple.  It indexes a pair of results with the answer:
+    the standard relation's one pair, or the variant's pair for the
+    sequent's atom set, which the context keeps and fills on the first
+    ask for that atom set from the bounded caches of universes and
+    results."""
     ctx = base_context(base)
-    if kind is SemanticsKind.STANDARD and not trace:
-        return _STANDARD[ctx.consequence(sequent)]
+    if not trace:
+        if kind is SemanticsKind.STANDARD:
+            return _STANDARD[ctx.consequence(sequent)]
+        pair = ctx._variant.get(sequent._atoms)
+        if pair is None:
+            universe = _variant_universe(ctx.atoms, sequent._atoms)
+            pair = ctx._variant[sequent._atoms] = (
+                _untraced(kind, universe, False),
+                _untraced(kind, universe, True),
+            )
+        return pair[ctx.consequence(sequent)]
     universe = (
         _variant_universe(ctx.atoms, sequent._atoms)
         if kind is SemanticsKind.SANDQVIST
         else None
     )
-    if trace:
-        ev = Evaluator(kind, ctx, universe)
-        holds = ev.entails(sequent.premises, sequent.conclusion)
-        return EvalResult(holds=holds, trace=ev.trace)
-    return _untraced(kind, universe, ctx.consequence(sequent))
+    ev = Evaluator(kind, ctx, universe)
+    holds = ev.entails(sequent.premises, sequent.conclusion)
+    return EvalResult(holds=holds, trace=ev.trace)
 
 
 # ---------------------------------------------------------------------------

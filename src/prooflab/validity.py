@@ -587,17 +587,21 @@ def models_alpha(
     read too (unbounded, like its truth memo, and gone with the context).
     It serves the witness and the closing suite, and keeps this layer's
     answer: a later call for the same sequent and budget returns the same
-    AlphaResult object.  With strict=True the argument is synthesized, and
-    refused where it needs more than the standard reductions, on every
-    call."""
+    AlphaResult object.  That kept answer is read first, before the
+    consequence: an entry exists only where the consequence holds, since
+    this function keeps one only after a true consequence and a witness
+    closing keeps one only for |- f with f holding (the provider closes
+    only assumptions that hold).  With strict=True the argument is
+    synthesized, and refused where it needs more than the standard
+    reductions, on every call."""
     state = _witnesses(base_context(base))
-    if not state.ctx.consequence(sequent):
-        return _FAILS
     prems, concl = sequent.premises, sequent.conclusion
     if not strict:
         got = state.results.get((prems, concl, budget))
         if got is not None:
             return got
+    if not state.ctx.consequence(sequent):
+        return _FAILS
     try:
         arg = _synthesize(state, sequent, strict)
     except StructureError as exc:

@@ -50,7 +50,16 @@ from prooflab.base_semantics import (
     parse_sequent,
     search_counterexample,
 )
-from prooflab.syntax import Atom, BOT, Conj, Disj, Impl, atoms_of, parse_formula
+from prooflab.syntax import (
+    Atom,
+    BOT,
+    Conj,
+    Disj,
+    FormulaSyntaxError,
+    Impl,
+    atoms_of,
+    parse_formula,
+)
 from prooflab.validity import _witnesses, models_alpha
 from test_acceptance import base_family, sequent_pool
 from test_atomic_system import rule_sets
@@ -83,6 +92,27 @@ def test_sequent_parsing():
     assert seq("|- p").premises == frozenset()
     with pytest.raises(Exception):
         parse_sequent("p |- q |- r")
+
+
+def test_a_blank_premise_is_a_syntax_error():
+    for text, pos in (
+        ("p,,q |- q", 2),
+        (", |- r", 0),
+        ("p, |- q", 2),
+        ("p , , q |- q", 3),
+        ("  p,\t,q|- q", 4),
+    ):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_sequent(text)
+        assert (info.value.message, info.value.text, info.value.pos) == (
+            "expected a formula",
+            text,
+            pos,
+        )
+    # a blank left side still means no premises
+    for text in ("|- q", "  |- q", "\t|- q"):
+        assert parse_sequent(text) == Sequent(conclusion=Atom("q"))
+    assert parse_sequent(" p , q |- q").premises == {Atom("p"), Atom("q")}
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +505,97 @@ def test_the_variant_universe_and_the_kept_atoms_match_their_recipes(
     back = pickle.loads(pickle.dumps(s))
     assert back == s and hash(back) == hash(s)
     assert back._atoms == atoms
+
+
+def test_a_warm_untraced_variant_call_asks_no_cache():
+    # atoms no other test uses, so the variant's universes are new ones
+    def renamed(text):
+        return re.sub(r"\b([pqrst])\b", r"vt_\1", text)
+
+    rng = random.Random(20261021)
+    bases = [
+        Base(frozenset(parse_rule(renamed(format_rule(r))) for r in b.rules))
+        for b in rng.sample(base_family(), 4)
+    ]
+    seqs = [parse_sequent(renamed(format_sequent(s))) for s in sequent_pool()]
+
+    def answers():
+        return [models(SDQ, b, s, trace=False) for b in bases for s in seqs]
+
+    cold = answers()
+    caches = (base_semantics._untraced, base_semantics._variant_universe)
+    before = [c.cache_info() for c in caches]
+    warm = answers()
+    assert [c.cache_info() for c in caches] == before
+    assert all(w is c for w, c in zip(warm, cold))
+    # one entry per distinct atom set, not per sequent
+    for b in bases:
+        assert base_context(b)._variant.keys() == {s._atoms for s in seqs}
+
+
+def test_sequents_with_one_atom_set_share_one_variant_result():
+    b = base("vs_p.\n(vs_p => vs_q)")
+    ctx = base_context(b)
+    same = [seq("vs_p |- vs_q"), seq("|- vs_q | vs_p"), seq("vs_q, vs_p |- vs_p")]
+    assert len({s._atoms for s in same}) == 1
+    first = models(SDQ, b, same[0], trace=False)
+    assert all(models(SDQ, b, s, trace=False) is first for s in same)
+    fails = models(SDQ, b, seq("vs_q |- vs_r"), trace=False)
+    other = models(SDQ, b, seq("vs_q |- vs_s"), trace=False)
+    assert not fails.holds and not other.holds
+    assert fails.trace is not other.trace
+    # another atom set over the same universe: the pair comes from the
+    # shared cache, so it holds the same objects
+    wider = models(SDQ, b, seq("vs_p |- vs_q & vs_r"), trace=False)
+    assert wider is fails
+    for s, res in (
+        (same[0], first), (seq("vs_q |- vs_r"), fails), (seq("vs_q |- vs_s"), other)
+    ):
+        assert res.trace.universe == base_semantics._variant_universe(
+            ctx.atoms, s._atoms
+        )
+    untraced = base_semantics._untraced
+    assert ctx._variant == {
+        same[0]._atoms: (untraced(SDQ, first.trace.universe, False), first),
+        frozenset({"vs_q", "vs_r"}): (fails, untraced(SDQ, fails.trace.universe, True)),
+        frozenset({"vs_q", "vs_s"}): (other, untraced(SDQ, other.trace.universe, True)),
+        frozenset({"vs_p", "vs_q", "vs_r"}): ctx._variant[frozenset({"vs_q", "vs_r"})],
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rule_sets(),
+    st.frozensets(st.one_of(formulas(2), _c_atoms), max_size=3),
+    st.one_of(formulas(2), _c_atoms),
+)
+def test_the_untraced_variant_answers_as_the_standard_relation(
+    rs, premises, conclusion
+):
+    assume(check_consistency(rs))
+    b = Base(rs)
+    s = Sequent(premises=premises, conclusion=conclusion)
+    res = models(SDQ, b, s, trace=False)
+    assert res.holds is models(STD, b, s, trace=False).holds
+    assert res.holds is models(SDQ, b, s).holds
+
+
+def test_the_variant_table_goes_with_its_context():
+    text = "gc_vt.\n(gc_vt => gc_vu)"
+    b = parse_base_text(text)
+    ctx = base_context(b)
+    asked = seq("gc_vt |- gc_vu | gc_vw")
+    assert models(SDQ, b, asked, trace=False).holds
+    assert list(ctx._variant) == [asked._atoms]
+    # the traced call renders its trace and keeps no entry
+    assert models(SDQ, b, seq("|- gc_vw")).holds is False
+    assert list(ctx._variant) == [asked._atoms]
+    gone = weakref.ref(ctx)
+    del b, ctx
+    gc.collect()
+    assert gone() is None
+    again = parse_base_text(text)
+    assert base_context(again)._variant == {}
 
 
 # ---------------------------------------------------------------------------

@@ -733,6 +733,21 @@ def test_bad_sequent_text(capsys):
     assert err.startswith("prooflab:")
 
 
+def test_a_blank_premise_is_a_data_error(capsys):
+    for sequent, pos in (("p,,q |- q", 2), (", |- r", 0), ("p, |- q", 2)):
+        for semantics in ("standard", "sandqvist", "alpha"):
+            argv = ["eval", "--rule", "q.", "--sequent", sequent, "--semantics", semantics]
+            assert main(argv) == EX_DATA
+            err = capsys.readouterr().err
+            assert err == f"prooflab: expected a formula at position {pos}: {sequent!r}\n"
+        assert main(["search", "--sequent", sequent]) == EX_DATA
+        capsys.readouterr()
+    # a blank left side still means no premises
+    for sequent in ("|- q", "  |- q"):
+        assert main(["eval", "--rule", "q.", "--sequent", sequent]) == EX_OK
+        assert "holds:     yes" in capsys.readouterr().out
+
+
 def test_bad_rule_text(capsys):
     code = main(["eval", "--rule", "((", "--sequent", "|- p"])
     assert code == EX_DATA

@@ -1,6 +1,7 @@
 """The bundled scripts run end to end as their own processes."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -30,3 +31,21 @@ def test_script_runs(script, line):
     )
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout.splitlines()
+
+
+def test_digests_prints_one_digest_per_output():
+    # the script sets its own path and hash seed; it must not inherit either
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONHASHSEED")}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "digests.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "saturation-tiers", "models-alpha", "cli-session"
+    ]
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

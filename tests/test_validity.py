@@ -912,3 +912,23 @@ def test_warm_rows_equal_cold_rows_of_an_equal_base(rs, bare, premised, rnd):
     # each row on its own equal base, dropped before the next is built
     cold = [_alpha_rows(fresh(), [seq], budget) for seq, budget in asked]
     assert warm == cold
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rule_sets(),
+    st.lists(_sequents(0, 2), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_every_kept_answer_has_a_true_consequence(rs, seqs, strict):
+    # models_alpha answers from its table before it asks the consequence,
+    # which is sound only because nothing is kept where the consequence
+    # fails: not by models_alpha, and not by the witness closings
+    assume(check_consistency(rs))
+    base = Base(rs)
+    for seq in seqs:
+        for budget in (DEFAULT_BUDGET, 1):
+            models_alpha(base, seq, budget=budget, strict=strict)
+    ctx = base_context(base)
+    for prems, concl, _ in ctx.validity.results:
+        assert ctx.entails(prems, concl)
