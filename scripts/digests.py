@@ -16,10 +16,9 @@ answer the benchmark's seed-1 inputs alike:
   cli-session       for each cli-session call in order, the repr of its
                     exit code and stdout, concatenated.
 
-Set and dict orders follow the hash seed, so the outputs are taken under
-PYTHONHASHSEED=0: the script re-executes itself with it set when it is
-not.  It imports the package and the benchmark's input builders from its
-own checkout.  Run it as `python scripts/digests.py` (about 5 s).
+No output depends on the hash seed, so any PYTHONHASHSEED prints the same
+lines.  The script imports the package and the benchmark's input builders
+from its own checkout.  Run it as `python scripts/digests.py` (about 5 s).
 """
 
 from __future__ import annotations
@@ -90,10 +89,6 @@ def cli_session() -> str:
 
 
 def main() -> None:
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        env = dict(os.environ, PYTHONHASHSEED="0")
-        script = os.path.abspath(__file__)
-        os.execve(sys.executable, [sys.executable, script, *sys.argv[1:]], env)
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     for name, output in (
         ("saturation-tiers", saturation_tiers),

@@ -216,8 +216,8 @@ class Base:
     rules: frozenset[AtomicRule] = field(default_factory=frozenset)
     # computed once, the value the generated hash gives
     _hash: int = field(init=False, repr=False, compare=False)
-    # the base's evaluation context, set by base_semantics.base_context on
-    # first use, so a later lookup is one attribute read
+    # the base's own evaluation context, set by base_semantics.base_context
+    # on first use, so a later lookup is one attribute read
     _context: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -14,23 +14,22 @@ The trailing formula of the variant disjunction clause is read as the
 quantified atom itself (the natural reading; traces carry a note).
 
 How a sequent is evaluated: each base gets one BaseContext, built on first
-use, kept in the base and shared by the equal bases alive with it, and
-dropped with the last of them.  It holds the derivable atoms and decides
-truth for both relations by one classical valuation: read materially, the
-clauses collapse to it, and the variant's fresh atom, which no base
-derives, makes its disjunction clause collapse too.  models() answers from
-the context; only when a trace is asked for does an Evaluator replay the
-clauses to render the trace's entries.  The context also keeps the answer
-per sequent, so over one base the two relations and the validity layer's
-models_alpha decide a sequent once.  An untraced call builds nothing: it
-reads that answer and returns one shared, immutable result per relation,
-universe and answer.  Over one base the variant's universe depends only on
-the sequent's atoms, which a sequent computes once, so the context keeps
-the variant's two results per atom set, and a warm untraced call of
-either relation makes no cache lookup.  The
-validity layer builds its atomic witness arguments from the trees of the
-context's saturation and keeps them in the context; this module builds no
-argument structures.
+use, kept in the base and dropped with it.  It holds the derivable atoms
+and decides truth for both relations by one classical valuation: read
+materially, the clauses collapse to it, and the variant's fresh atom,
+which no base derives, makes its disjunction clause collapse too.
+models() answers from the context; only when a trace is asked for does an
+Evaluator replay the clauses to render the trace's entries.  The context
+also keeps the answer per sequent, so over one base the two relations and
+the validity layer's models_alpha decide a sequent once.  An untraced call
+reads that answer and returns an immutable result: the standard relation
+has one per answer for the whole process.  Over one base the variant's
+universe depends only on the sequent's atoms, which a sequent computes
+once, so the context keeps the variant's two results per atom set, and a
+warm untraced call of either relation builds nothing.  The validity layer
+builds its atomic witness arguments from the trees of the context's
+saturation and keeps them in the context; this module builds no argument
+structures.
 
 Also here: counterexample search over bases, a bounded monotone variant of
 the relations, the export-principle harness, and a decision procedure for
@@ -40,7 +39,6 @@ calculus) used to compare proof-theoretic consequence with derivability.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -130,17 +128,26 @@ def parse_sequent(text: str) -> Sequent:
     if text.count("|-") != 1:
         raise FormulaSyntaxError("expected exactly one '|-'", text, 0)
     left, right = text.split("|-")
+
+    def parsed(part: str, pos: int) -> Formula:
+        # an error in a part is reported at its offset in the whole text
+        try:
+            return parse_formula(part)
+        except FormulaSyntaxError as e:
+            raise FormulaSyntaxError(e.message, text, pos + e.pos) from None
+
     premises = []
     if left.strip():
-        # a blank left side means no premises; a blank premise is an error,
-        # reported at the offset of its part in the whole text
+        # a blank left side means no premises; a blank premise is an error
         pos = 0
         for part in left.split(","):
             if not part.strip():
                 raise FormulaSyntaxError("expected a formula", text, pos)
-            premises.append(parse_formula(part))
+            premises.append(parsed(part, pos))
             pos += len(part) + 1
-    return Sequent(premises=frozenset(premises), conclusion=parse_formula(right))
+    return Sequent(
+        premises=frozenset(premises), conclusion=parsed(right, len(left) + 2)
+    )
 
 
 def format_sequent(s: Sequent) -> str:
@@ -168,9 +175,9 @@ class EvalTrace:
     """What an evaluation records: the relation, the variant's universe,
     the notes on its readings and, when a trace was asked for, one entry per
     (premises, goal) pair in the order the clauses reached them.  An
-    untraced call's trace is shared by every untraced call with the same
-    relation, universe and answer, so it is immutable and its entries are
-    the empty tuple; a traced call's trace is its own, with a fresh list."""
+    untraced call's trace is shared by the untraced calls that read the
+    same kept result, so it is immutable and its entries are the empty
+    tuple; a traced call's trace is its own, with a fresh list."""
 
     kind: str
     universe: tuple[str, ...] | None
@@ -217,11 +224,9 @@ class BaseContext:
     untraced results, for answers False and True, per sequent atom set: the
     variant's universe depends only on the base's atoms, fixed here, and
     the sequent's.  It is unbounded too, but holds one pair per distinct
-    atom set, not per sequent, and each pair comes from the caches every
-    base shares.  validity is the validity layer's state for the
-    base (its witness arguments, its answers per sequent and budget and its
-    suite provider), made by that layer on first use.  holders counts the
-    live bases that hold the context in their slot.  Nothing here
+    atom set, not per sequent.  validity is the validity layer's state for
+    the base (its witness arguments, its answers per sequent and budget and
+    its suite provider), made by that layer on first use.  Nothing here
     references a base: a base holds its context, and a reference back would
     keep both alive until the next cyclic collection, not just as long as a
     base does.  Get the context of a base from base_context().
@@ -236,7 +241,6 @@ class BaseContext:
         self.answers: dict[Sequent, bool] = {}
         self._variant: dict[frozenset[str], tuple[EvalResult, EvalResult]] = {}
         self.validity: Any = None
-        self.holders = 0
 
     def holds(self, f: Formula) -> bool:
         """Does the closed formula f hold over the base?"""
@@ -271,34 +275,14 @@ class BaseContext:
         return got
 
 
-# the context of each rule set that some live base holds in its slot: a
-# base whose own slot is empty finds here the context of an equal base that
-# is still alive.  Each holder counts itself in the context's holders and
-# is counted out when it dies, and the entry goes with the last of them.
-_CONTEXTS: dict[frozenset[AtomicRule], BaseContext] = {}
-
-
 def base_context(base: Base) -> BaseContext:
-    """The evaluation context of the base: one attribute read once the base
-    holds it, built on first use; equal bases alive at the same time share
-    one."""
+    """The evaluation context of the base: built on first use and kept in
+    the base, so a later lookup is one attribute read."""
     ctx = base._context
     if ctx is None:
-        ctx = _CONTEXTS.get(base.rules)
-        if ctx is None:
-            ctx = _CONTEXTS[base.rules] = BaseContext(base)
-        ctx.holders += 1
-        weakref.finalize(base, _release, base.rules).atexit = False
+        ctx = BaseContext(base)
         object.__setattr__(base, "_context", ctx)
     return ctx
-
-
-def _release(rules: frozenset[AtomicRule]) -> None:
-    """A base holding the context of rules has died."""
-    ctx = _CONTEXTS[rules]
-    ctx.holders -= 1
-    if not ctx.holders:
-        del _CONTEXTS[rules]
 
 
 class Evaluator:
@@ -337,7 +321,10 @@ class Evaluator:
         # never reached again while its own clause is replayed
         self.seen.add(key)
         if premises:
-            if all(self.entails(frozenset(), g) for g in premises):
+            # in format_formula order, so the hash seed cannot move where
+            # the replay stops
+            ordered = sorted(premises, key=format_formula)
+            if all(self.entails(frozenset(), g) for g in ordered):
                 self.entails(frozenset(), goal)
             self._log("premises", premises, goal, result)
         else:
@@ -376,7 +363,6 @@ class Evaluator:
             self._log("disj-elim", none, goal, result)
 
 
-@lru_cache(maxsize=4096)
 def _variant_universe(
     base_atoms: frozenset[str], sequent_atoms: frozenset[str]
 ) -> tuple[str, ...]:
@@ -386,12 +372,11 @@ def _variant_universe(
     return tuple(sorted(used)) + (fresh_atom(used),)
 
 
-@lru_cache(maxsize=1024)
 def _untraced(
     kind: SemanticsKind, universe: tuple[str, ...] | None, holds: bool
 ) -> EvalResult:
-    """The one result every untraced call with this relation, universe and
-    answer returns."""
+    """The result an untraced call with this relation, universe and answer
+    returns."""
     trace = EvalTrace(kind.value, universe, _notes(kind), ())
     return EvalResult(holds=holds, trace=trace)
 
@@ -409,15 +394,14 @@ def models(
     """Does the sequent hold over the base under the chosen relation?
 
     The trace's entries are rendered only when trace is True, into a trace
-    of the call's own.  An untraced call builds nothing: it reads the
-    answer the base's context keeps for the sequent (unbounded, one per
-    distinct sequent, gone with the context) and returns the shared,
-    immutable result of its relation, universe and answer, whose entries
-    are the empty tuple.  It indexes a pair of results with the answer:
+    of the call's own.  An untraced call reads the answer the base's
+    context keeps for the sequent (unbounded, one per distinct sequent,
+    gone with the context) and returns a shared, immutable result of its
+    relation, universe and answer, whose entries are the empty tuple.  It
+    indexes a pair of results with the answer:
     the standard relation's one pair, or the variant's pair for the
-    sequent's atom set, which the context keeps and fills on the first
-    ask for that atom set from the bounded caches of universes and
-    results."""
+    sequent's atom set, which the context builds on the first ask for that
+    atom set and keeps."""
     ctx = base_context(base)
     if not trace:
         if kind is SemanticsKind.STANDARD:

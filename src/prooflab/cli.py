@@ -36,12 +36,14 @@ from prooflab.arguments import (
     structure_to_obj,
 )
 from prooflab.atomic_system import (
+    AtomicRule,
     Base,
     InconsistentBaseError,
     ResourceLimitExceeded,
     RuleSyntaxError,
     format_base,
     parse_base_text,
+    parse_rule,
 )
 from prooflab.base_semantics import (
     SearchBounds,
@@ -99,13 +101,13 @@ def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
 
 
 def _load_base(args: argparse.Namespace) -> Base:
-    chunks: list[str] = []
+    """The base of the --base file's rules, one per line, and the --rule
+    texts, each parsed alone as exactly one rule."""
+    rules: frozenset[AtomicRule] = frozenset()
     if getattr(args, "base", None):
         with open(args.base, encoding="utf-8") as fh:
-            chunks.append(fh.read())
-    for rule_text in getattr(args, "rule", None) or []:
-        chunks.append(rule_text if rule_text.endswith("\n") else rule_text + "\n")
-    return parse_base_text("".join(chunks))
+            rules = parse_base_text(fh.read()).rules
+    return Base(rules=rules.union(map(parse_rule, getattr(args, "rule", None) or ())))
 
 
 def _load_argument(path: str) -> Argument:
@@ -508,7 +510,7 @@ def build_parser() -> _Parser:
             sp.add_argument(
                 "--rule",
                 action="append",
-                help="inline rule, repeatable (e.g. 'p.' or '(p => q)')",
+                help="one inline rule, repeatable (e.g. 'p.' or '(p => q)')",
             )
         sp.add_argument(
             "--budget",

@@ -115,6 +115,24 @@ def test_a_blank_premise_is_a_syntax_error():
     assert parse_sequent(" p , q |- q").premises == {Atom("p"), Atom("q")}
 
 
+def test_a_syntax_error_in_a_part_is_placed_in_the_whole_sequent():
+    for text, message, pos in (
+        # the premise ' q & ' ends at offset 7, where '|-' starts
+        ("p, q & |- r", "expected a formula", 7),
+        ("p, (q |- r", "expected ')'", 6),
+        ("p, q $ |- r", "unexpected character '$'", 5),
+        ("p |- q &", "expected a formula", 8),
+        ("p, q |-  r)", "trailing input", 10),
+    ):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_sequent(text)
+        assert (info.value.message, info.value.text, info.value.pos) == (
+            message,
+            text,
+            pos,
+        )
+
+
 # ---------------------------------------------------------------------------
 # the two evaluators
 
@@ -292,14 +310,15 @@ def test_trace_entries_follow_the_clauses_in_order():
 
 
 def test_context_lives_exactly_as_long_as_its_base():
-    # atoms no other test uses: contexts are keyed by the base's value, so
-    # an equal base kept alive elsewhere would keep this context too
     text = "gc_s.\n(gc_s => gc_t)"
     b = parse_base_text(text)
     ctx = base_context(b)
     assert base_context(b) is ctx
+    # an equal base gets a context of its own, which answers alike
     twin = parse_base_text(text)
-    assert base_context(twin) is ctx
+    twin_ctx = base_context(twin)
+    assert twin_ctx is not ctx
+    assert twin_ctx.derivable == ctx.derivable and twin_ctx.atoms == ctx.atoms
     assert models(SDQ, b, seq("gc_s |- gc_t | r")).holds
     assert models_alpha(b, seq("|- gc_s & gc_t")).holds
     # the validity layer's witnesses live in the context and go with it
@@ -309,15 +328,22 @@ def test_context_lives_exactly_as_long_as_its_base():
     # so does the kept consequence answer: the table is the only holder of
     # a sequent asked about once its caller drops it
     asked = seq("gc_t |- gc_s")
+    assert models(STD, b, asked, trace=False).holds
     assert models(STD, twin, asked, trace=False).holds
     # (the traced call above renders its trace and keeps no answer)
     assert ctx.answers == {seq("|- gc_s & gc_t"): True, asked: True}
+    assert twin_ctx.answers == {asked: True}
     kept = weakref.ref(asked)
     gone = weakref.ref(ctx)
-    del b, twin, ctx, asked
-    assert kept() is not None
+    twin_gone = weakref.ref(twin_ctx)
+    del b, ctx, asked
     gc.collect()
     assert gone() is None
+    # the twin's answer still holds the sequent; its context outlives b's
+    assert kept() is not None and twin_gone() is not None
+    del twin, twin_ctx
+    gc.collect()
+    assert twin_gone() is None
     assert kept() is None
 
 
@@ -333,25 +359,6 @@ def test_shared_inferences_keep_no_context_alive():
     del b
     gc.collect()
     assert gone() is None
-
-
-def test_a_twin_keeps_the_context_for_the_next_equal_base():
-    text = "gc_x.\n(gc_x => gc_y)"
-    first = parse_base_text(text)
-    ctx = weakref.ref(base_context(first))
-    assert models_alpha(first, seq("|- gc_y")).holds
-    twin = parse_base_text(text)
-    assert base_context(twin) is ctx()
-    # the base the context was made for dies; the twin still holds it
-    del first
-    gc.collect()
-    assert ctx() is not None
-    third = parse_base_text(text)
-    assert base_context(third) is ctx()
-    assert Atom("gc_y") in base_context(third).validity.args
-    del twin, third
-    gc.collect()
-    assert ctx() is None
 
 
 def test_building_a_context_does_not_revalidate_its_base(monkeypatch):
@@ -523,10 +530,7 @@ def test_a_warm_untraced_variant_call_asks_no_cache():
         return [models(SDQ, b, s, trace=False) for b in bases for s in seqs]
 
     cold = answers()
-    caches = (base_semantics._untraced, base_semantics._variant_universe)
-    before = [c.cache_info() for c in caches]
     warm = answers()
-    assert [c.cache_info() for c in caches] == before
     assert all(w is c for w, c in zip(warm, cold))
     # one entry per distinct atom set, not per sequent
     for b in bases:
@@ -544,10 +548,10 @@ def test_sequents_with_one_atom_set_share_one_variant_result():
     other = models(SDQ, b, seq("vs_q |- vs_s"), trace=False)
     assert not fails.holds and not other.holds
     assert fails.trace is not other.trace
-    # another atom set over the same universe: the pair comes from the
-    # shared cache, so it holds the same objects
+    # another atom set over the same universe: its own pair, of equal
+    # results
     wider = models(SDQ, b, seq("vs_p |- vs_q & vs_r"), trace=False)
-    assert wider is fails
+    assert wider == fails
     for s, res in (
         (same[0], first), (seq("vs_q |- vs_r"), fails), (seq("vs_q |- vs_s"), other)
     ):

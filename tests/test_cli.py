@@ -9,9 +9,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from prooflab import base_semantics, cli
 from prooflab.arguments import (
@@ -26,6 +28,13 @@ from prooflab.arguments import (
     or_project,
     pretty,
     structure_to_obj,
+)
+from prooflab.atomic_system import (
+    Base,
+    check_consistency,
+    format_rule,
+    parse_base_text,
+    parse_rule,
 )
 from prooflab.cli import (
     EX_DATA,
@@ -44,6 +53,7 @@ from test_arguments import (
     tie_case,
     time_limit,
 )
+from test_atomic_system import rule_sets
 from test_reductions import CHAIN_INNER, detour_chain
 from test_syntax import NESTED, nested_obj
 
@@ -151,6 +161,36 @@ def test_eval_alpha_witness_independent_of_hash_seed():
         outs.add(proc.stdout)
     assert len(outs) == 1
     assert outs.pop().splitlines()[-3:] == ["witness:", "  r", "    p*"]
+
+
+# a smoke-size benchmark CLI session for three seeds: every call's exit code
+# and stdout, traced evals in text and JSON among them
+_SESSION = """
+import os, sys, tempfile
+sys.path[:0] = [os.path.join(sys.argv[1], "src"), os.path.join(sys.argv[1], "perfbench")]
+import workloads
+for seed in (1, 2, 3):
+    with tempfile.TemporaryDirectory() as workdir:
+        w = workloads.CliSession(seed, 0, True, workdir)
+        w.setup()
+        for op in w.ops:
+            print(repr(w.run(op)))
+"""
+
+
+def test_a_cli_session_prints_the_same_bytes_under_any_hash_seed():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", _SESSION, root],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].count("\n") > 200
+    assert outs[0] == outs[1]
 
 
 def test_eval_alpha_invalid(capsys):
@@ -752,6 +792,58 @@ def test_bad_rule_text(capsys):
     code = main(["eval", "--rule", "((", "--sequent", "|- p"])
     assert code == EX_DATA
     capsys.readouterr()
+
+
+def test_a_syntax_error_in_a_sequent_is_placed_in_the_whole_text(capsys):
+    for sequent, pos in (("p, q & |- r", 7), ("p |- q &", 8)):
+        assert main(["eval", "--sequent", sequent]) == EX_DATA
+        err = capsys.readouterr().err
+        assert err == f"prooflab: expected a formula at position {pos}: {sequent!r}\n"
+
+
+def test_a_base_file_without_a_final_newline_is_not_glued_to_a_rule(tmp_path, capsys):
+    path = tmp_path / "base.rules"
+    path.write_text("p", encoding="utf-8")
+    argv = ["eval", "--base", str(path), "--rule", "q"]
+    assert main([*argv, "--sequent", "|- p & q"]) == EX_OK
+    assert "base:      p., q." in capsys.readouterr().out
+    assert main([*argv, "--sequent", "|- pq"]) == EX_FAILS
+    capsys.readouterr()
+
+
+def test_a_base_file_and_a_dotted_rule_make_two_rules(tmp_path, capsys):
+    path = tmp_path / "base.rules"
+    path.write_text("p.", encoding="utf-8")
+    argv = ["eval", "--base", str(path), "--rule", "q.", "--sequent", "|- p & q"]
+    assert main(argv) == EX_OK
+    assert "base:      p., q." in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rule", ["", " ", "# c", "p.\nq.", "p. q."])
+def test_a_rule_that_is_not_exactly_one_rule_is_a_data_error(rule, capsys):
+    assert main(["eval", "--rule", rule, "--sequent", "|- p"]) == EX_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("prooflab: ") and err.count("\n") == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule_sets(), st.integers(0, 4), st.booleans())
+def test_a_base_file_and_rules_load_as_the_union_of_their_parses(rs, cut, newline):
+    assume(check_consistency(rs))
+    texts = sorted(map(format_rule, rs))
+    in_file, inline = texts[:cut], texts[cut:]
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "base.rules")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(in_file) + ("\n" if newline else ""))
+        args = build_parser().parse_args(
+            ["eval", "--base", path, *(x for r in inline for x in ("--rule", r)),
+             "--sequent", "|- p"]
+        )
+        got = cli._load_base(args)
+    assert got == Base(rs)
+    with_file = parse_base_text("\n".join(in_file)).rules
+    assert got.rules == with_file | {parse_rule(r) for r in inline}
 
 
 @pytest.mark.parametrize("kind", ["(", "~", "->"])

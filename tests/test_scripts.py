@@ -34,7 +34,7 @@ def test_script_runs(script, line):
 
 
 def test_digests_prints_one_digest_per_output():
-    # the script sets its own path and hash seed; it must not inherit either
+    # the script sets its own path, and any hash seed prints the same lines
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONHASHSEED")}
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "digests.py")],
