@@ -53,6 +53,7 @@ from prooflab.syntax import (
     Formula,
     Impl,
     MAX_NESTING,
+    _Value,
     formula_from_obj,
     formula_to_obj,
     format_formula,
@@ -121,7 +122,7 @@ def _atom_name(f: Formula) -> str | None:
 
 
 @dataclass(frozen=True, slots=True)
-class Node:
+class Node(_Value):
     """A labelled node.  bound is how many levels up the node discharging
     this one sits, 0 when none does; what it discharges is an assumption at
     a non-axiomatic leaf, an assumed axiom at an axiomatic one and an
@@ -132,10 +133,10 @@ class Node:
     distance) pairs: distance 0 for a leaf nothing discharges, otherwise
     how many levels above this node the leaf's binder sits.  height, derived
     as well, is the number of levels below the node: 0 at a leaf.  The hash
-    is computed once, beside them, from the children's cached hashes, so
-    neither a lookup nor a question about assumptions or height walks the
-    tree.  A node is also the structure rooted at it, discharges reaching
-    above it left open."""
+    is kept beside them (_Value), computed once from the fields and the
+    children's kept hashes, so neither a lookup nor a question about
+    assumptions or height walks the tree.  A node is also the structure
+    rooted at it, discharges reaching above it left open."""
 
     formula: Formula
     children: tuple["Node", ...] = ()
@@ -175,22 +176,9 @@ class Node:
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "open", opened)
         object.__setattr__(self, "height", height)
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.formula, self.children, self.axiomatic, self.bound, self.rule)),
-        )
+        self._keep(self.formula, self.children, self.axiomatic, self.bound, self.rule)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__: a pickled hash would be stale in a
-        # process with another hash seed
-        return (
-            Node,
-            (self.formula, self.children, self.axiomatic, self.bound, self.rule),
-        )
+    __hash__ = _Value.__hash__
 
     @property
     def discharge(self) -> tuple[tuple[DischargeItem, Path], ...]:

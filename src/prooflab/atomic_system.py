@@ -65,6 +65,7 @@ from prooflab.syntax import (
     _ATOM_RE,
     _Scanner,
     _SyntaxError,
+    _Value,
 )
 
 __all__ = [
@@ -126,12 +127,12 @@ class Premise:
 
 
 @dataclass(frozen=True, slots=True)
-class AtomicRule:
+class AtomicRule(_Value):
     premises: tuple[Premise, ...]
     conclusion: str
-    # canonical sort key and hash, computed once: the key, (conclusion,
-    # premise keys in canonical order), tells rules apart exactly as
-    # equality does and does not depend on the hash seed
+    # canonical sort key and hash (_Value), computed once: the key,
+    # (conclusion, premise keys in canonical order), tells rules apart
+    # exactly as equality does and does not depend on the hash seed
     _key: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
@@ -144,15 +145,9 @@ class AtomicRule:
         object.__setattr__(
             self, "_key", (self.conclusion, tuple(p._key for p in premises))
         )
-        object.__setattr__(self, "_hash", hash((premises, self.conclusion)))
+        self._keep(premises, self.conclusion)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__: a pickled hash would be stale in a
-        # process with another hash seed
-        return (AtomicRule, (self.premises, self.conclusion))
+    __hash__ = _Value.__hash__
 
     def __str__(self) -> str:
         return format_rule(self)
@@ -210,11 +205,11 @@ def atoms_of_rule(r: AtomicRule) -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class Base:
+class Base(_Value):
     """A finite, consistent set of atomic rules."""
 
     rules: frozenset[AtomicRule] = field(default_factory=frozenset)
-    # computed once, the value the generated hash gives
+    # the kept hash (_Value)
     _hash: int = field(init=False, repr=False, compare=False)
     # the base's own evaluation context, set by base_semantics.base_context
     # on first use, so a later lookup is one attribute read
@@ -226,15 +221,9 @@ class Base:
             raise InconsistentBaseError(
                 f"rules derive bot: {{{', '.join(sorted(map(format_rule, self.rules)))}}}"
             )
-        object.__setattr__(self, "_hash", hash((self.rules,)))
+        self._keep(self.rules)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__: a pickled hash would be stale in a
-        # process with another hash seed
-        return (Base, (self.rules,))
+    __hash__ = _Value.__hash__
 
     def __str__(self) -> str:
         return format_base(self)

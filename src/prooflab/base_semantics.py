@@ -65,6 +65,7 @@ from prooflab.syntax import (
     Formula,
     FormulaSyntaxError,
     Impl,
+    _Value,
     atoms_of,
     format_formula,
     parse_formula,
@@ -95,11 +96,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Sequent:
+class Sequent(_Value):
     premises: frozenset[Formula] = field(default_factory=frozenset)
     conclusion: Formula = BOT
-    # the named atoms of the conclusion and the premises, and the value the
-    # generated hash gives, each computed once
+    # the named atoms of the conclusion and the premises, and the kept hash
+    # (_Value), each computed once
     _atoms: frozenset[str] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
@@ -109,16 +110,9 @@ class Sequent:
         object.__setattr__(
             self, "_atoms", atoms_of(self.conclusion).union(*map(atoms_of, premises))
         )
-        object.__setattr__(self, "_hash", hash((premises, self.conclusion)))
+        self._keep(premises, self.conclusion)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__, as the formulas are; the kept atoms and
-        # hash are left out, as a pickled hash would be stale in a process
-        # with another hash seed
-        return (Sequent, (self.premises, self.conclusion))
+    __hash__ = _Value.__hash__
 
     def __str__(self) -> str:
         return format_sequent(self)
@@ -170,7 +164,7 @@ def fresh_atom(used: Iterable[str]) -> str:
     return f"c{i}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalTrace:
     """What an evaluation records: the relation, the variant's universe,
     the notes on its readings and, when a trace was asked for, one entry per
@@ -188,7 +182,7 @@ class EvalTrace:
     # entry: (clause, premises rendered, formula rendered, result)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     holds: bool
     trace: EvalTrace

@@ -8,11 +8,11 @@ with negation ``~X`` as sugar for ``X -> bot``.  Negation is never a
 constructor: parsing ``~p`` yields the implication, and the printer folds
 ``X -> bot`` back into ``~X``.  Formulas are immutable values with structural
 equality, so evaluators are free to memoize on them.  Each formula computes
-its hash once, at construction, from its children's cached hashes, so a
-lookup never walks the tree; the value is the one the generated dataclass
-hash would give.  A compound formula also keeps its printed text once it
-has been printed, and its set of atoms once it has been asked for, outside
-comparison, repr, hash and pickle.  Decoding is memoized per text in a
+its hash once, at construction, from its class and its children's cached
+hashes (_Value), so a lookup never walks the tree and Conj(a, b), Disj(a, b)
+and Impl(a, b) hash apart.  A compound formula also keeps its printed text
+once it has been printed, and its set of atoms once it has been asked for,
+outside comparison, repr, hash and pickle.  Decoding is memoized per text in a
 bounded cache that never keeps an error: equal texts give the same formula
 object, and a malformed text raises afresh on every call.
 """
@@ -20,7 +20,7 @@ object, and a malformed text raises afresh on every call.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -40,13 +40,33 @@ __all__ = [
     "format_formula",
     "substitute",
     "atoms_of",
-    "depth",
     "formula_to_obj",
     "formula_from_obj",
 ]
 
 
-class Formula:
+class _Value:
+    """An immutable value that keeps its hash.  A subclass is a frozen
+    dataclass with an ``_hash`` field, calls _keep on its fields in
+    __post_init__, and writes ``__hash__ = _Value.__hash__`` in its body, as
+    a frozen dataclass replaces an inherited hash.  The hash mixes in the
+    class name, so values of two classes over equal fields hash apart.  A
+    pickle holds only the init fields and rebuilds through the constructor,
+    so the hash is computed afresh under the loading process's hash seed."""
+
+    __slots__ = ()
+
+    def _keep(self, *values: object) -> None:
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *values)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+class Formula(_Value):
     """Base class for formula values; construct the subclasses only."""
 
     __slots__ = ()
@@ -66,15 +86,9 @@ class Atom(Formula):
         if self.name == "bot":
             # absurdity is a distinct constant, never a named atom
             raise ValueError("'bot' is reserved for absurdity; use Absurdity()")
-        object.__setattr__(self, "_hash", hash((self.name,)))
+        self._keep(self.name)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__: a pickled hash would be stale in a
-        # process with another hash seed
-        return (Atom, (self.name,))
+    __hash__ = _Value.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,15 +110,9 @@ class _Binary(Formula):
     _atoms: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+        self._keep(self.left, self.right)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__, as Atom is; the cached text and atoms
-        # are left out
-        return (type(self), (self.left, self.right))
+    __hash__ = _Value.__hash__
 
 
 class Conj(_Binary):
@@ -361,14 +369,6 @@ def atoms_of(f: Formula) -> frozenset[str]:
         atoms = atoms_of(f.left) | atoms_of(f.right)
         object.__setattr__(f, "_atoms", atoms)
         return atoms
-
-
-def depth(f: Formula) -> int:
-    """Connective nesting depth: atoms and bot are 0."""
-    if isinstance(f, (Atom, Absurdity)):
-        return 0
-    assert isinstance(f, (Conj, Disj, Impl))
-    return 1 + max(depth(f.left), depth(f.right))
 
 
 _OPS = {"and": Conj, "or": Disj, "imp": Impl}

@@ -54,6 +54,7 @@ from prooflab.arguments import (
 from prooflab.atomic_system import (
     AtomicRule,
     Base,
+    DerivationNode,
     atoms_of_rule,
     axiom,
     derivable_atoms,
@@ -462,6 +463,16 @@ def test_derivation_with_assumed_rule_discharge():
     kinds = [type(item).__name__ for item, _ in d.discharge]
     assert "RuleDischarge" in kinds
     assert is_atomic_derivation(d, base)
+
+
+def test_a_derivation_by_a_rule_from_outside_the_base_is_refused():
+    # the axiom p is neither a rule of the empty base nor assumed by a premise
+    tree = DerivationNode("p", axiom("p"), ())
+    with pytest.raises(
+        StructureError,
+        match="^axiom p is neither in the base nor assumed anywhere below$",
+    ):
+        derivation_to_structure(tree, Base())
 
 
 def test_atomic_replay_rejects_out_of_scope_use():

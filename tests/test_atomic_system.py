@@ -215,6 +215,20 @@ def test_check_derivation_finds_a_defect_near_the_bottom_of_a_deep_chain():
         check_derivation(tree, rules | {axiom("q")})
 
 
+def test_check_derivation_names_a_misapplied_rule():
+    # a node labelled with an atom its rule does not conclude
+    with pytest.raises(
+        DerivationCheckError, match="^conclusion mismatch: node p, rule q$"
+    ):
+        check_derivation(DerivationNode("p", axiom("q"), ()), frozenset({axiom("q")}))
+    # a rule applied to fewer subtrees than it has premises
+    short = DerivationNode("q", rule("(p => q)"), ())
+    with pytest.raises(
+        DerivationCheckError, match=r"^premise count mismatch for \(p => q\)$"
+    ):
+        check_derivation(short, frozenset({rule("(p => q)")}))
+
+
 def test_check_derivation_raises_the_first_defect_in_premise_order():
     # the first premise's subtree fails two levels down, the second premise
     # at once: depth first in premise order meets the deep one first

@@ -508,7 +508,8 @@ def test_the_variant_universe_and_the_kept_atoms_match_their_recipes(
     assert base_semantics._variant_universe(ctx.atoms, s._atoms) == want
     assert models(SDQ, b, s, trace=False).trace.universe == want
     assert models(SDQ, b, s).trace.universe == want
-    assert hash(s) == hash((s.premises, s.conclusion))
+    again = parse_sequent(format_sequent(s))
+    assert again is not s and again == s and hash(again) == hash(s)
     back = pickle.loads(pickle.dumps(s))
     assert back == s and hash(back) == hash(s)
     assert back._atoms == atoms

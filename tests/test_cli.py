@@ -252,6 +252,15 @@ def test_eval_alpha_constant_reduction_inside_its_target(capsys):
     assert "status:    valid" in out
 
 
+def test_a_saturation_past_its_step_limit_exits_inconclusive(monkeypatch, capsys):
+    monkeypatch.setattr(base_semantics, "DEFAULT_MAX_STEPS", 0)
+    argv = ["eval", "--rule", "p.", "--rule", "(p => q)", "--sequent", "|- q"]
+    assert main(argv) == EX_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "prooflab: resource limit: saturation exceeded 0 steps\n"
+
+
 # ---------------------------------------------------------------------------
 # check_valid
 
@@ -332,6 +341,19 @@ def test_check_valid_pointer_justification(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == EX_OK
+
+
+def test_check_valid_a_justification_makes_the_walk_enumerate(tmp_path, capsys):
+    # with a justification beside the standard reductions the normal form
+    # does not decide an atomic goal; the pointer p* -> p* rewrites the leaf
+    # to itself, so the closure is the leaf alone
+    leaf = structure_to_obj(axiom_leaf(p))
+    pointer = {"kind": "pointer", "source": leaf, "target": leaf}
+    path = argument_file(tmp_path, axiom_leaf(p), justifications=[pointer])
+    code = main(["check_valid", "--argument", path])
+    out = capsys.readouterr().out
+    assert code == EX_FAILS
+    assert "the whole reduction closure (1 structures) was enumerated" in out
 
 
 # ---------------------------------------------------------------------------

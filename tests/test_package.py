@@ -158,6 +158,50 @@ def test_an_unbounded_cache_is_caught(source):
     assert [bounded for _, bounded in _caches(ast.parse(source))][-1:] == [False]
 
 
+def _kept_hash_breaks(tree):
+    """Every class but _Value that defines __hash__ or __reduce__ itself,
+    or assigns __hash__ anything but _Value.__hash__: the kept hash and
+    its pickling are decided once, in syntax._Value."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or node.name == "_Value":
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if stmt.name in ("__hash__", "__reduce__"):
+                    found.append(f"{node.name} line {stmt.lineno}")
+            elif isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__hash__" for t in stmt.targets
+            ):
+                if ast.unparse(stmt.value) != "_Value.__hash__":
+                    found.append(f"{node.name} line {stmt.lineno}")
+    return found
+
+
+def test_only_value_keeps_a_hash():
+    breaks = [
+        f"{filename}: {where}"
+        for filename, tree in _module_trees()
+        for where in _kept_hash_breaks(tree)
+    ]
+    assert breaks == []
+
+
+@pytest.mark.parametrize(
+    "source, caught",
+    [
+        ("class A:\n    def __hash__(self): return 0", True),
+        ("class A:\n    def __reduce__(self): return A, ()", True),
+        ("class A:\n    __hash__ = object.__hash__", True),
+        ("class A:\n    __hash__ = None", True),
+        ("class A(_Value):\n    __hash__ = _Value.__hash__", False),
+        ("class _Value:\n    def __hash__(self): return self._hash", False),
+    ],
+)
+def test_a_second_kept_hash_is_caught(source, caught):
+    assert bool(_kept_hash_breaks(ast.parse(source))) is caught
+
+
 # Public names whose callers are the package's users rather than its own
 # code: each is documented API, kept though nothing in the repo outside the
 # tests calls it.
@@ -186,22 +230,48 @@ def _exported(tree):
     return []
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(func):
+    """The names a function binds itself: its parameters, the names it
+    assigns and the functions and classes it defines; what a nested
+    function binds is its own."""
+    a = func.args
+    names = {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x}
+    todo = list(func.body) if isinstance(func.body, list) else [func.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, _FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def _read_names(tree):
     """Every name a module reads, bare or as an attribute.  A definition
-    reading its own name (a recursive call) does not count, nor does an
+    reading its own name (a recursive call) does not count, nor does a
+    function reading a name it binds itself (a parameter or a local), an
     import, an assignment or a string such as an __all__ entry."""
     read = set()
+
+    def visit(node, own, local):
+        if isinstance(node, _FUNCTIONS):
+            local = local | _bound(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id != own and node.id not in local:
+                read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr != own:
+                read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own, local)
+
     for stmt in tree.body:
-        own = getattr(stmt, "name", None)
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                name = node.id
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                name = node.attr
-            else:
-                continue
-            if name != own:
-                read.add(name)
+        visit(stmt, getattr(stmt, "name", None), frozenset())
     return read
 
 
@@ -236,6 +306,11 @@ def test_every_public_name_has_a_caller():
         ("__all__ = ['f']\ndef f(): pass", "from m import f\n__all__ = ['f']", True),
         ("__all__ = ['f']\ndef f(): pass\nNAME = 'f'", "", True),
         ("__all__ = ['f', 'g']\ndef f(): pass\ndef g(): return f()", "", True),
+        # a parameter or a local of the reading function is not the export
+        ("__all__ = ['f']\ndef f(): pass", "def g(f): return f", True),
+        ("__all__ = ['f']\ndef f(): pass", "def g():\n    f = 1\n    return f", True),
+        ("__all__ = ['f']\ndef f(): pass", "def g(xs): return [f for f in xs]", True),
+        ("__all__ = ['f']\ndef f(): pass", "from m import f\ndef g(): return f()", False),
         ("__all__ = ['f']\ndef f(): pass", "from m import f\nf()", False),
         ("__all__ = ['f']\ndef f(): pass", "import m\nm.f()", False),
         ("__all__ = ['f']\ndef f(): pass\ndef g(): return f()", "", False),

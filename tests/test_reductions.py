@@ -38,7 +38,7 @@ from prooflab.arguments import (
     structure_to_obj,
     weaken,
 )
-from prooflab.atomic_system import derive, parse_base_text
+from prooflab.atomic_system import AtomicRule, derive, parse_base_text
 from prooflab.reductions import (
     CONJ_DETOUR,
     DEFAULT_BUDGET,
@@ -61,6 +61,8 @@ from prooflab.syntax import (
     Disj,
     Impl,
     format_formula,
+    formula_from_obj,
+    formula_to_obj,
     parse_formula,
 )
 from test_arguments import assumption_paths, iter_nodes, structures
@@ -793,21 +795,28 @@ def test_successors_keep_conclusion_assumptions_and_serialize(d):
         binders_match(step.result)
 
 
-def _formula_hash_is_the_field_tuple_hash(f):
-    """The cached hashes equal the generated dataclass hashes, so sets and
-    dicts of formulas and nodes iterate as they did without the cache."""
+def _subformulas_built_apart_agree(f):
+    """Each subformula, built again from its formula_to_obj form, compares
+    equal to it and hashes alike."""
     for g in subformulas(f):
-        if isinstance(g, Atom):
-            assert hash(g) == hash((g.name,))
-        elif isinstance(g, (Conj, Disj, Impl)):
-            assert hash(g) == hash((g.left, g.right))
+        again = formula_from_obj(formula_to_obj(g))
+        assert again == g and hash(again) == hash(g)
 
 
-def _node_hash_is_the_field_tuple_hash(d):
-    for _, node in iter_nodes(d):
-        fields = (node.formula, node.children, node.axiomatic, node.bound, node.rule)
-        assert hash(node) == hash(fields)
-        _formula_hash_is_the_field_tuple_hash(node.formula)
+def _node_built_apart(node):
+    """node built again from its fields, its formula, rule and children
+    built apart too; at each node the two compare equal and hash alike."""
+    _subformulas_built_apart_agree(node.formula)
+    rule = node.rule
+    again = Node(
+        formula_from_obj(formula_to_obj(node.formula)),
+        tuple(map(_node_built_apart, node.children)),
+        node.axiomatic,
+        node.bound,
+        None if rule is None else AtomicRule(rule.premises, rule.conclusion),
+    )
+    assert again == node and hash(again) == hash(node)
+    return again
 
 
 @settings(max_examples=100, deadline=None)
@@ -815,7 +824,7 @@ def _node_hash_is_the_field_tuple_hash(d):
 def test_hash_of_equal_values_built_apart_agrees(f, d):
     g = parse_formula(format_formula(f))
     assert g == f and hash(g) == hash(f)
-    _formula_hash_is_the_field_tuple_hash(f)
+    _subformulas_built_apart_agree(f)
     c0 = Atom("c0")
 
     def stand_in(g):
@@ -830,7 +839,7 @@ def test_hash_of_equal_values_built_apart_agrees(f, d):
         rebuilt = structure_from_obj(structure_to_obj(e))
         assert rebuilt == e and hash(rebuilt) == hash(e)
         assert {rebuilt: True}[e]
-        _node_hash_is_the_field_tuple_hash(e)
+        _node_built_apart(e)
 
 
 # ---------------------------------------------------------------------------

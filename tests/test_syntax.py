@@ -15,7 +15,6 @@ from prooflab.syntax import (
     Impl,
     MAX_NESTING,
     atoms_of,
-    depth,
     format_formula,
     formula_from_obj,
     formula_to_obj,
@@ -127,13 +126,6 @@ def test_atoms_of_excludes_bot():
     assert atoms_of(BOT) == frozenset()
 
 
-def test_depth():
-    assert depth(p) == 0
-    assert depth(BOT) == 0
-    assert depth(Conj(p, q)) == 1
-    assert depth(Impl(p, Conj(q, Disj(r, s)))) == 3
-
-
 names = st.sampled_from(["p", "q", "r", "s", "t"])
 
 
@@ -147,6 +139,13 @@ def formulas(max_depth: int = 5) -> st.SearchStrategy:
         ),
         max_leaves=2 ** max_depth,
     )
+
+
+@given(formulas(3), formulas(3))
+def test_the_connectives_over_the_same_children_hash_apart(f, g):
+    # a table keyed by formulas must not compare f & g with f | g or f -> g
+    hashes = {hash(c(f, g)) for c in (Conj, Disj, Impl)}
+    assert len(hashes) == 3
 
 
 @given(formulas())
