@@ -259,6 +259,12 @@ def _entries(root: Node) -> Iterator[tuple[DischargeItem, Path]]:
             yield _item(node, path), path[: len(path) - node.bound]
 
 
+# The recursions of this module, _bound_at and those below it, are module
+# functions passed what they work on, not closures over it: a nested
+# recursive function references itself through its closure cell, and every
+# call would leave a cycle for the collector.
+
+
 def _bound_at(node: Node, path: Path = ()) -> Iterator[tuple[Path, Node]]:
     """The nodes a binder discharges, with their paths from it, in
     preorder; node is the binder's descendant at path, the binder itself
@@ -330,7 +336,13 @@ def bind(
                 )
         marks[src] = (bound, item.rule if isinstance(item, RuleDischarge) else None)
 
-    out = _mark(root, (), marks)
+    # reversed preorder reaches every child before its parent
+    built: dict[Path, Node] = {}
+    for path, node in reversed(nodes.items()):
+        bound, rule = marks.get(path, (node.bound, node.rule))
+        children = tuple(built.pop(path + (i,)) for i in range(len(node.children)))
+        built[path] = Node(node.formula, children, node.axiomatic, bound, rule)
+    out = built[()]
     # the defining clause forbids discharging an assumption at the parent
     # node of a discharged edge set or at that edge set's target
     entries = tuple(_entries(out))
@@ -346,21 +358,6 @@ def bind(
                 "discharged rule application"
             )
     return out
-
-
-# The recursions of this module are module functions passed what they work
-# on, not closures over it: a nested recursive function references itself
-# through its closure cell, and every call would leave a cycle for the
-# collector.
-
-
-def _mark(
-    node: Node, path: Path, marks: Mapping[Path, tuple[int, AtomicRule | None]]
-) -> Node:
-    """The subtree at path with the (bound, rule) marks written on."""
-    bound, rule = marks.get(path, (node.bound, node.rule))
-    children = tuple(_mark(c, path + (i,), marks) for i, c in enumerate(node.children))
-    return Node(node.formula, children, node.axiomatic, bound, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +433,8 @@ def _moved(
 def instantiate(
     struct: ArgumentStructure, sigma: Mapping[Formula, ArgumentStructure]
 ) -> ArgumentStructure:
-    """Replace every assumption leaf by the structure its label maps to."""
+    """Replace every assumption leaf by the structure its label maps to:
+    sigma must cover every assumption, so _fill leaves none open."""
     targets = assumptions(struct)
     missing = sorted(format_formula(f) for f in targets - set(sigma.keys()))
     if missing:
@@ -453,12 +451,16 @@ def instantiate(
 def _fill(
     node: Node, depth: int, sigma: Mapping[Formula, ArgumentStructure]
 ) -> Node:
-    """The subtree at node, depth levels down, with its assumption leaves
-    replaced by their instances."""
+    """The subtree at node, depth levels down, with each assumption leaf
+    whose label sigma maps replaced by its instance moved down to the leaf;
+    the structure's other leaves stay as they are."""
     if _is_open(node, depth):
-        return _moved(sigma[node.formula], depth)
-    if not node.children or all(d and d <= depth for _, d in node.open):
-        # no leaf of the subtree is open in the structure
+        sub = sigma.get(node.formula)
+        return node if sub is None else _moved(sub, depth)
+    if not node.children or all(
+        d and d <= depth or f not in sigma for f, d in node.open
+    ):
+        # no open leaf of the subtree has a label sigma maps
         return node
     return _with_children(node, tuple(_fill(c, depth + 1, sigma) for c in node.children))
 
@@ -481,40 +483,21 @@ def structure_of_inference(inf: Inference) -> ArgumentStructure:
 
 
 def and_intro(left: ArgumentStructure, right: ArgumentStructure) -> ArgumentStructure:
-    return structure_of_inference(
-        Inference(
-            subs=(left, right),
-            conclusion=Conj(conclusion(left), conclusion(right)),
-        )
-    )
+    return Node(Conj(conclusion(left), conclusion(right)), (left, right))
 
 
 def or_intro_left(sub: ArgumentStructure, right: Formula) -> ArgumentStructure:
-    return structure_of_inference(
-        Inference(subs=(sub,), conclusion=Disj(conclusion(sub), right))
-    )
+    return Node(Disj(conclusion(sub), right), (sub,))
 
 
 def or_intro_right(sub: ArgumentStructure, left: Formula) -> ArgumentStructure:
-    return structure_of_inference(
-        Inference(subs=(sub,), conclusion=Disj(left, conclusion(sub)))
-    )
-
-
-def _discharge_open(node: Node, f: Formula, depth: int = 1) -> Node:
-    """node, depth levels below a new binder, with its open f-leaves
-    discharged at the binder."""
-    if not node.children:
-        if node.formula == f and _is_open(node, depth - 1):
-            return Node(f, bound=depth)
-        return node
-    children = tuple(_discharge_open(c, f, depth + 1) for c in node.children)
-    return node if children == node.children else _with_children(node, children)
+    return Node(Disj(left, conclusion(sub)), (sub,))
 
 
 def impl_intro(sub: ArgumentStructure, antecedent: Formula) -> ArgumentStructure:
-    """Discharges every open occurrence of the antecedent; vacuous is fine."""
-    body = _discharge_open(sub, antecedent)
+    """Discharges every open occurrence of the antecedent (none is fine):
+    _fill puts a leaf bound at the new root in place of each."""
+    body = _fill(sub, 0, {antecedent: Node(antecedent, bound=1)})
     return Node(Impl(antecedent, conclusion(sub)), (body,))
 
 
@@ -522,16 +505,14 @@ def and_elim(sub: ArgumentStructure, side: int) -> ArgumentStructure:
     f = conclusion(sub)
     if not isinstance(f, Conj):
         raise StructureError("and_elim needs a conjunction")
-    return structure_of_inference(
-        Inference(subs=(sub,), conclusion=f.left if side == 1 else f.right)
-    )
+    return Node(f.left if side == 1 else f.right, (sub,))
 
 
 def impl_elim(major: ArgumentStructure, minor: ArgumentStructure) -> ArgumentStructure:
     f = conclusion(major)
     if not isinstance(f, Impl) or f.left != conclusion(minor):
         raise StructureError("impl_elim needs a matching implication")
-    return structure_of_inference(Inference(subs=(major, minor), conclusion=f.right))
+    return Node(f.right, (major, minor))
 
 
 def or_elim(
@@ -539,6 +520,8 @@ def or_elim(
     left_case: ArgumentStructure,
     right_case: ArgumentStructure,
 ) -> ArgumentStructure:
+    """Each case's open occurrences of its own disjunct are discharged at
+    the root, as impl_intro discharges its antecedent's."""
     f = conclusion(major)
     if not isinstance(f, Disj):
         raise StructureError("or_elim needs a disjunction")
@@ -546,8 +529,8 @@ def or_elim(
     if conclusion(right_case) != c:
         raise StructureError("or_elim cases conclude different formulas")
     cases = (
-        _discharge_open(left_case, f.left),
-        _discharge_open(right_case, f.right),
+        _fill(left_case, 0, {f.left: Node(f.left, bound=1)}),
+        _fill(right_case, 0, {f.right: Node(f.right, bound=1)}),
     )
     return Node(c, (major, *cases))
 
@@ -556,16 +539,14 @@ def weaken(sub: ArgumentStructure, extra: Formula) -> ArgumentStructure:
     f = conclusion(sub)
     if not isinstance(f, Impl):
         raise StructureError("weaken needs an implication")
-    return structure_of_inference(
-        Inference(subs=(sub,), conclusion=Impl(Conj(f.left, extra), f.right))
-    )
+    return Node(Impl(Conj(f.left, extra), f.right), (sub,))
 
 
 def or_project(sub: ArgumentStructure) -> ArgumentStructure:
     f = conclusion(sub)
     if not isinstance(f, Disj):
         raise StructureError("or_project needs a disjunction")
-    return structure_of_inference(Inference(subs=(sub,), conclusion=f.left))
+    return Node(f.left, (sub,))
 
 
 # introduction matchers ------------------------------------------------------
@@ -744,31 +725,39 @@ def _node_to_obj(node: Node) -> object:
     return out
 
 
+def _json_list(value: object, what: str) -> list:
+    """value, a JSON field that must be a list: iterated, a string would
+    read as its characters and an object as its keys."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 def _node_from_obj(obj: dict, depth: int = 0) -> Node:
     """The node tree of obj, depth levels below the root; a node deeper
     than MAX_NESTING fails before the recursion goes any deeper."""
     if depth > MAX_NESTING:
         raise StructureError(f"structure nested deeper than {MAX_NESTING} levels")
+    axiomatic = obj.get("axiomatic", False)
+    if not isinstance(axiomatic, bool):
+        raise ValueError(f"axiomatic must be a boolean, not {type(axiomatic).__name__}")
+    children = _json_list(obj.get("children", []), "children")
     return Node(
         formula=formula_from_obj(obj["formula"]),
-        children=tuple(_node_from_obj(c, depth + 1) for c in obj.get("children", [])),
-        axiomatic=bool(obj.get("axiomatic", False)),
+        children=tuple(_node_from_obj(c, depth + 1) for c in children),
+        axiomatic=axiomatic,
     )
+
+
+_KINDS = {AssumptionDischarge: "assume", AxiomDischarge: "axiom", RuleDischarge: "rule"}
 
 
 def structure_to_obj(struct: ArgumentStructure) -> object:
     entries = []
     for item, target in struct.discharge:
-        e: dict = {"target": list(target)}
-        if isinstance(item, AssumptionDischarge):
-            e["kind"] = "assume"
-            e["path"] = list(item.leaf)
-        elif isinstance(item, AxiomDischarge):
-            e["kind"] = "axiom"
-            e["path"] = list(item.leaf)
-        else:
-            e["kind"] = "rule"
-            e["path"] = list(item.node)
+        e: dict = {"target": list(target), "kind": _KINDS[type(item)]}
+        e["path"] = list(_source(item))
+        if isinstance(item, RuleDischarge):
             e["rule"] = format_rule(item.rule)
         entries.append(e)
     return {"root": _node_to_obj(struct), "discharge": entries}
@@ -776,19 +765,15 @@ def structure_to_obj(struct: ArgumentStructure) -> object:
 
 def structure_from_obj(obj: dict) -> ArgumentStructure:
     entries: list[tuple[DischargeItem, Path]] = []
-    for e in obj.get("discharge", []):
-        path = tuple(e["path"])
-        target = tuple(e["target"])
-        if e["kind"] == "assume":
-            entries.append((AssumptionDischarge(leaf=path), target))
-        elif e["kind"] == "axiom":
-            entries.append((AxiomDischarge(leaf=path), target))
-        elif e["kind"] == "rule":
-            entries.append(
-                (RuleDischarge(node=path, rule=parse_rule(e["rule"])), target)
-            )
-        else:
+    for e in _json_list(obj.get("discharge", []), "discharge"):
+        path = _json_list(e["path"], "a discharge's path")
+        target = _json_list(e["target"], "a discharge's target")
+        # compared, not looked up, so an unhashable kind is unknown too
+        kind = next((k for k, name in _KINDS.items() if name == e["kind"]), None)
+        if kind is None:
             raise StructureError(f"unknown discharge kind: {e['kind']!r}")
+        rule = (parse_rule(e["rule"]),) if kind is RuleDischarge else ()
+        entries.append((kind(tuple(path), *rule), tuple(target)))
     return bind(_node_from_obj(obj["root"]), entries)
 
 

@@ -29,6 +29,7 @@ from functools import lru_cache
 from prooflab import reductions
 from prooflab.arguments import (
     StructureError,
+    _json_list,
     conclusion,
     is_closed,
     pretty,
@@ -143,7 +144,8 @@ def _decode_argument(text: str) -> Argument:
         raise ValueError("nested too deeply") from None
     if isinstance(obj, dict) and "structure" in obj:
         struct = structure_from_obj(obj["structure"])
-        justs = tuple(_parse_justification(j) for j in obj.get("justifications", []))
+        listed = _json_list(obj.get("justifications", []), "justifications")
+        justs = tuple(_parse_justification(j) for j in listed)
         return Argument(structure=struct, justifications=justs)
     return Argument(structure=structure_from_obj(obj), justifications=())
 
@@ -161,8 +163,9 @@ def _parse_justification(obj) -> Reduction:
         return _BY_NAME[obj]
     kind = obj.get("kind")
     if kind == "constant":
+        premises = _json_list(obj["premises"], "a constant justification's premises")
         return constant_reduction(
-            [parse_formula(t) for t in obj["premises"]],
+            [parse_formula(t) for t in premises],
             parse_formula(obj["conclusion"]),
             structure_from_obj(obj["target"]),
             name=obj.get("name", "constant"),

@@ -132,6 +132,20 @@ def test_impl_intro_leaves_other_assumptions_open():
     assert is_closed(impl_intro(d, Impl(p, q)))
 
 
+def test_or_elim_discharges_each_case_s_own_disjunct():
+    both = and_intro(assumption(p), assumption(q))
+    d = or_elim(assumption(Disj(p, q)), both, both)
+    # p discharged in the left case, q in the right, the rest left open
+    assert d == bind(
+        Node(Conj(p, q), (assumption(Disj(p, q)), both, both)),
+        (
+            (AssumptionDischarge(leaf=(1, 0)), ()),
+            (AssumptionDischarge(leaf=(2, 1)), ()),
+        ),
+    )
+    assert assumptions(d) == {Disj(p, q), p, q}
+
+
 def test_or_elim_discharges_cases():
     cases = or_elim(
         assumption(Disj(p, q)),
@@ -311,6 +325,16 @@ def test_structure_from_obj_refuses_bad_discharges(root, entry, message):
     assert str(info.value) == message
 
 
+def test_bind_keeps_the_discharges_the_tree_carries():
+    d = impl_intro(and_intro(assumption(p), assumption(q)), p)
+    out = bind(d, ((AssumptionDischarge(leaf=(0, 1)), ()),))
+    assert out.discharge == (
+        (AssumptionDischarge(leaf=(0, 0)), ()),
+        (AssumptionDischarge(leaf=(0, 1)), ()),
+    )
+    assert is_closed(out)
+
+
 def test_assumption_may_not_land_on_rule_discharge_anchor():
     # an assumption leaf discharged at the parent node of a discharged edge
     # set is ruled out, and likewise at that edge set's target
@@ -391,6 +415,20 @@ def test_sub_structures_reopen_discharged_leaves(d):
             if target == () and item.leaf[:1] == (i,)
         }
         assert reopened <= set(assumption_paths(sub))
+
+
+@settings(max_examples=100)
+@given(structures(), small_formulas())
+def test_impl_intro_discharges_exactly_the_open_antecedent_leaves(d, a):
+    leaves = [at for at, f in assumption_paths(d).items() if f == a]
+    d_a = impl_intro(d, a)
+    assert d_a == bind(
+        Node(Impl(a, conclusion(d)), (d,)),
+        tuple((AssumptionDischarge(leaf=(0,) + at), ()) for at in leaves),
+    )
+    # the sub-structure's discharged leaves come out open again, and the
+    # same inference discharges them anew
+    assert impl_intro(sub_structures(d_a)[0], a) == d_a
 
 
 @settings(max_examples=100)
@@ -497,6 +535,11 @@ def test_atomic_replay_rejects_out_of_scope_use():
         ((AxiomDischarge(leaf=(0,)), ()),),
     )
     assert is_atomic_derivation(good, base)
+
+
+def test_an_absurdity_leaf_is_no_atomic_derivation():
+    # bot is an atomic label, but no consistent base has it as an axiom
+    assert not is_atomic_derivation(axiom_leaf(BOT), Base())
 
 
 def test_atomic_replay_rejects_open_or_compound():

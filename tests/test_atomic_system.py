@@ -21,6 +21,7 @@ from prooflab.atomic_system import (
     DerivationCheckError,
     DerivationNode,
     InconsistentBaseError,
+    Premise,
     ResourceLimitExceeded,
     atoms_of_base,
     atoms_of_rule,
@@ -989,6 +990,19 @@ def test_equal_rule_texts_parse_to_one_rule():
     first, second = (parse_base_text(f"p.\n{text}\n") for _ in range(2))
     assert first == second
     assert all(any(a is b for b in second.rules) for a in first.rules)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Premise(frozenset(), "1p"), "premise conclusion is not an atom: '1p'"),
+        (lambda: AtomicRule((), "1p"), "rule conclusion is not an atom: '1p'"),
+    ],
+)
+def test_a_premise_and_a_rule_conclude_an_atom(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_atoms_and_subrules():

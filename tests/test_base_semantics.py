@@ -747,6 +747,11 @@ def test_il_sound_for_small_frames(f):
 # base-completeness witness
 
 
+def test_base_completeness_witness_names_a_known_semantics():
+    with pytest.raises(ValueError, match="^unknown semantics kind: 'bogus'$"):
+        base_completeness_witness("bogus")
+
+
 @pytest.mark.parametrize("kind", ["standard", "sandqvist"])
 def test_base_completeness_witness(kind):
     report = base_completeness_witness(kind)

@@ -1198,6 +1198,48 @@ MALFORMED_ARGUMENTS = {
             "discharge": [{"kind": "assume", "target": []}],
         }
     },
+    # a field of the wrong JSON type is refused, not read another way
+    "axiomatic-a-string": {
+        "structure": {
+            "root": {**structure_to_obj(assumption(q))["root"], "axiomatic": "false"}
+        }
+    },
+    "children-an-object": {
+        "structure": {"root": {**structure_to_obj(DETOUR)["root"], "children": {}}}
+    },
+    "discharge-an-object": {
+        "structure": {
+            "root": structure_to_obj(impl_intro(assumption(p), p))["root"],
+            "discharge": {},
+        }
+    },
+    "discharge-path-a-string": {
+        "structure": {
+            "root": structure_to_obj(impl_intro(assumption(p), p))["root"],
+            "discharge": [{"kind": "assume", "path": "0", "target": []}],
+        }
+    },
+    "discharge-target-a-string": {
+        "structure": {
+            "root": structure_to_obj(impl_intro(assumption(p), p))["root"],
+            "discharge": [{"kind": "assume", "path": [0], "target": ""}],
+        }
+    },
+    "premises-a-string": {
+        "structure": structure_to_obj(DETOUR),
+        "justifications": [
+            {
+                "kind": "constant",
+                "premises": "pr",
+                "conclusion": "p",
+                "target": structure_to_obj(axiom_leaf(p)),
+            }
+        ],
+    },
+    "justifications-a-string": {
+        "structure": structure_to_obj(DETOUR),
+        "justifications": "",
+    },
     "constant-without-premises": {
         "structure": structure_to_obj(DETOUR),
         "justifications": [
@@ -1222,6 +1264,13 @@ def test_malformed_argument_is_a_data_error(tmp_path, capsys, obj):
     # one line, no traceback
     assert err.startswith(f"prooflab: malformed argument file {path}: ")
     assert err.count("\n") == 1
+
+
+def test_an_axiomatic_inner_node_is_a_data_error(tmp_path, capsys):
+    root = {**structure_to_obj(DETOUR)["root"], "axiomatic": True}
+    path = write_json(tmp_path / "arg.json", {"root": root})
+    assert main(["check_valid", "--argument", path]) == EX_DATA
+    assert capsys.readouterr().err == "prooflab: axiomatic mark on an inner node\n"
 
 
 def _constant_premise(premise):

@@ -102,6 +102,85 @@ def test_no_module_raises_the_recursion_limit():
     assert calls == []
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _calls(func):
+    return [node.func for node in ast.walk(func) if isinstance(node, ast.Call)]
+
+
+def _self_recursive(tree):
+    """Every module-level function whose body calls its own name, and every
+    method (Class.name) whose body calls self.<its own name>."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, _DEFS) and any(
+            isinstance(f, ast.Name) and f.id == node.name for f in _calls(node)
+        ):
+            found.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            found.update(
+                f"{node.name}.{m.name}"
+                for m in node.body
+                if isinstance(m, _DEFS)
+                and any(
+                    isinstance(f, ast.Attribute)
+                    and f.attr == m.name
+                    and getattr(f.value, "id", None) == "self"
+                    for f in _calls(m)
+                )
+            )
+    return found
+
+
+# The functions that recurse on their own name, each a walker whose depth
+# follows its input's.  Mutual recursion is not counted: the parser's
+# methods, premise_to_rule / rule_to_premise, witness / _build and
+# check_valid / _check_closed.
+SELF_RECURSIVE = {
+    "arguments": {
+        "_augment",
+        "_bound_at",
+        "_encode",
+        "_fill",
+        "_moved",
+        "_node_from_obj",
+        "_node_to_obj",
+        "_replays",
+    },
+    "atomic_system": {"format_rule", "level", "star_translate"},
+    "base_semantics": {"BaseContext.holds", "Evaluator.entails", "_ipc"},
+    "reductions": {"_rewrites"},
+    "syntax": {"atoms_of", "formula_from_obj", "formula_to_obj", "substitute"},
+}
+
+
+def test_the_self_recursive_functions_are_the_pinned_ones():
+    found = {
+        filename[: -len(".py")]: names
+        for filename, tree in _module_trees()
+        if (names := _self_recursive(tree))
+    }
+    assert found == SELF_RECURSIVE
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f(n): return f(n - 1) if n else 0", {"f"}),
+        ("def f(t): yield from (x for c in t for x in f(c))", {"f"}),
+        ("class A:\n    def m(self, n): return self.m(n - 1)", {"A.m"}),
+        # another object's method of the same name, or mutual recursion
+        ("class A:\n    def m(self, o): return o.m(self)", set()),
+        ("def f(n): return g(n)\ndef g(n): return f(n)", set()),
+        # a nested function is not a module-level one
+        ("def f():\n    def g(n): return g(n)\n    return g", set()),
+    ],
+)
+def test_a_self_recursion_is_found(source, found):
+    assert _self_recursive(ast.parse(source)) == found
+
+
 def _caches(tree):
     """(line, bounded) for every functools cache a module makes: bounded
     when it is an lru_cache given an integer maxsize.  A bare lru_cache

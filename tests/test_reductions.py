@@ -237,6 +237,21 @@ def test_each_detour_rewrites_exactly_its_own_redex():
         assert [red.rewrite(d) for red in STD] == [None] * 5
 
 
+def test_a_case_split_rewrites_only_over_its_own_cases():
+    major = or_intro_left(assumption(p), q)
+    # a case concluding another formula than the split's
+    assert DISJ_DETOUR.rewrite(Node(p, (major, assumption(p), assumption(q)))) is None
+    split = Node(p, (major, assumption(p), Node(p, (assumption(q),))))
+    cases = (
+        (AssumptionDischarge(leaf=(1,)), ()),
+        (AssumptionDischarge(leaf=(2, 0)), ()),
+    )
+    assert DISJ_DETOUR.rewrite(bind(split, cases)) == assumption(p)
+    # the root discharges the major premise's leaf too, no case's own
+    with_major = cases + ((AssumptionDischarge(leaf=(0, 0)), ()),)
+    assert DISJ_DETOUR.rewrite(bind(split, with_major)) is None
+
+
 # ---------------------------------------------------------------------------
 # positions and discharges across them
 
@@ -515,6 +530,11 @@ def test_constant_reduction_matches_instances():
         ((AssumptionDischarge(leaf=(0,)), ()),),
     )
     assert red.rewrite(discharging) is None
+
+
+def test_constant_reduction_keeps_the_conclusion():
+    with pytest.raises(StructureError, match="^constant reduction changes the conclusion$"):
+        constant_reduction([p], p, axiom_leaf(q))
 
 
 def test_constant_reduction_needs_closed_target():

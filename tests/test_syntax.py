@@ -105,6 +105,11 @@ def test_atom_name_bot_rejected():
         Atom("bot")
 
 
+def test_an_atom_name_is_checked():
+    with pytest.raises(ValueError, match="^not an atom name: '1p'$"):
+        Atom("1p")
+
+
 def test_format_examples():
     assert format_formula(Impl(p, Impl(q, r))) == "p -> q -> r"
     assert format_formula(Impl(Impl(p, q), r)) == "(p -> q) -> r"
