@@ -7,7 +7,8 @@ rules temporarily available.  A premise (C, a) is the same thing as the rule
 (premise_to_rule / rule_to_premise).  Levels follow the usual recurrence:
 axioms are level 0, otherwise 1 + the maximal level of the premise rules.
 A consequence of the recurrence is that a level-k rule only ever discharges
-rules of level at most k - 2.
+rules of level at most k - 2.  A rule computes its level once, when it is
+built, from the levels its discharged rules keep.
 
 ``bot`` is an ordinary atom here: deriving it is not special, except that a
 Base refuses construction when its rules derive bot outright.
@@ -23,10 +24,12 @@ fact in the context its discharged rules extend to, so a context is opened
 only when some goal asks for a fact in it.  The facts each goal completes
 propagate through per-application counters of unmet premises, as in
 linear-time Horn satisfiability, before the next goal is taken, and a goal
-whose fact is already recorded grounds nothing.  Derivability is monotone
-in the context, so a newly opened context starts with the atoms of the
-context that opened it, and a fact recorded later in a context is passed
-to every larger context it has asked into.  A positive answer carries a
+whose fact is already recorded grounds nothing.  A derivation's leaves are
+axioms, so a supply with no axiom in it or in any discharged set is
+answered before any goal is asked: nothing is derivable.  Derivability is
+monotone in the context, so a newly opened context starts with the atoms of
+the context that opened it, and a fact recorded later in a context is
+passed to every larger context it has asked into.  A positive answer carries a
 derivation tree that an independent checker (check_derivation) replays
 against the rule supply.  Each fact is justified by the first way it is
 recorded, in the order goals were asked, and a fact passed on shares the
@@ -135,6 +138,8 @@ class AtomicRule(_Value):
     # exactly as equality does and does not depend on the hash seed
     _key: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    # the rule's level, computed once from the discharged rules' own
+    _level: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _ATOM_RE.fullmatch(self.conclusion):
@@ -142,9 +147,21 @@ class AtomicRule(_Value):
         # canonical premise order makes equality independent of listing order
         premises = tuple(sorted(self.premises, key=lambda p: p._key))
         object.__setattr__(self, "premises", premises)
-        object.__setattr__(
-            self, "_key", (self.conclusion, tuple(p._key for p in premises))
-        )
+        # one pass for the key and the level: a premise that discharges
+        # nothing gives 1, one that does 2 + the highest level it
+        # discharges, and the rule's level is the highest of these
+        keys = []
+        lvl = 0
+        for p in premises:
+            keys.append(p._key)
+            top = -1
+            for s in p.discharged:
+                if s._level > top:
+                    top = s._level
+            if top + 2 > lvl:
+                lvl = top + 2
+        object.__setattr__(self, "_key", (self.conclusion, tuple(keys)))
+        object.__setattr__(self, "_level", lvl)
         self._keep(premises, self.conclusion)
 
     __hash__ = _Value.__hash__
@@ -182,12 +199,10 @@ def rule_to_premise(r: AtomicRule) -> Premise:
 
 
 def level(r: AtomicRule) -> int:
-    if not r.premises:
-        return 0
-    return 1 + max(
-        0 if not p.discharged else 1 + max(level(s) for s in p.discharged)
-        for p in r.premises
-    )
+    """The rule's level: 0 for an axiom, otherwise 1 + the highest level of
+    its premises viewed as rules.  Kept on the rule when it is built, from
+    the kept levels of the rules it discharges, so a call reads one field."""
+    return r._level
 
 
 def atoms_of_rule(r: AtomicRule) -> frozenset[str]:
@@ -260,10 +275,17 @@ class _Numbering:
     axiom of an atom the set mentions only adds a bit to a context.
     shapes[i] is rule i's ((premise atom, discharged mask), ...),
     concluding[a] the mask of the rules concluding atom a, axioms[a] the
-    bit of a's axiom, and initial the mask of the set itself.
+    bit of a's axiom, and initial the mask of the set itself.  Two masks
+    tell from the rules' shape alone whether a supply can derive anything:
+    nested, every rule some discharged set holds, and axiom_bits, every
+    rule without premises, held in the set or not.  Every context is
+    initial, with assumed bits, OR'd with some of nested, and a derivation
+    ends in axioms, so a supply none of whose reachable rules is an axiom
+    derives nothing.
     """
 
-    __slots__ = ("order", "index", "atoms", "shapes", "concluding", "axioms", "initial")
+    __slots__ = ("order", "index", "atoms", "shapes", "concluding", "axioms",
+                 "nested", "axiom_bits", "initial")
 
     def __init__(self, rules: frozenset[AtomicRule]) -> None:
         index: dict[AtomicRule, int] = {}
@@ -280,6 +302,7 @@ class _Numbering:
         self.shapes: list[tuple[tuple[int, int], ...]] = []
         self.concluding: dict[int, int] = {}
         self.axioms: dict[int, int] = {}
+        self.nested = self.axiom_bits = 0
         self._number(sorted(index, key=lambda r: r._key))
         atoms, axioms = self.atoms, self.axioms
         self._number([axiom(a) for a, i in atoms.items() if i not in axioms])
@@ -299,18 +322,23 @@ class _Numbering:
         for i, r in enumerate(new, start):
             index[r] = i
         self.order += new
+        nested = axiom_bits = 0
         for i, r in enumerate(new, start):
             prems = []
             for p in r.premises:
                 dmask = 0
                 for s in p.discharged:
                     dmask |= 1 << index[s]
+                nested |= dmask
                 prems.append((atoms.setdefault(p.conclusion, len(atoms)), dmask))
             self.shapes.append(tuple(prems))
             head = atoms.setdefault(r.conclusion, len(atoms))
             concluding[head] = concluding.get(head, 0) | 1 << i
             if not prems:
                 self.axioms[head] = 1 << i
+                axiom_bits |= 1 << i
+        self.nested |= nested
+        self.axiom_bits |= axiom_bits
 
 
 # The numberings of recent rule sets, keyed by the set, never by a Base: an
@@ -325,7 +353,11 @@ class _Saturation:
     """Fixpoint of 'atom a is derivable in context R' over the facts asked.
 
     A context is the supply plus some of the rules that premises discharge.
-    Built in two steps:
+    A supply none of whose reachable rules is an axiom (no bit of initial
+    or of the numbering's nested mask is in its axiom_bits) derives
+    nothing, in any context: it is answered at once, with no atoms, one
+    context and no fact recorded, and counts no step.  Others are built
+    in two steps:
 
     1. Number every rule: the supply and every rule nested in a discharged
        set (_Numbering).  A base's rules are numbered once, in the fixed
@@ -383,6 +415,12 @@ class _Saturation:
     __slots__ = ("atoms", "_tables", "_trees")
 
     def __init__(self, numbering: _Numbering, initial: int, max_steps: int) -> None:
+        self._trees: dict[str, DerivationNode] = {}
+        if not (initial | numbering.nested) & numbering.axiom_bits:
+            # no reachable axiom: nothing is derivable, in any context
+            self.atoms: frozenset[str] = frozenset()
+            self._tables: tuple | None = (numbering, {}, [initial], {initial: 0}, [])
+            return
         shapes, concluding = numbering.shapes, numbering.concluding
         axioms = numbering.axioms
         n = len(numbering.atoms)
@@ -502,8 +540,7 @@ class _Saturation:
 
         names = list(numbering.atoms)
         self.atoms = frozenset(names[a] for a in range(n) if a in just)
-        self._tables: tuple | None = (numbering, just, masks, ids, queue)
-        self._trees: dict[str, DerivationNode] = {}
+        self._tables = (numbering, just, masks, ids, queue)
 
     def tree(self, goal: str) -> DerivationNode:
         """The derivation of a derivable atom of the supply's context.
@@ -578,11 +615,13 @@ def derive(
 
     A YES carries a derivation tree; replay it with check_derivation
     against the base's rules | assumed.  Budget exhaustion raises
-    ResourceLimitExceeded rather than answering NO; a step is one grounded
-    premise (a premise of an application some goal asked for), one counter
-    decrement (a recorded fact passed on to one application watching it)
-    or one fact passed along an ask edge (from a context to a larger one
-    it has asked into, when that one is opened or later).  A NO builds no
+    ResourceLimitExceeded rather than answering NO, except on a supply
+    with no axiom in it or in any discharged set: that is a NO that counts
+    no step.  Otherwise a step is one grounded premise (a premise of an
+    application some goal asked for), one counter decrement (a recorded
+    fact passed on to one application watching it) or one fact passed
+    along an ask edge (from a context to a larger one it has asked into,
+    when that one is opened or later).  A NO builds no
     tree.  The 256 most recent saturations are kept, so asking for each
     atom of one supply in turn saturates it once, and the first YES builds
     every tree of the supply, once: a repeated call returns the same tree
@@ -602,7 +641,10 @@ def derivable_atoms(base: Base, assumed: Iterable[AtomicRule] = ()) -> frozenset
 
     Read off the saturation derive() uses, which does no tree work for it:
     the saturation keeps the tables its trees are read from, and a later
-    derive() YES on the same supply builds the trees from them.
+    derive() YES on the same supply builds the trees from them.  Budget
+    exhaustion raises ResourceLimitExceeded, as in derive(), except on a
+    supply with no axiom in it or in any discharged set: that is the empty
+    set, and counts no step.
     """
     extra = frozenset(assumed) - base.rules
     return _saturate(base.rules, extra, DEFAULT_MAX_STEPS).atoms
@@ -691,8 +733,8 @@ _RULE_TOKEN_RE = re.compile(
 class _RuleParser(_Scanner):
     """Recursive descent over the rule syntax.  A rule nested in more than
     MAX_NESTING discharged sets fails at the '[' that opens the set one too
-    many, before the recursion goes any deeper: saturation, the level
-    recurrence and printing all recurse once per discharge."""
+    many, before the recursion goes any deeper: printing and the star
+    translation recurse once per discharge."""
 
     opened = 0  # the discharged sets open around the current token
 

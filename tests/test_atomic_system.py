@@ -97,6 +97,23 @@ def test_level_bounds_discharged_rules(r):
             assert level(s) <= k - 2
 
 
+def _recurrence_level(r: AtomicRule) -> int:
+    """The level recurrence, recomputed recursively on every call."""
+    if not r.premises:
+        return 0
+    return 1 + max(
+        0 if not p.discharged else 1 + max(_recurrence_level(s) for s in p.discharged)
+        for p in r.premises
+    )
+
+
+@given(rules(max_level=5))
+def test_kept_level_matches_the_recurrence(r):
+    assert level(r) == _recurrence_level(r)
+    # a pickle rebuilds the rule, and with it the kept level
+    assert level(pickle.loads(pickle.dumps(r))) == level(r)
+
+
 def _dup_free(r: AtomicRule) -> bool:
     if len(set(r.premises)) != len(r.premises):
         return False
@@ -420,6 +437,42 @@ def test_step_budget_raises_rather_than_answering_no():
             derive(b, goal=goal, max_steps=10)
     assert derive(b, goal="z").derivable
     assert not derive(b, goal="y").derivable
+
+
+def without_axioms(r: AtomicRule) -> AtomicRule:
+    """r with every rule without premises in it, at any depth, replaced by
+    (a => a) over its atom a."""
+    if not r.premises:
+        return AtomicRule(premises=(premise(r.conclusion),), conclusion=r.conclusion)
+    return AtomicRule(
+        premises=tuple(
+            premise(p.conclusion, map(without_axioms, p.discharged)) for p in r.premises
+        ),
+        conclusion=r.conclusion,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rules(max_level=4).map(without_axioms), max_size=4).map(frozenset))
+def test_a_supply_without_axioms_derives_nothing_and_opens_one_context(rs):
+    assert derivable_atoms(Base(rs)) == frozenset() == naive_derivable(rs)
+    sat = _saturate.__wrapped__(rs, frozenset(), atomic_system.DEFAULT_MAX_STEPS)
+    _, just, masks, _, queue = sat._tables
+    assert len(masks) == 1 and not just and not queue
+
+
+def test_a_supply_with_no_reachable_axiom_answers_no_within_any_budget():
+    # 16 discharges of compound rules and no axiom anywhere: a NO that
+    # counts no step, where saturating opened 17 contexts, past 10 steps
+    fan = "\n".join(f"([(x{i} => w) => y] => z)" for i in range(16))
+    assert not derive(base(fan), goal="z", max_steps=10).derivable
+    # a discharged axiom is reachable, so the whole saturation runs
+    with pytest.raises(ResourceLimitExceeded):
+        derive(base(fan + "\n([x0 => y] => z)"), goal="z", max_steps=10)
+    # a rule concludes bot, so the supply is saturated, and answers at once
+    supply = frozenset({rule("(p => bot)")})
+    assert check_consistency(supply)
+    assert _saturate.__wrapped__(supply, frozenset(), 0).atoms == frozenset()
 
 
 def test_consistency_needs_no_saturation_without_a_bot_rule():

@@ -148,7 +148,7 @@ SELF_RECURSIVE = {
         "_node_to_obj",
         "_replays",
     },
-    "atomic_system": {"format_rule", "level", "star_translate"},
+    "atomic_system": {"format_rule", "star_translate"},
     "base_semantics": {"BaseContext.holds", "Evaluator.entails", "_ipc"},
     "reductions": {"_rewrites"},
     "syntax": {"atoms_of", "formula_from_obj", "formula_to_obj", "substitute"},
